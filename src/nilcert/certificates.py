@@ -3,9 +3,11 @@
 A certificate asserts that a target polynomial lies in the ideal generated
 by the standard family for (p, e) when working mod p^m, by exhibiting one
 cofactor per generator.  verify_certificate re-expands the combination
-with plain polynomial arithmetic; it deliberately shares nothing with the
-membership engine beyond the polynomial layer, so a certificate check is
-evidence independent of the machinery that produced it.
+with plain polynomial arithmetic, against generators it rebuilds from
+their defining recursion (not from the operator layer the engine uses);
+it deliberately shares nothing with the membership engine beyond the
+polynomial layer, so a certificate check is evidence independent of the
+machinery that produced it.
 
 Certificate file grammar (one item per line, '#' starts a comment):
 
@@ -25,6 +27,7 @@ target is 0 mod p^m.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .coefficients import is_prime
@@ -43,6 +46,27 @@ def standard_generators(p: int, e: int) -> tuple:
         for n in range(e + 1)
     ]
     members.append(y ** p**e)
+    return tuple(members)
+
+
+@functools.lru_cache(maxsize=32)
+def _checker_generators(p: int, e: int) -> tuple:
+    """The same family as standard_generators, for the checker alone:
+    f_0 = x, f_n = f_(n-1)(x, y)^p - p * f_(n-1)(y, 0), then
+    p^(e-n) * f_n for n <= e and y^(p^e).  Cached per (p, e)."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if e < 1:
+        raise ValueError("depth e must be at least 1")
+    family = [Polynomial.monomial(RATIONALS, 1, 0)]
+    for _ in range(e):
+        previous = family[-1]
+        collapsed = Polynomial(
+            RATIONALS, {(0, i): c for (i, j), c in previous.terms.items() if j == 0}
+        )
+        family.append(previous**p - collapsed.scale(p))
+    members = [f.scale(p ** (e - n)) for n, f in enumerate(family)]
+    members.append(Polynomial.monomial(RATIONALS, 0, p**e))
     return tuple(members)
 
 
@@ -71,7 +95,7 @@ def verify_certificate(certificate: Certificate) -> bool:
     certificate is structurally malformed (bad index, wrong ring).
     """
     p, e, m = certificate.p, certificate.e, certificate.m
-    generators = standard_generators(p, e)
+    generators = _checker_generators(p, e)
     total = Polynomial.zero(RATIONALS)
     for index, cofactor in certificate.cofactors:
         if not 0 <= index < len(generators):

@@ -21,13 +21,22 @@ by the reductions of all multiples x^a y^b g_n.  Finitely many multiples
 suffice: a reduction with a >= p^e rewrites into reductions of strictly
 smaller a (x^(p^e) acts as the rewrite tail modulo the monic generator),
 and y^b g_n reduces to zero once b reaches p^e, so the grid
-0 <= a, b < p^e spans T.  The build enumerates that grid, Howellizes it
-once, and queries reduce against the canonical basis.
+0 <= a, b < p^e spans T.
+
+Everything here is weighted homogeneous for wt(x) = 1, wt(y) = p: the
+iterate generators, the rewrite tail, y^(p^e), so every grid multiple
+x^a y^b g_n (weight a + p*b + p^n) and every target x^N.  Reduction keeps
+the weight, so T is the direct sum of its weight classes, the spans of
+the monomials x^i y^j with i + p*j = w, each at most p^(e-1) wide.  The
+build Howellizes each class on its own (Macaulay-style elimination degree
+by degree, as for homogeneous ideals) and scatters the class bases into
+one canonical Howell basis over the span, which queries reduce against.
 
 Certificates ride along: the rewrite records cofactor fragments, each
 closure atom carries a small cofactor bundle, and a positive membership
-answer combines them through the Howell transform into one cofactor per
-generator, verifiable by independent expansion (see certificates.py).
+answer combines them through the Howell transforms of the classes its
+remainder touched into one cofactor per generator, verifiable by
+independent expansion (see certificates.py).
 
 Span vectors index the monomial x^i y^j at position j * p^e + i.
 """
@@ -40,7 +49,11 @@ import numpy as np
 
 from .certificates import Certificate, standard_generators
 from .coefficients import Modulus
-from .howell import howell_complete, howell_spanning_subset
+from .howell import HowellBasis, howell_complete
+
+# not called here any more; kept importable by this name, which
+# perfbench/tracing.py wraps
+from .howell import howell_spanning_subset  # noqa: F401
 from .polynomials import RATIONALS, Polynomial
 from .theta import ThetaContext
 
@@ -88,8 +101,9 @@ class RewriteSystem:
             raise AssertionError("rewrite tail escapes the span block")
 
     def _reduce_terms(self, work: dict):
-        """Core loop on a plain {(i, j): int} dict; mutates and returns
-        (span vector, fragments) with fragments[g] a cofactor term dict."""
+        """Core loop on a plain {(i, j): int} dict; mutates it into the span
+        part and returns (span terms, fragments) with fragments[g] a
+        cofactor term dict."""
         n = self.modulus.value
         block = self.block
         fragments: dict = {}
@@ -119,10 +133,7 @@ class RewriteSystem:
                     work[key] = total
                 else:
                     work.pop(key, None)
-        vector = np.zeros(self.span_size, dtype=np.int64)
-        for (i, j), value in work.items():
-            vector[j * block + i] = value
-        return vector, {g: dict(d) for g, d in fragments.items() if d}
+        return work, {g: dict(d) for g, d in fragments.items() if d}
 
     def reduce(self, f: Polynomial):
         """Normal form of a polynomial: (span vector, cofactor fragments).
@@ -134,7 +145,22 @@ class RewriteSystem:
             f = f.reduce_mod(self.p, self.m)
         elif f.ring != self.modulus:
             raise ValueError("polynomial modulus does not match the rewrite system")
-        return self._reduce_terms({key: c.value for key, c in f.terms.items()})
+        terms, fragments = self._reduce_terms({key: c.value for key, c in f.terms.items()})
+        vector = np.zeros(self.span_size, dtype=np.int64)
+        for (i, j), value in terms.items():
+            vector[j * self.block + i] = value
+        return vector, fragments
+
+    def weight_columns(self, weight: int) -> np.ndarray:
+        """Span indices of the monomials x^i y^j with i + p*j = weight.
+
+        Ascending, which is ascending j: x^i y^j sits at position
+        j - (smallest j of the class) in the class.
+        """
+        block, p = self.block, self.p
+        low = max(0, -(-(weight - block + 1) // p))
+        js = np.arange(low, min(block - 1, weight // p) + 1, dtype=np.int64)
+        return js * block + weight - p * js
 
     def monomial_index(self, i: int, j: int) -> int:
         if not (0 <= i < self.block and 0 <= j < self.block):
@@ -173,26 +199,55 @@ class MembershipResult:
 class _Atom:
     """One closure element: the reduction of x^a y^b * g_n.
 
-    bundle maps generator index to a cofactor term dict whose expansion
-    equals the atom's span vector mod p^m (the monomial cofactor on g_n
-    minus whatever the reduction credited to other generators).
+    key is (n, a, b) and weight is a + p*b + p^n, the weight class the
+    reduction lies in; vector holds it over that class's columns
+    (RewriteSystem.weight_columns(weight)).  bundle maps generator index
+    to a cofactor term dict whose expansion equals the reduction mod p^m
+    (the monomial cofactor on g_n minus whatever the reduction credited
+    to other generators).
     """
 
     key: tuple
+    weight: int
     vector: np.ndarray
     bundle: dict
 
 
-class MembershipModule:
-    """Queryable description of T = reductions of the ideal, mod p^m."""
+@dataclass(frozen=True, eq=False)
+class _WeightClass:
+    """The part of T in one weight class.
 
-    def __init__(self, ideal, rewrite, basis, transform, atoms):
+    columns are the class's span indices, ascending; basis is the Howell
+    form of the class's atoms over those columns, with
+    basis.matrix = transform @ (atom vectors) mod p^m; rows[k] is the row
+    of the module's basis that local row k was scattered to.
+    """
+
+    columns: np.ndarray
+    atoms: list
+    basis: HowellBasis
+    transform: np.ndarray
+    rows: np.ndarray
+
+
+class MembershipModule:
+    """Queryable description of T = reductions of the ideal, mod p^m.
+
+    basis is the canonical Howell basis of T over the whole span;
+    weight_classes holds the per-class eliminations it was assembled
+    from, and atoms every nonzero closure atom.
+    """
+
+    def __init__(self, ideal, rewrite, basis, weight_classes, atoms):
         self.ideal = ideal
         self.rewrite = rewrite
         self.modulus = rewrite.modulus
         self.basis = basis
-        self.transform = transform
+        self.weight_classes = weight_classes
         self.atoms = atoms
+        self._row_class = np.zeros(basis.rank, dtype=np.int64)
+        for index, weight_class in enumerate(weight_classes):
+            self._row_class[weight_class.rows] = index
         self.theta_context = ThetaContext(ideal.p)
 
     @property
@@ -260,19 +315,22 @@ class MembershipModule:
             return MembershipResult(member=False, witness=witness)
         n = self.modulus.value
         combined = {g: dict(terms) for g, terms in fragments.items()}
-        atom_weights = (coefficients @ self.transform) % n
-        for atom, weight in zip(self.atoms, atom_weights):
-            if not weight:
-                continue
-            weight = int(weight)
-            for g, terms in atom.bundle.items():
-                bucket = combined.setdefault(g, {})
-                for key, value in terms.items():
-                    total = (bucket.get(key, 0) + weight * value) % n
-                    if total:
-                        bucket[key] = total
-                    else:
-                        bucket.pop(key, None)
+        touched = np.unique(self._row_class[np.flatnonzero(coefficients)])
+        for index in touched:
+            weight_class = self.weight_classes[index]
+            atom_weights = (coefficients[weight_class.rows] @ weight_class.transform) % n
+            for atom, weight in zip(weight_class.atoms, atom_weights):
+                if not weight:
+                    continue
+                weight = int(weight)
+                for g, terms in atom.bundle.items():
+                    bucket = combined.setdefault(g, {})
+                    for key, value in terms.items():
+                        total = (bucket.get(key, 0) + weight * value) % n
+                        if total:
+                            bucket[key] = total
+                        else:
+                            bucket.pop(key, None)
         cofactors = tuple(
             (g, Polynomial(RATIONALS, terms))
             for g, terms in sorted(combined.items())
@@ -373,66 +431,107 @@ def build_membership_module(
     span_limit bounds the monomial span p^(2e); exceeding it raises
     ValueError so callers can turn resource overruns into skip verdicts.
 
-    Two elimination passes: the first Howellizes the whole monomial grid
-    of generator multiples and identifies a spanning subset of at most
-    one atom per basis row; the second, over that small subset only,
-    carries the transform that certificates combine cofactors through.
-    Both passes must agree on the canonical basis.
+    One elimination per weight class: the atoms of weight w are reduced
+    over that class's at most p^(e-1) columns by howell_complete, whose
+    transform certificates later combine cofactors through.  The class
+    bases are scattered into one basis over the span, rows sorted by
+    pivot column, which is the Howell form of all atoms together because
+    the classes share no columns.  Combining a certificate sums, per
+    class, one product of two residues below p^m per class basis row, so
+    the largest class rank times (p^m)^2 must stay below 2^63; above it
+    the build raises ValueError.
     """
     rewrite = RewriteSystem(p, e, m)
     if span_limit is not None and rewrite.span_size > span_limit:
         raise ValueError(f"span size {rewrite.span_size} exceeds the limit {span_limit}")
     modulus = rewrite.modulus
     n = modulus.value
-    if rewrite.span_size * n * n >= 2**63:
-        raise ValueError("precision too large for int64 transform arithmetic")
     ideal = IdealSpec.build(p, e)
     generators_mod = [
         {key: c.value for key, c in g.reduce_mod(p, m).terms.items()}
         for g in ideal.generators
     ]
+    block = rewrite.block
+    columns_of: dict = {}
 
     def make_atom(key):
         gen_index, a, b = key
         shifted = {
             (i + a, j + b): value for (i, j), value in generators_mod[gen_index].items()
         }
-        vector, fragments = rewrite._reduce_terms(shifted)
+        terms, fragments = rewrite._reduce_terms(shifted)
+        if not terms:
+            return None
+        weight = a + p * b + p**gen_index
+        if any(i + p * j != weight for i, j in terms):
+            raise AssertionError(f"atom {key} is not weighted homogeneous")
+        if weight not in columns_of:
+            columns_of[weight] = rewrite.weight_columns(weight)
+        columns = columns_of[weight]
+        first = int(columns[0]) // block
+        vector = np.zeros(len(columns), dtype=np.int64)
+        for (i, j), value in terms.items():
+            vector[j - first] = value
         bundle = {gen_index: {(a, b): 1}}
-        for g, terms in fragments.items():
+        for g, cofactor in fragments.items():
             bucket = bundle.setdefault(g, {})
-            for term_key, value in terms.items():
+            for term_key, value in cofactor.items():
                 total = (bucket.get(term_key, 0) - value) % n
                 if total:
                     bucket[term_key] = total
                 else:
                     bucket.pop(term_key, None)
-        return _Atom(key=key, vector=vector, bundle={g: d for g, d in bundle.items() if d})
+        return _Atom(
+            key=key, weight=weight, vector=vector,
+            bundle={g: d for g, d in bundle.items() if d},
+        )
 
     # multiples of the last generator reduce to zero outright (every term
     # has y-degree >= p^e), so the grid runs over the iterate generators
-    block = rewrite.block
     atoms = []
+    by_weight: dict = {}
     for gen_index in range(e + 1):
         for b in range(block):
             for a in range(block):
                 atom = make_atom((gen_index, a, b))
-                if atom.vector.any():
+                if atom is not None:
                     atoms.append(atom)
+                    by_weight.setdefault(atom.weight, []).append(atom)
 
-    if not atoms:
-        empty = np.zeros((0, rewrite.span_size), dtype=np.int64)
-        final_basis, transform = howell_complete(empty, modulus)
-        return MembershipModule(ideal, rewrite, final_basis, transform, [])
-    pool = np.vstack([atom.vector for atom in atoms])
-    grid_basis, spanning = howell_spanning_subset(pool, modulus)
-    kept = [atoms[index] for index in spanning]
-    final_basis, transform = howell_complete(
-        np.vstack([atom.vector for atom in kept]), modulus
+    weight_classes = []
+    for weight in sorted(by_weight):
+        members = by_weight[weight]
+        class_basis, transform = howell_complete(
+            np.vstack([atom.vector for atom in members]), modulus
+        )
+        if class_basis.rank * n * n >= 2**63:
+            raise ValueError("precision too large for int64 transform arithmetic")
+        weight_classes.append(
+            _WeightClass(
+                columns=columns_of[weight], atoms=members, basis=class_basis,
+                transform=transform, rows=np.zeros(class_basis.rank, dtype=np.int64),
+            )
+        )
+
+    order = sorted(
+        (int(weight_class.columns[column]), index, local)
+        for index, weight_class in enumerate(weight_classes)
+        for local, column in enumerate(weight_class.basis.pivot_columns)
     )
-    if not final_basis.same_span_as(grid_basis):
-        raise AssertionError("spanning subset changed the module")
-    return MembershipModule(ideal, rewrite, final_basis, transform, kept)
+    matrix = np.zeros((len(order), rewrite.span_size), dtype=np.int64)
+    for row, (_, index, local) in enumerate(order):
+        weight_class = weight_classes[index]
+        matrix[row, weight_class.columns] = weight_class.basis.matrix[local]
+        weight_class.rows[local] = row
+    basis = HowellBasis(
+        modulus=modulus,
+        matrix=matrix,
+        pivot_columns=tuple(column for column, _, _ in order),
+        pivot_values=tuple(
+            weight_classes[index].basis.pivot_values[local] for _, index, local in order
+        ),
+    )
+    return MembershipModule(ideal, rewrite, basis, weight_classes, atoms)
 
 
 def brute_force_membership_oracle(p: int, e: int, m: int, f: Polynomial) -> bool:

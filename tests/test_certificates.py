@@ -4,6 +4,7 @@ import pytest
 
 from nilcert.certificates import (
     Certificate,
+    _checker_generators,
     certificate_from_text,
     certificate_to_text,
     read_certificate,
@@ -14,6 +15,7 @@ from nilcert.certificates import (
 from nilcert.polynomials import RATIONALS, Polynomial
 
 X, Y = Polynomial.generators(RATIONALS)
+ACCEPTANCE_GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)]
 
 
 def hand_certificate():
@@ -32,6 +34,33 @@ def test_standard_generators_depth_two():
     assert g[1] == (X**2 - Y.scale(2)).scale(2)
     assert g[2] == X**4 - (X**2 * Y).scale(4) + (Y**2).scale(2)
     assert g[3] == Y**4
+
+
+@pytest.mark.parametrize("p,e", ACCEPTANCE_GRID)
+def test_checker_generators_match_standard_family(p, e):
+    assert _checker_generators(p, e) == standard_generators(p, e)
+
+
+def test_checker_generators_reject_bad_parameters():
+    with pytest.raises(ValueError):
+        verify_certificate(Certificate(p=4, e=1, m=2, target=X, cofactors=()))
+    with pytest.raises(ValueError):
+        verify_certificate(Certificate(p=2, e=0, m=2, target=X, cofactors=()))
+
+
+def test_perturbed_grid_certificate_fails():
+    from nilcert.quotient import build_membership_module
+
+    certificate = build_membership_module(3, 2, 3).verify_nilpotence().certificate
+    assert verify_certificate(certificate)
+    (index, cofactor), *rest = certificate.cofactors
+    bad = Certificate(
+        p=3, e=2, m=3, target=certificate.target,
+        cofactors=((index, cofactor + Polynomial.monomial(RATIONALS, 0, 1)), *rest),
+    )
+    assert not verify_certificate(bad)
+    # the cached family is not altered by checking
+    assert verify_certificate(certificate)
 
 
 def test_hand_certificate_verifies():

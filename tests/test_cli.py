@@ -157,6 +157,24 @@ def test_verify_failure_sets_exit_code(monkeypatch, capsys):
     assert payload["summary"]["fail"] > 0
 
 
+def test_certificate_reverification_failure_is_a_verdict(tmp_path, monkeypatch, capsys):
+    import nilcert.cli as cli
+
+    monkeypatch.setattr(cli, "verify_certificate", lambda certificate: False)
+    certs = tmp_path / "certs"
+    code, out, _ = run(
+        ["verify", "--p", "2", "--e", "1", "--format", "machine", "--out-certs", str(certs)],
+        capsys,
+    )
+    assert code == 1
+    record = json.loads(out)["records"][0]
+    assert record["verdicts"]["nilpotence_m2"] == "fail"
+    assert record["verdicts"]["nilpotence_m3"] == "fail"
+    assert record["verdicts"]["sharpness_m2"] == "pass"
+    # the rejected files are still written and listed
+    assert record["certificates"] == sorted(os.listdir(certs))
+
+
 def test_table_format_default(capsys):
     code, out, _ = run(["verify", "--p", "2", "--e", "1"], capsys)
     assert code == 0

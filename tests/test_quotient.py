@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcert.certificates import standard_generators, verify_certificate
+from nilcert.howell import howell_form
 from nilcert.polynomials import RATIONALS, Polynomial
 from nilcert.quotient import (
     IdealSpec,
@@ -24,11 +25,19 @@ from nilcert.quotient import (
 from nilcert.theta import random_polynomial
 
 X, Y = Polynomial.generators(RATIONALS)
+ACCEPTANCE_GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)]
 
 
 @functools.lru_cache(maxsize=None)
 def module_for(p, e, m):
     return build_membership_module(p, e, m)
+
+
+def span_vector(module, atom):
+    """An atom's class-local vector scattered back onto the whole span."""
+    vector = np.zeros(module.rewrite.span_size, dtype=np.int64)
+    vector[module.rewrite.weight_columns(atom.weight)] = atom.vector
+    return vector
 
 
 def expand(module, fragments):
@@ -150,19 +159,53 @@ def test_atom_bundles_expand_to_their_vectors():
     for p, e, m in [(2, 1, 3), (2, 2, 3)]:
         module = module_for(p, e, m)
         for atom in module.atoms:
-            span_part = module.rewrite.vector_to_polynomial(atom.vector).lift()
+            span_part = module.rewrite.vector_to_polynomial(span_vector(module, atom)).lift()
             difference = expand(module, atom.bundle) - span_part
             assert difference.reduce_mod(p, m).is_zero()
 
 
 def test_basis_stable_under_atom_shuffling():
     module = module_for(2, 2, 3)
-    vectors = [atom.vector for atom in module.atoms]
+    vectors = [span_vector(module, atom) for atom in module.atoms]
     random.Random(7).shuffle(vectors)
-    from nilcert.howell import howell_form
-
     shuffled = howell_form(np.vstack(vectors), module.modulus)
     assert shuffled.same_span_as(module.basis)
+
+
+def weights_of(module, vector):
+    block, p = module.rewrite.block, module.p
+    return {int(index) % block + p * (int(index) // block) for index in np.flatnonzero(vector)}
+
+
+# the acceptance grid at both of its precisions, plus the (5, 2) cell of
+# the default verify grid
+GRADED_CELLS = [(p, e, m) for p, e in ACCEPTANCE_GRID for m in (e + 1, e + 2)] + [(5, 2, 3)]
+
+
+@pytest.mark.parametrize("p,e,m", GRADED_CELLS)
+def test_weight_graded_basis_matches_global_elimination(p, e, m):
+    module = module_for(p, e, m)
+    for atom in module.atoms:
+        n, a, b = atom.key
+        assert atom.weight == a + p * b + p**n
+        assert weights_of(module, span_vector(module, atom)) == {atom.weight}
+    for row in module.basis.matrix:
+        assert len(weights_of(module, row)) == 1
+    whole = howell_form(
+        np.vstack([span_vector(module, atom) for atom in module.atoms]), module.modulus
+    )
+    assert whole.same_span_as(module.basis)
+    assert whole.pivot_columns == module.basis.pivot_columns
+    assert whole.pivot_values == module.basis.pivot_values
+
+
+@pytest.mark.parametrize("p,e", [(3, 3), (2, 5)])
+def test_deep_cells_build_and_certify(p, e):
+    module = build_membership_module(p, e, e + 1)
+    result = module.verify_nilpotence()
+    assert result.member
+    assert verify_certificate(result.certificate)
+    assert not module.verify_sharpness().member
 
 
 def test_generators_are_members():
@@ -338,3 +381,14 @@ def test_span_limit_enforced():
 def test_span_limit_permits_small_instances():
     module = build_membership_module(2, 1, 2, span_limit=8)
     assert module.basis.rank == 2
+
+
+def test_transform_guard_is_per_weight_class():
+    # span 64 times (2^30)^2 passes 2^63, but no class is wider than 4
+    module = build_membership_module(2, 3, 30)
+    result = module.verify_nilpotence()
+    assert result.member
+    assert verify_certificate(result.certificate)
+    # classes of width 8 at full rank do pass it
+    with pytest.raises(ValueError, match="precision too large"):
+        build_membership_module(2, 4, 30)
