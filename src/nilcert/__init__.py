@@ -22,6 +22,7 @@ from .coefficients import (
     Residue,
     divide_exact_by_p,
     is_prime,
+    rational,
     reduce_mod,
     vp,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "is_prime",
     "nilpotence_bound",
     "random_polynomial",
+    "rational",
     "read_certificate",
     "reduce_mod",
     "standard_generators",

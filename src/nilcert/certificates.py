@@ -12,8 +12,8 @@ machinery that produced it.
 Certificate file grammar (one item per line, '#' starts a comment):
 
     p = <prime>
-    e = <depth, at least 1>
-    m = <precision, at least 1>
+    e = <depth, at least 1, with p^e at most MAX_DEGREE>
+    m = <precision, from 1 to MAX_PRECISION>
     target = <polynomial text>
     cofactor <generator index> = <polynomial text>
 
@@ -33,6 +33,12 @@ from dataclasses import dataclass
 from .coefficients import is_prime
 from .polynomials import RATIONALS, Polynomial
 from .theta import ThetaContext
+
+# A certificate file is outside input, so its header is bounded before any
+# generator is built: p^e at most the default --degree-cap of the iterate
+# checks, and m far above the precisions the int64 engine can reach.
+MAX_DEGREE = 1024
+MAX_PRECISION = 64
 
 
 def standard_generators(p: int, e: int) -> tuple:
@@ -143,17 +149,23 @@ def certificate_from_text(text: str) -> Certificate:
     missing = {"p", "e", "m", "target"} - set(header)
     if missing:
         raise ValueError(f"certificate is missing {sorted(missing)}")
-    if not is_prime(header["p"]):
-        raise ValueError(f"{header['p']} is not prime")
-    if header["e"] < 1 or header["m"] < 1:
+    p, e, m = header["p"], header["e"], header["m"]
+    if e < 1 or m < 1:
         raise ValueError("certificate depth and precision must be at least 1")
+    if m > MAX_PRECISION:
+        raise ValueError(f"certificate precision {m} exceeds {MAX_PRECISION}")
+    # p^e >= 2^e, so e is bounded before p**e is formed
+    if p > MAX_DEGREE or e >= MAX_DEGREE.bit_length() or p**e > MAX_DEGREE:
+        raise ValueError(f"certificate degree p^e exceeds {MAX_DEGREE}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     seen = [index for index, _ in cofactors]
     if len(seen) != len(set(seen)):
         raise ValueError("duplicate cofactor index")
     return Certificate(
-        p=header["p"],
-        e=header["e"],
-        m=header["m"],
+        p=p,
+        e=e,
+        m=m,
         target=header["target"],
         cofactors=tuple(sorted(cofactors)),
     )

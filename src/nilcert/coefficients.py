@@ -4,6 +4,12 @@ Three coefficient domains appear throughout: the integers, the integers
 localized at a prime p (fractions whose denominator is coprime to p), and
 the finite rings Z/p^m.  Everything here is exact big-integer arithmetic;
 no floats are involved anywhere.
+
+Rational values are integer-native: an integer is always a plain int, and
+a LocalizedRational is produced by arithmetic only when the reduced
+denominator is greater than 1.  rational() is the one constructor that
+enforces this, so integer-valued work (the iterate family, psi and theta
+on integer input) stays in the interpreter's built-in int arithmetic.
 """
 
 from __future__ import annotations
@@ -47,13 +53,26 @@ def vp(n, p: int) -> int:
     return k
 
 
+def rational(numerator: int, denominator: int = 1):
+    """The value numerator/denominator in canonical form: an int when the
+    reduced denominator is 1, otherwise a LocalizedRational."""
+    if denominator == 1:
+        return int(numerator)
+    q = LocalizedRational(numerator, denominator)
+    return q.numerator if q.denominator == 1 else q
+
+
 class LocalizedRational:
     """A fraction a/b kept in lowest terms with b > 0.
 
-    Used for computations in Z and in the localization of Z at a prime p.
-    The value itself does not know p; operations that need p-locality
-    (exact division by p, reduction mod p^m) check the denominator at the
-    point of use.  Zero is always stored as 0/1.
+    Used for computations in the localization of Z at a prime p.  The value
+    itself does not know p; operations that need p-locality (exact division
+    by p, reduction mod p^m) check the denominator at the point of use.
+    Zero is always stored as 0/1.
+
+    The constructor always builds an instance, but arithmetic returns its
+    result through rational(), so an integer-valued result is a plain int.
+    An integer-valued instance equals, and hashes like, the same int.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -79,17 +98,16 @@ class LocalizedRational:
 
     @staticmethod
     def _coerce(other):
-        if isinstance(other, LocalizedRational):
+        # an int carries numerator and denominator (n/1) itself
+        if isinstance(other, (LocalizedRational, int)):
             return other
-        if isinstance(other, int):
-            return LocalizedRational(other)
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return LocalizedRational(
+        return rational(
             self.numerator * other.denominator + other.numerator * self.denominator,
             self.denominator * other.denominator,
         )
@@ -97,7 +115,7 @@ class LocalizedRational:
     __radd__ = __add__
 
     def __neg__(self):
-        return LocalizedRational(-self.numerator, self.denominator)
+        return rational(-self.numerator, self.denominator)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -112,7 +130,7 @@ class LocalizedRational:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return LocalizedRational(
+        return rational(
             self.numerator * other.numerator,
             self.denominator * other.denominator,
         )
@@ -122,7 +140,7 @@ class LocalizedRational:
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative powers are not defined here")
-        return LocalizedRational(self.numerator**exponent, self.denominator**exponent)
+        return rational(self.numerator**exponent, self.denominator**exponent)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -134,6 +152,8 @@ class LocalizedRational:
         )
 
     def __hash__(self):
+        if self.denominator == 1:
+            return hash(self.numerator)
         return hash((self.numerator, self.denominator))
 
     def __bool__(self):
@@ -254,22 +274,19 @@ class Residue:
         return f"Residue({self.value}, mod {self.modulus.p}^{self.modulus.m})"
 
 
-def divide_exact_by_p(q, p: int) -> LocalizedRational:
+def divide_exact_by_p(q, p: int):
     """Divide q by p, requiring the quotient to stay p-integral.
 
     q may be an integer or a LocalizedRational whose denominator is coprime
-    to p.  Raises ValueError("not divisible by p") when p does not divide
-    the numerator of a nonzero q.
+    to p; the quotient is in canonical form, so an int for integer q.
+    Raises ValueError("not divisible by p") when p does not divide the
+    numerator of a nonzero q.
     """
-    if isinstance(q, int):
-        q = LocalizedRational(q)
     if q.denominator % p == 0:
         raise ValueError("denominator is not coprime to p")
-    if q.numerator == 0:
-        return q
     if q.numerator % p != 0:
         raise ValueError("not divisible by p")
-    return LocalizedRational(q.numerator // p, q.denominator)
+    return rational(q.numerator // p, q.denominator)
 
 
 def reduce_mod(q, p: int, m: int) -> Residue:

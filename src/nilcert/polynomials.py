@@ -2,9 +2,12 @@
 
 A polynomial is a dict from exponent pairs (i, j) to nonzero coefficients,
 tagged with the ring the coefficients live in: either RATIONALS (integers
-and p-integral fractions, as LocalizedRational values) or a Modulus(p, m)
-(residues in Z/p^m).  Variables are positional; they are only named at the
-text boundary, rendered as x, y by default or s, t for the iterate family.
+and p-integral fractions) or a Modulus(p, m) (residues in Z/p^m).  RATIONALS
+coefficients are integer-native: an integer value is always stored as a
+plain int and a LocalizedRational only when its reduced denominator is
+greater than 1, so equal polynomials have equal terms and equal hashes.
+Variables are positional; they are only named at the text boundary,
+rendered as x, y by default or s, t for the iterate family.
 
 The text format is bit-exact and round-trips through parse():
 terms in graded-lexicographic order (first variable dominant, descending),
@@ -37,12 +40,18 @@ RATIONALS = _RationalRing()
 
 
 def coerce_coefficient(ring, value):
-    """Map an int / LocalizedRational / Residue into the given ring."""
+    """Map an int / LocalizedRational / Residue into the given ring.
+
+    Into RATIONALS the value comes back in canonical form: a plain int for
+    an integer value, a LocalizedRational only for a proper fraction.
+    """
     if ring is RATIONALS:
-        if isinstance(value, LocalizedRational):
+        if type(value) is int:
             return value
+        if isinstance(value, LocalizedRational):
+            return value.numerator if value.denominator == 1 else value
         if isinstance(value, int):
-            return LocalizedRational(value)
+            return int(value)
         raise TypeError(f"cannot coerce {type(value).__name__} into RATIONALS")
     if isinstance(ring, Modulus):
         if isinstance(value, Residue):
@@ -186,19 +195,16 @@ class Polynomial:
             return self.scale(other)
         self._check_ring(other)
         out = {}
+        get = out.get
+        right = [(i2, j2, c2) for (i2, j2), c2 in other.terms.items()]
         for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+            for i2, j2, c2 in right:
                 key = (i1 + i2, j1 + j2)
-                c = c1 * c2
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                s = get(key)
+                out[key] = c1 * c2 if s is None else s + c1 * c2
         result = Polynomial.__new__(Polynomial)
         object.__setattr__(result, "ring", self.ring)
-        object.__setattr__(result, "terms", out)
+        object.__setattr__(result, "terms", {k: c for k, c in out.items() if c})
         return result
 
     def __rmul__(self, other):
@@ -248,10 +254,13 @@ class Polynomial:
         self._check_ring(second)
         pow_first = _power_table(first, {i for i, _ in self.terms})
         pow_second = _power_table(second, {j for _, j in self.terms})
-        result = Polynomial.zero(self.ring)
+        out = {}
+        get = out.get
         for (i, j), c in sorted(self.terms.items()):
-            result = result + (pow_first[i] * pow_second[j]).scale(c)
-        return result
+            for key, v in (pow_first[i] * pow_second[j]).terms.items():
+                s = get(key)
+                out[key] = v * c if s is None else s + v * c
+        return Polynomial(self.ring, out)
 
     def reduce_mod(self, p: int, m: int) -> "Polynomial":
         """Reduce every coefficient into Z/p^m, dropping vanishing terms."""
@@ -330,7 +339,7 @@ class Polynomial:
                     num = int(match.group(1))
                     den = int(match.group(2)) if match.group(2) else 1
                     value = LocalizedRational(num, den) if den != 1 else num
-                    coefficient = value if coefficient is None else _coeff_mul(coefficient, value)
+                    coefficient = value if coefficient is None else coefficient * value
                     continue
                 match = re.fullmatch(r"([A-Za-z]+)(?:\^(\d+))?", factor)
                 if match and match.group(1) in names:
@@ -341,10 +350,9 @@ class Polynomial:
                         j += k
                     continue
                 raise ValueError(f"cannot parse factor {factor!r} in {text!r}")
-            value = 1 if coefficient is None else coefficient
-            value = _coeff_mul(sign, value)
+            value = sign if coefficient is None else sign * coefficient
             existing = terms.get((i, j))
-            terms[(i, j)] = value if existing is None else _coeff_add(existing, value)
+            terms[(i, j)] = value if existing is None else existing + value
         return cls(ring, terms)
 
     def __str__(self):
@@ -352,22 +360,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.ring!r}, {self.to_text()!r})"
-
-
-def _coeff_mul(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return a * b
-    a = a if isinstance(a, LocalizedRational) else LocalizedRational(a)
-    b = b if isinstance(b, LocalizedRational) else LocalizedRational(b)
-    return a * b
-
-
-def _coeff_add(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return a + b
-    a = a if isinstance(a, LocalizedRational) else LocalizedRational(a)
-    b = b if isinstance(b, LocalizedRational) else LocalizedRational(b)
-    return a + b
 
 
 def _power_table(base: Polynomial, exponents) -> dict:

@@ -26,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .coefficients import LocalizedRational, divide_exact_by_p, is_prime, vp
+from .coefficients import divide_exact_by_p, is_prime, rational, vp
 from .polynomials import RATIONALS, Polynomial
 
 
@@ -92,15 +92,14 @@ class ThetaContext:
         """
         if f.ring is not RATIONALS:
             raise ValueError("theta expects rational or integer coefficients")
-        numerator = f**self.p - self.psi(f)
+        p = self.p
+        numerator = f**p - self.psi(f)
         terms = {}
         for key, c in numerator.terms.items():
-            try:
-                terms[key] = divide_exact_by_p(c, self.p)
-            except ValueError as exc:
-                if "not divisible" in str(exc):
-                    raise ValueError("Frobenius congruence violated") from exc
-                raise
+            # a denominator divisible by p is left to divide_exact_by_p
+            if c.numerator % p and c.denominator % p:
+                raise ValueError("Frobenius congruence violated")
+            terms[key] = divide_exact_by_p(c, p)
         return Polynomial(RATIONALS, terms)
 
     def check_frobenius_congruence(self, f: Polynomial) -> bool:
@@ -267,6 +266,5 @@ def random_polynomial(
         j = rng.randint(0, max_degree - i)
         numerator = rng.randint(-9, 9)
         denominator = rng.choice([1, q]) if allow_fractions else 1
-        existing = terms.get((i, j), LocalizedRational(0))
-        terms[(i, j)] = existing + LocalizedRational(numerator, denominator)
+        terms[(i, j)] = terms.get((i, j), 0) + rational(numerator, denominator)
     return Polynomial(RATIONALS, terms)

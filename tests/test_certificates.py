@@ -1,8 +1,12 @@
 """Certificate objects, their text form, and independent verification."""
 
+import time
+
 import pytest
 
 from nilcert.certificates import (
+    MAX_DEGREE,
+    MAX_PRECISION,
     Certificate,
     _checker_generators,
     certificate_from_text,
@@ -12,6 +16,7 @@ from nilcert.certificates import (
     verify_certificate,
     write_certificate,
 )
+from nilcert.cli import RunConfig
 from nilcert.polynomials import RATIONALS, Polynomial
 
 X, Y = Polynomial.generators(RATIONALS)
@@ -133,6 +138,33 @@ def test_missing_header_rejected():
 def test_composite_p_rejected():
     with pytest.raises(ValueError):
         certificate_from_text("p = 4\ne = 1\nm = 2\ntarget = x\n")
+
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("p = 2\ne = 30\nm = 31", "degree"),
+        ("p = 2\ne = 11\nm = 12", "degree"),
+        ("p = 1031\ne = 1\nm = 2", "degree"),
+        (f"p = {10**40 + 1}\ne = 1\nm = 2", "degree"),
+        ("p = 2\ne = 1\nm = 1000000000", "precision"),
+        (f"p = 2\ne = 1\nm = {MAX_PRECISION + 1}", "precision"),
+    ],
+)
+def test_oversized_header_rejected_promptly(header, message):
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        certificate_from_text(header + "\ntarget = x\ncofactor 0 = y\n")
+    assert time.perf_counter() - started < 1.0
+
+
+def test_largest_admitted_header_parses():
+    # the cap is the default degree cap of the iterate checks, 2^10
+    assert MAX_DEGREE == RunConfig.degree_cap == 2**10
+    text = f"p = 2\ne = 10\nm = {MAX_PRECISION}\ntarget = x\n"
+    certificate = certificate_from_text(text)
+    assert (certificate.e, certificate.m) == (10, MAX_PRECISION)
 
 
 def test_file_round_trip(tmp_path):

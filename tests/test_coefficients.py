@@ -10,6 +10,7 @@ from nilcert.coefficients import (
     Residue,
     divide_exact_by_p,
     is_prime,
+    rational,
     reduce_mod,
     vp,
 )
@@ -88,6 +89,33 @@ def test_rational_arithmetic():
     assert str(LocalizedRational(-7)) == "-7"
     assert not LocalizedRational(0)
     assert bool(a)
+
+
+def test_integer_valued_rational_hashes_like_int():
+    for n in (2, -7, 0, 3**40):
+        q = LocalizedRational(n)
+        assert q == n and hash(q) == hash(n)
+    assert hash(LocalizedRational(4, 2)) == hash(2)
+    assert len({LocalizedRational(2), 2}) == 1
+    assert {LocalizedRational(10, 5): "two"}[2] == "two"
+
+
+def test_rational_values_are_integer_native():
+    assert type(rational(4, 2)) is int and rational(4, 2) == 2
+    assert type(rational(-3)) is int
+    assert rational(2, -6) == LocalizedRational(-1, 3)
+    half = LocalizedRational(1, 2)
+    third = LocalizedRational(1, 3)
+    assert type(half + half) is int and half + half == 1
+    assert type(half * 4) is int and 4 * half == 2
+    assert type(LocalizedRational(2, 3) * 3) is int
+    assert type(half - half) is int and half - half == 0
+    assert type(-LocalizedRational(5)) is int
+    assert type(third**0) is int
+    assert type(half + third) is LocalizedRational
+    assert type(divide_exact_by_p(6, 3)) is int
+    assert type(divide_exact_by_p(LocalizedRational(6, 1), 3)) is int
+    assert type(divide_exact_by_p(LocalizedRational(6, 5), 3)) is LocalizedRational
 
 
 @given(

@@ -208,6 +208,44 @@ def test_text_round_trip(seed):
     assert Polynomial.parse(f.to_text(), RATIONALS) == f
 
 
+@st.composite
+def _p_integral_polynomials(draw):
+    """Random p-integral polynomials, with proper fractions and with
+    fractions that reduce to integers, such as 6/3."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    denominators = st.sampled_from([d for d in (1, 2, 3, 5, 7, 9) if d % p])
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)),
+            st.builds(LocalizedRational, st.integers(-50, 50), denominators),
+            max_size=8,
+        )
+    )
+    return Polynomial(RATIONALS, terms)
+
+
+@given(_p_integral_polynomials())
+def test_parse_round_trip_p_integral(f):
+    back = Polynomial.parse(f.to_text(), RATIONALS)
+    assert back == f and hash(back) == hash(f)
+    assert all(type(c) is int or c.denominator > 1 for c in back.terms.values())
+
+
+def test_integer_coefficients_are_plain_ints():
+    f = Polynomial(RATIONALS, {(1, 0): LocalizedRational(4, 2)})
+    assert type(f.terms[(1, 0)]) is int and f.terms[(1, 0)] == 2
+    from_ints = Polynomial(RATIONALS, {(2, 0): 3, (0, 1): -1})
+    from_rationals = Polynomial(
+        RATIONALS, {(2, 0): LocalizedRational(9, 3), (0, 1): LocalizedRational(-1)}
+    )
+    assert from_ints == from_rationals
+    assert hash(from_ints) == hash(from_rationals)
+    assert len({from_ints, from_rationals}) == 1
+    half = Polynomial.constant(RATIONALS, LocalizedRational(1, 2)) * X
+    for g in (half + half, half.scale(2), half * Polynomial.constant(RATIONALS, 4)):
+        assert all(type(c) is int for c in g.terms.values())
+
+
 def test_parse_errors():
     with pytest.raises(ValueError):
         Polynomial.parse("", RATIONALS)

@@ -72,6 +72,31 @@ def test_theta_rejects_non_p_integral_input():
         ctx.theta(bad)
 
 
+
+def test_theta_reports_a_broken_frobenius_congruence():
+    class NoLift(ThetaContext):
+        def psi(self, f):
+            return f
+
+    # x^2 - x has the coefficient -1, which 2 does not divide
+    with pytest.raises(ValueError, match="Frobenius congruence violated"):
+        NoLift(2).theta(X)
+    # a denominator divisible by p is reported as such, not as the congruence
+    with pytest.raises(ValueError, match="coprime"):
+        ThetaContext(2).theta(Polynomial.constant(RATIONALS, LocalizedRational(1, 2)) * X)
+
+
+def test_operator_layer_is_integer_native():
+    rng = random.Random(3)
+    for p, top in ((2, 6), (3, 3), (5, 2)):
+        ctx = ThetaContext(p)
+        samples = [X, Y] + [random_polynomial(rng, p, allow_fractions=False) for _ in range(4)]
+        samples += [ctx.iterate_polynomial(n) for n in range(top + 1)]
+        for f in samples:
+            for g in (f, ctx.psi(f), ctx.theta(f)):
+                assert all(type(c) is int for c in g.terms.values()), (p, g)
+
+
 def test_frobenius_congruence_holds_on_samples():
     rng = random.Random(7)
     for p in (2, 3, 5):
@@ -159,7 +184,7 @@ def test_iterate_polynomial_structure():
             fn = ctx.iterate_polynomial(n)
             assert fn.coefficient(p**n, 0) == 1
             assert all(i + p * j == p**n for i, j in fn.terms)
-            assert all(c.is_integer() for c in fn.terms.values())
+            assert all(c.denominator == 1 for c in fn.terms.values())
 
 
 def test_iterate_polynomial_memo():
