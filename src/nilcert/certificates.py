@@ -46,12 +46,9 @@ def standard_generators(p: int, e: int) -> tuple:
     if e < 1:
         raise ValueError("depth e must be at least 1")
     ctx = ThetaContext(p)
-    x, y = Polynomial.generators(RATIONALS)
-    members = [
-        ctx.iterate_polynomial(n).substitute(x, y).scale(p ** (e - n))
-        for n in range(e + 1)
-    ]
-    members.append(y ** p**e)
+    # variables are positional, so the iterates in (s, t) are already in (x, y)
+    members = [ctx.iterate_polynomial(n).scale(p ** (e - n)) for n in range(e + 1)]
+    members.append(Polynomial.monomial(RATIONALS, 0, p**e))
     return tuple(members)
 
 

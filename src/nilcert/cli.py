@@ -24,12 +24,21 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .certificates import read_certificate, verify_certificate, write_certificate
+from .certificates import (
+    MAX_PRECISION,
+    read_certificate,
+    verify_certificate,
+    write_certificate,
+)
 from .coefficients import is_prime
 from .quotient import build_membership_module
-from .theta import ThetaContext, nilpotence_bound, random_polynomial
+from .theta import SAMPLE_DEGREE, ThetaContext, nilpotence_bound, random_polynomial
 
 PASS, FAIL = "pass", "fail"
+
+# Largest accepted --degree-cap: the p = 2 iterate checks up to p^n = 4096
+# already take seconds, and their cost grows about fourfold per doubling.
+MAX_DEGREE_CAP = 4096
 
 
 def skipped(reason: str) -> str:
@@ -143,6 +152,17 @@ def run_axioms(config: RunConfig) -> Report:
     report = Report("axioms", config)
     for p in sorted(set(config.primes)):
         started = time.perf_counter()
+        top_degree = SAMPLE_DEGREE * p * p
+        if top_degree > config.degree_cap:
+            verdicts = {
+                "axioms": skipped(
+                    f"theta of psi of a sample reaches degree {top_degree}, "
+                    f"above the degree cap {config.degree_cap}"
+                )
+            }
+            report.records.append({"p": p, "trials": config.trials, "verdicts": verdicts})
+            _timing(f"axioms p={p}", started)
+            continue
         ctx = ThetaContext(p)
         rng = config.rng_for(p)
         axiom_failures = multiple_failures = congruence_failures = 0
@@ -314,6 +334,10 @@ def config_from_args(parser, args) -> RunConfig:
         parser.error("trials must be at least 1")
     if args.extra_precision < 0:
         parser.error("extra precision must be nonnegative")
+    if args.extra_precision > MAX_PRECISION:
+        parser.error(f"extra precision must be at most {MAX_PRECISION}")
+    if args.degree_cap > MAX_DEGREE_CAP:
+        parser.error(f"degree cap must be at most {MAX_DEGREE_CAP}")
     return RunConfig(
         primes=sorted(set(primes)),
         depths=sorted(set(depths)),

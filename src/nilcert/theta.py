@@ -7,6 +7,12 @@ psi(f) is congruent to f^p mod p, so theta(f) = (f^p - psi(f)) / p is an
 exact polynomial.  theta and psi satisfy the usual divided-power-style
 identities, which check_theta_axioms verifies on concrete inputs.
 
+psi is graded: for wt(x) = 1, wt(y) = p it carries the weight-w part of
+a polynomial to weight p*w.  So psi is evaluated one weighted-homogeneous
+part at a time, as a univariate polynomial in x^p - p*y expanded by
+Horner's rule on a dense coefficient list, rather than by the generic
+Polynomial.substitute.
+
 The context also builds the iterate family: integer polynomials, written
 in variables s, t, expressing the n-fold Adams iterate of the first
 generator.  The family is defined by the recursion
@@ -27,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 
 from .coefficients import divide_exact_by_p, is_prime, rational, vp
-from .polynomials import RATIONALS, Polynomial
+from .polynomials import RATIONALS, Polynomial, coerce_coefficient
 
 
 @dataclass
@@ -66,15 +72,46 @@ class ThetaContext:
 
     # ---- operators ----
 
-    def _psi_images(self, ring):
-        first = Polynomial(ring, {(self.p, 0): 1, (0, 1): -self.p})
-        second = Polynomial.monomial(ring, 0, self.p)
-        return first, second
-
     def psi(self, f: Polynomial) -> Polynomial:
-        """Adams operation: substitute x -> x^p - p*y, y -> y^p."""
-        first, second = self._psi_images(f.ring)
-        return f.substitute(first, second)
+        """Adams operation: substitute x -> x^p - p*y, y -> y^p.
+
+        Evaluated one weighted-homogeneous part at a time.  The weight-w
+        part sum_j a_j x^(w-pj) y^j maps to sum_j a_j X^(w-pj) y^(pj) with
+        X = x^p - p*y, a polynomial of weight p*w.  With j0 the smallest
+        y-degree and top = w - p*j0, that is y^(p*j0) times a polynomial
+        in X of degree top, evaluated by Horner's rule on a dense list
+        indexed by the power of y: multiplying by X keeps index L on
+        x^p and moves -p times it to index L+1, and a_j enters at index
+        p*(j - j0).  Index L stands for x^(p*(top-L)) y^(p*j0+L).  Over
+        RATIONALS the coefficients are cleared to integers by one common
+        denominator first, so the expansion runs on plain ints.
+        """
+        p = self.p
+        ring = f.ring
+        zero = coerce_coefficient(ring, 0)
+        terms = f.terms
+        common = 1
+        if ring is RATIONALS:
+            common = math.lcm(*(c.denominator for c in terms.values()))
+            terms = {k: c.numerator * (common // c.denominator) for k, c in terms.items()}
+        parts: dict[int, dict[int, object]] = {}
+        for (i, j), c in terms.items():
+            parts.setdefault(i + p * j, {})[j] = c
+        out = {}
+        for w, part in parts.items():
+            j0 = min(part)
+            top = w - p * j0
+            acc = [part[j0]]
+            for step in range(1, top + 1):
+                acc = [a - p * b for a, b in zip(acc + [zero], [zero] + acc)]
+                if step % p == 0 and j0 + step // p in part:
+                    acc[step] += part[j0 + step // p]
+            for index, c in enumerate(acc):
+                y_power = p * j0 + index
+                out[(p * (w - y_power), y_power)] = c
+        if common != 1:
+            out = {k: rational(c, common) for k, c in out.items()}
+        return Polynomial(ring, out)
 
     def psi_iterate(self, f: Polynomial, k: int) -> Polynomial:
         """k-fold application of psi; k = 0 returns f unchanged."""
@@ -164,10 +201,7 @@ class ThetaContext:
         top = max(self._iterates)
         while top < n:
             previous = self._iterates[top]
-            tail = previous.substitute(
-                Polynomial.monomial(RATIONALS, 0, 1), Polynomial.zero(RATIONALS)
-            )
-            current = previous**p - tail.scale(p)
+            current = previous**p - _at_second_and_zero(previous).scale(p)
             top += 1
             self._spot_check(current, top)
             self._iterates[top] = current
@@ -182,25 +216,23 @@ class ThetaContext:
                 raise AssertionError("iterate polynomial lost weighted homogeneity")
 
     def check_iterate_substitution(self, n: int) -> bool:
-        """Recursion transport: member n equals member n-1 at (s^p - p*t, t^p)."""
+        """Recursion transport: member n equals psi of member n-1, that is
+        member n-1 at (s^p - p*t, t^p)."""
         if n < 1:
             raise ValueError("needs n >= 1")
-        first = Polynomial(RATIONALS, {(self.p, 0): 1, (0, 1): -self.p})
-        second = Polynomial.monomial(RATIONALS, 0, self.p)
-        return self.iterate_polynomial(n) == self.iterate_polynomial(n - 1).substitute(
-            first, second
-        )
+        return self.iterate_polynomial(n) == self.psi(self.iterate_polynomial(n - 1))
 
     def check_iterate_power_congruence(self, n: int) -> bool:
         """Member n agrees with member n-1 at (s^p, t^p) modulo p^n."""
         if n < 1:
             raise ValueError("needs n >= 1")
-        stretched = self.iterate_polynomial(n - 1).substitute(
-            Polynomial.monomial(RATIONALS, self.p, 0),
-            Polynomial.monomial(RATIONALS, 0, self.p),
+        p = self.p
+        previous = self.iterate_polynomial(n - 1)
+        stretched = Polynomial(
+            RATIONALS, {(p * i, p * j): c for (i, j), c in previous.terms.items()}
         )
         difference = self.iterate_polynomial(n) - stretched
-        return all(vp(c, self.p) >= n for c in difference.terms.values())
+        return all(vp(c, p) >= n for c in difference.terms.values())
 
     def check_iterate_diagonal(self, e: int) -> bool:
         """Two facts used by theta-stability of the quotient construction:
@@ -210,12 +242,14 @@ class ThetaContext:
         if e < 0:
             raise ValueError("needs e >= 0")
         fe = self.iterate_polynomial(e)
-        collapsed = fe.substitute(
-            Polynomial.monomial(RATIONALS, 0, 1), Polynomial.zero(RATIONALS)
-        )
-        if collapsed != Polynomial.monomial(RATIONALS, 0, self.p**e):
+        if _at_second_and_zero(fe) != Polynomial.monomial(RATIONALS, 0, self.p**e):
             return False
         return self.theta(fe) == Polynomial.monomial(RATIONALS, 0, self.p**e)
+
+
+def _at_second_and_zero(f: Polynomial) -> Polynomial:
+    """f(t, 0): the terms free of the second variable, moved onto it."""
+    return Polynomial(f.ring, {(0, i): c for (i, j), c in f.terms.items() if j == 0})
 
 
 def nilpotence_bound(n: int) -> int:
@@ -247,10 +281,15 @@ def nilpotence_bound(n: int) -> int:
     return best
 
 
+# Total degree bound of the default random_polynomial samples.  theta of
+# psi of such a sample reaches degree SAMPLE_DEGREE * p^2.
+SAMPLE_DEGREE = 4
+
+
 def random_polynomial(
     rng: random.Random,
     p: int,
-    max_degree: int = 4,
+    max_degree: int = SAMPLE_DEGREE,
     max_terms: int = 6,
     allow_fractions: bool = True,
 ) -> Polynomial:

@@ -12,6 +12,7 @@ import nilcert
 import nilcert.cli
 from nilcert import certificates, quotient
 from nilcert.polynomials import RATIONALS, Polynomial
+from nilcert.theta import ThetaContext
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -33,3 +34,19 @@ def test_tracer_installs_and_sees_the_elimination(monkeypatch):
     names = {span[0] for span in tracer.spans}
     assert {"howell.complete", "quotient.build", "quotient.query", "certificates.verify"} <= names
     assert tracer.counts["setup"]["quotient.rank"] == module.basis.rank
+
+
+def test_tracer_sees_psi_inside_the_theta_checks(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer(nilcert)
+    tracer.install("setup")
+    try:
+        assert ThetaContext(2).check_iterate_substitution(3)
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"theta.psi", "theta.checks"} <= names
+    checks = [index for index, span in enumerate(tracer.spans) if span[0] == "theta.checks"]
+    assert any(span[0] == "theta.psi" and span[3] in checks for span in tracer.spans)

@@ -2,11 +2,13 @@
 
 import json
 import os
+import time
 
 import pytest
 
 from nilcert.certificates import read_certificate, verify_certificate
-from nilcert.cli import main
+from nilcert.certificates import MAX_PRECISION
+from nilcert.cli import MAX_DEGREE_CAP, main
 from nilcert.quotient import MembershipResult
 
 
@@ -68,6 +70,37 @@ def test_iterates_degree_cap_skips(capsys):
     verdicts = payload["records"][0]["verdicts"]
     assert list(verdicts) == ["iterates"]
     assert verdicts["iterates"].startswith("skipped:")
+
+
+def test_oversized_flags_are_usage_errors_promptly(capsys):
+    for argv, message in (
+        (["iterates", "--degree-cap", "100000000"], "degree cap"),
+        (["iterates", "--degree-cap", str(MAX_DEGREE_CAP + 1)], "degree cap"),
+        (["verify", "--p", "5", "--e", "1", "--extra-precision", "1000000000"], "precision"),
+        (["verify", "--extra-precision", str(MAX_PRECISION + 1)], "precision"),
+    ):
+        started = time.perf_counter()
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert time.perf_counter() - started < 2
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_axioms_skip_primes_beyond_the_degree_cap(capsys):
+    # theta(psi(f)) of a degree-4 sample reaches degree 4 * 61^2 = 14884
+    started = time.perf_counter()
+    code, out, _ = run(["axioms", "--p", "61", "--trials", "1", "--format", "machine"], capsys)
+    assert time.perf_counter() - started < 2
+    assert code == 0
+    verdicts = json.loads(out)["records"][0]["verdicts"]
+    assert list(verdicts) == ["axioms"]
+    assert verdicts["axioms"].startswith("skipped:") and "14884" in verdicts["axioms"]
+    # the bound follows the cap: 4 * 3^2 = 36 runs under cap 36, not under 35
+    code, out, _ = run(["axioms", "--p", "3", "--trials", "1", "--degree-cap", "36"], capsys)
+    assert code == 0 and "skipped:" not in out
+    code, out, _ = run(["axioms", "--p", "3", "--trials", "1", "--degree-cap", "35"], capsys)
+    assert code == 0 and "skipped: theta of psi" in out
 
 
 def test_iterates_small_cap(capsys):

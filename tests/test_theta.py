@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from nilcert.coefficients import LocalizedRational, vp
 from nilcert.polynomials import RATIONALS, Polynomial
@@ -32,6 +34,59 @@ def test_psi_iterate():
     assert ctx.psi_iterate(X, 2) == ctx.psi(ctx.psi(X))
     with pytest.raises(ValueError, match="nonnegative"):
         ctx.psi_iterate(X, -1)
+
+
+def _psi_by_substitution(p, f):
+    first = Polynomial(f.ring, {(p, 0): 1, (0, 1): -p})
+    second = Polynomial.monomial(f.ring, 0, p)
+    return f.substitute(first, second)
+
+
+@st.composite
+def _psi_inputs(draw):
+    """(p, f) with f p-integral, including fractions that reduce to
+    integers such as 6/3, and sometimes reduced mod p^m."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    denominators = st.sampled_from([d for d in (1, 2, 3, 5, 7, 9) if d % p])
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)),
+            st.builds(LocalizedRational, st.integers(-50, 50), denominators),
+            max_size=8,
+        )
+    )
+    f = Polynomial(RATIONALS, terms)
+    m = draw(st.integers(0, 3))
+    return p, f.reduce_mod(p, m) if m else f
+
+
+@given(_psi_inputs())
+@example((2, Polynomial.zero(RATIONALS)))
+@example((3, Polynomial.constant(RATIONALS, 5)))
+@example((5, Polynomial.constant(RATIONALS, LocalizedRational(2, 3))))
+@example((7, Polynomial.constant(RATIONALS, 4).reduce_mod(7, 2)))
+@example((2, Polynomial.zero(RATIONALS).reduce_mod(2, 3)))
+def test_graded_psi_matches_substitution(case):
+    p, f = case
+    assert ThetaContext(p).psi(f) == _psi_by_substitution(p, f)
+
+
+def test_psi_multiplies_weight_by_p():
+    rng = random.Random(7)
+    for p in (2, 3, 5):
+        ctx = ThetaContext(p)
+        for w in range(12):
+            # a random weighted-homogeneous f of weight w
+            terms = {(w - p * j, j): rng.randint(-9, 9) for j in range(w // p + 1)}
+            image = ctx.psi(Polynomial(RATIONALS, terms))
+            assert all(i + p * j == p * w for i, j in image.terms)
+
+
+def test_psi_steps_the_iterate_family():
+    for p, top in ((2, 10), (3, 6), (5, 4)):
+        ctx = ThetaContext(p)
+        for n in range(top + 1):
+            assert ctx.psi(ctx.iterate_polynomial(n)) == ctx.iterate_polynomial(n + 1)
 
 
 def test_theta_on_generators():
