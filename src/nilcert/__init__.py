@@ -19,7 +19,6 @@ from .certificates import (
 from .coefficients import (
     LocalizedRational,
     Modulus,
-    Residue,
     divide_exact_by_p,
     is_prime,
     rational,
@@ -52,7 +51,6 @@ __all__ = [
     "Modulus",
     "Polynomial",
     "RATIONALS",
-    "Residue",
     "ResidueWitness",
     "RewriteSystem",
     "ThetaContext",

@@ -87,9 +87,6 @@ class Certificate:
     target: Polynomial
     cofactors: tuple  # of (generator_index, Polynomial) pairs
 
-    def cofactor_map(self) -> dict:
-        return dict(self.cofactors)
-
 
 def verify_certificate(certificate: Certificate) -> bool:
     """Expand the certificate and compare against the target mod p^m.

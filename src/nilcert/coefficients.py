@@ -5,11 +5,16 @@ localized at a prime p (fractions whose denominator is coprime to p), and
 the finite rings Z/p^m.  Everything here is exact big-integer arithmetic;
 no floats are involved anywhere.
 
-Rational values are integer-native: an integer is always a plain int, and
-a LocalizedRational is produced by arithmetic only when the reduced
-denominator is greater than 1.  rational() is the one constructor that
-enforces this, so integer-valued work (the iterate family, psi and theta
-on integer input) stays in the interpreter's built-in int arithmetic.
+LocalizedRational is the only coefficient class.  Rational values are
+integer-native: an integer is always a plain int, and a LocalizedRational
+is produced by arithmetic only when the reduced denominator is greater
+than 1.  rational() is the one constructor that enforces this, so
+integer-valued work (the iterate family, psi and theta on integer input)
+stays in the interpreter's built-in int arithmetic.
+
+An element of Z/p^m is a plain int, its representative in [0, p^m).
+Modulus describes the ring, and Modulus.residue is the one map from an
+int or a LocalizedRational to that representative.
 """
 
 from __future__ import annotations
@@ -159,9 +164,6 @@ class LocalizedRational:
     def __bool__(self):
         return self.numerator != 0
 
-    def is_integer(self) -> bool:
-        return self.denominator == 1
-
     def __str__(self):
         if self.denominator == 1:
             return str(self.numerator)
@@ -199,79 +201,20 @@ class Modulus:
     def __repr__(self):
         return f"Modulus({self.p}, {self.m})"
 
+    def residue(self, q) -> int:
+        """The representative in [0, p^m) of an int or a LocalizedRational.
 
-class Residue:
-    """An element of Z/p^m, stored as the representative in [0, p^m)."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: Modulus):
-        object.__setattr__(self, "value", int(value) % modulus.value)
-        object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Residue is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli in residue arithmetic")
-            return other
-        if isinstance(other, int):
-            return Residue(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Residue(-self.value, self.modulus)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers are not defined here")
-        return Residue(pow(self.value, exponent, self.modulus.value), self.modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, Residue):
-            return self.modulus == other.modulus and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.modulus.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __str__(self):
-        return str(self.value)
-
-    def __repr__(self):
-        return f"Residue({self.value}, mod {self.modulus.p}^{self.modulus.m})"
+        A fraction maps to its numerator times the inverse of its
+        denominator mod p^m; this needs the denominator coprime to p and
+        raises ValueError otherwise.
+        """
+        if isinstance(q, int):
+            return q % self.value
+        if isinstance(q, LocalizedRational):
+            if q.denominator % self.p == 0:
+                raise ValueError("denominator is not invertible mod p")
+            return q.numerator * pow(q.denominator, -1, self.value) % self.value
+        raise TypeError(f"cannot reduce {type(q).__name__} mod p^m")
 
 
 def divide_exact_by_p(q, p: int):
@@ -289,18 +232,7 @@ def divide_exact_by_p(q, p: int):
     return rational(q.numerator // p, q.denominator)
 
 
-def reduce_mod(q, p: int, m: int) -> Residue:
-    """Reduce an integer or p-integral fraction into Z/p^m.
-
-    Fractions are mapped by inverting the denominator mod p^m; this needs
-    the denominator coprime to p and raises ValueError otherwise.
-    """
-    modulus = Modulus(p, m)
-    if isinstance(q, int):
-        return Residue(q, modulus)
-    if isinstance(q, LocalizedRational):
-        if q.denominator % p == 0:
-            raise ValueError("denominator is not invertible mod p")
-        inv = pow(q.denominator, -1, modulus.value)
-        return Residue(q.numerator * inv, modulus)
-    raise TypeError(f"cannot reduce {type(q).__name__} mod p^m")
+def reduce_mod(q, p: int, m: int) -> int:
+    """Reduce an integer or p-integral fraction into Z/p^m: its
+    representative in [0, p^m), as Modulus(p, m).residue(q) gives it."""
+    return Modulus(p, m).residue(q)

@@ -73,9 +73,6 @@ class HowellBasis:
     def ncols(self) -> int:
         return self.matrix.shape[1]
 
-    def same_span_as(self, other: "HowellBasis") -> bool:
-        return self.modulus == other.modulus and np.array_equal(self.matrix, other.matrix)
-
     def reduce(self, vector: np.ndarray):
         """Canonical remainder of vector against the basis.
 
@@ -96,10 +93,6 @@ class HowellBasis:
                 residue = (residue - factor * self.matrix[row]) % n
                 coefficients[row] = factor
         return residue, coefficients
-
-    def contains(self, vector: np.ndarray) -> bool:
-        residue, _ = self.reduce(vector)
-        return not residue.any()
 
 
 def _howell_engine(rows: np.ndarray, ncols: int, modulus: Modulus):

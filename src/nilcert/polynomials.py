@@ -6,6 +6,9 @@ and p-integral fractions) or a Modulus(p, m) (residues in Z/p^m).  RATIONALS
 coefficients are integer-native: an integer value is always stored as a
 plain int and a LocalizedRational only when its reduced denominator is
 greater than 1, so equal polynomials have equal terms and equal hashes.
+A Modulus(p, m) coefficient is a plain int, its representative in
+[0, p^m); arithmetic over a Modulus returns through the constructor,
+which reduces every term.
 Variables are positional; they are only named at the text boundary,
 rendered as x, y by default or s, t for the iterate family.
 
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import re
 
-from .coefficients import LocalizedRational, Modulus, Residue, reduce_mod
+from .coefficients import LocalizedRational, Modulus
 
 
 class _RationalRing:
@@ -40,10 +43,11 @@ RATIONALS = _RationalRing()
 
 
 def coerce_coefficient(ring, value):
-    """Map an int / LocalizedRational / Residue into the given ring.
+    """Map an int / LocalizedRational into the given ring.
 
     Into RATIONALS the value comes back in canonical form: a plain int for
     an integer value, a LocalizedRational only for a proper fraction.
+    Into a Modulus it comes back as its int representative in [0, p^m).
     """
     if ring is RATIONALS:
         if type(value) is int:
@@ -54,15 +58,7 @@ def coerce_coefficient(ring, value):
             return int(value)
         raise TypeError(f"cannot coerce {type(value).__name__} into RATIONALS")
     if isinstance(ring, Modulus):
-        if isinstance(value, Residue):
-            if value.modulus != ring:
-                raise ValueError("mixed moduli in coefficient coercion")
-            return value
-        if isinstance(value, int):
-            return Residue(value, ring)
-        if isinstance(value, LocalizedRational):
-            return reduce_mod(value, ring.p, ring.m)
-        raise TypeError(f"cannot coerce {type(value).__name__} into Z/p^m")
+        return ring.residue(value)
     raise TypeError(f"unknown coefficient ring {ring!r}")
 
 
@@ -141,11 +137,12 @@ class Polynomial:
         return max(j for _, j in self.terms)
 
     def coefficient(self, i, j):
-        """Coefficient of the (i, j) monomial, as a ring zero if absent."""
-        c = self.terms.get((i, j))
-        if c is None:
-            return coerce_coefficient(self.ring, 0)
-        return c
+        """Coefficient of the (i, j) monomial, 0 if absent.
+
+        Over RATIONALS an int or a LocalizedRational; over a Modulus(p, m)
+        an int in [0, p^m).
+        """
+        return self.terms.get((i, j), 0)
 
     def sorted_terms(self):
         """Terms in descending graded-lex order, first variable dominant."""
@@ -169,6 +166,8 @@ class Polynomial:
                 out[key] = s
             else:
                 out.pop(key, None)
+        if self.ring is not RATIONALS:
+            return Polynomial(self.ring, out)
         result = Polynomial.__new__(Polynomial)
         object.__setattr__(result, "ring", self.ring)
         object.__setattr__(result, "terms", out)
@@ -177,6 +176,8 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
+        if self.ring is not RATIONALS:
+            return Polynomial(self.ring, {k: -c for k, c in self.terms.items()})
         result = Polynomial.__new__(Polynomial)
         object.__setattr__(result, "ring", self.ring)
         object.__setattr__(result, "terms", {k: -c for k, c in self.terms.items()})
@@ -202,6 +203,8 @@ class Polynomial:
                 key = (i1 + i2, j1 + j2)
                 s = get(key)
                 out[key] = c1 * c2 if s is None else s + c1 * c2
+        if self.ring is not RATIONALS:
+            return Polynomial(self.ring, out)
         result = Polynomial.__new__(Polynomial)
         object.__setattr__(result, "ring", self.ring)
         object.__setattr__(result, "terms", {k: c for k, c in out.items() if c})
@@ -230,7 +233,7 @@ class Polynomial:
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
-            if isinstance(other, (int, LocalizedRational, Residue)):
+            if isinstance(other, (int, LocalizedRational)):
                 try:
                     other = Polynomial.constant(self.ring, other)
                 except (TypeError, ValueError):
@@ -266,29 +269,13 @@ class Polynomial:
         """Reduce every coefficient into Z/p^m, dropping vanishing terms."""
         if self.ring is not RATIONALS:
             raise ValueError("reduce_mod expects rational or integer coefficients")
-        modulus = Modulus(p, m)
-        return Polynomial(modulus, {k: reduce_mod(c, p, m) for k, c in self.terms.items()})
+        return Polynomial(Modulus(p, m), self.terms)
 
     def lift(self) -> "Polynomial":
         """Lift Z/p^m coefficients to integers via representatives in [0, p^m)."""
         if not isinstance(self.ring, Modulus):
             raise ValueError("lift expects residue coefficients")
-        return Polynomial(RATIONALS, {k: c.value for k, c in self.terms.items()})
-
-    def frobenius_decompose(self, p: int) -> dict:
-        """Split f along p-th power blocks of the monomial basis.
-
-        Returns the full p-by-p grid {(k, l): component} where
-        f = sum over k, l of x^k y^l * component(x^p, y^p); each component
-        is returned in the original two variables (to be read through the
-        p-th power map).  The decomposition is exact and unique.
-        """
-        if p < 2:
-            raise ValueError("p must be at least 2")
-        grid = {(k, l): {} for k in range(p) for l in range(p)}
-        for (i, j), c in self.terms.items():
-            grid[(i % p, j % p)][(i // p, j // p)] = c
-        return {key: Polynomial(self.ring, terms) for key, terms in grid.items()}
+        return Polynomial(RATIONALS, self.terms)
 
     # ---- text format ----
 
@@ -317,20 +304,24 @@ class Polynomial:
 
     @classmethod
     def parse(cls, text: str, ring, names=("x", "y")) -> "Polynomial":
-        """Inverse of to_text; accepts any term order and spacing."""
+        """Inverse of to_text; accepts any term order and spacing.
+
+        Malformed text, such as a stray sign or a zero denominator, raises
+        ValueError.
+        """
         compact = text.replace(" ", "")
         if not compact:
             raise ValueError("empty polynomial text")
         if compact == "0":
             return cls.zero(ring)
+        if not re.fullmatch(r"[+-]?[^+-]+(?:[+-][^+-]+)*", compact):
+            raise ValueError(f"cannot parse polynomial text {text!r}")
         terms = {}
         for chunk in re.findall(r"[+-]?[^+-]+", compact):
             sign = 1
             if chunk[0] in "+-":
                 sign = -1 if chunk[0] == "-" else 1
                 chunk = chunk[1:]
-            if not chunk:
-                raise ValueError(f"cannot parse polynomial text {text!r}")
             i = j = 0
             coefficient = None
             for factor in chunk.split("*"):
@@ -338,6 +329,8 @@ class Polynomial:
                 if match:
                     num = int(match.group(1))
                     den = int(match.group(2)) if match.group(2) else 1
+                    if den == 0:
+                        raise ValueError(f"zero denominator in {text!r}")
                     value = LocalizedRational(num, den) if den != 1 else num
                     coefficient = value if coefficient is None else coefficient * value
                     continue
@@ -374,14 +367,3 @@ def _power_table(base: Polynomial, exponents) -> dict:
         if e in exponents or e == top:
             table[e] = current
     return table
-
-
-def frobenius_recompose(components: dict, p: int, ring) -> Polynomial:
-    """Reassemble f from its p-th power block decomposition."""
-    total = Polynomial.zero(ring)
-    for (k, l), g in components.items():
-        stretched = Polynomial(
-            ring, {(p * i + k, p * j + l): c for (i, j), c in g.terms.items()}
-        )
-        total = total + stretched
-    return total

@@ -14,9 +14,9 @@ y^(p^e) are monic and coprime and the rewriting
     x^(p^e) -> x^(p^e) - g_e        (terms of smaller x-degree)
     y^(p^e) * anything -> 0
 
-is confluent: reduce_to_span is a well defined linear map onto the span.
-Membership in the full ideal then becomes a linear question: f lies in
-the ideal mod p^m iff reduce_to_span(f) lies in the row module T spanned
+is confluent: RewriteSystem.reduce is a well defined linear map onto the
+span.  Membership in the full ideal then becomes a linear question: f lies
+in the ideal mod p^m iff its reduction lies in the row module T spanned
 by the reductions of all multiples x^a y^b g_n.  Finitely many multiples
 suffice: a reduction with a >= p^e rewrites into reductions of strictly
 smaller a (x^(p^e) acts as the rewrite tail modulo the monic generator),
@@ -95,8 +95,8 @@ class RewriteSystem:
         self.block = p**e
         self.span_size = p ** (2 * e)
         top = ThetaContext(p).iterate_polynomial(e)
-        tail = (Polynomial.monomial(RATIONALS, self.block, 0) - top).reduce_mod(p, m)
-        self.tail = {key: c.value for key, c in tail.terms.items()}
+        tail = Polynomial.monomial(RATIONALS, self.block, 0) - top
+        self.tail = tail.reduce_mod(p, m).terms
         if any(i >= self.block or j >= self.block for i, j in self.tail):
             raise AssertionError("rewrite tail escapes the span block")
 
@@ -145,7 +145,7 @@ class RewriteSystem:
             f = f.reduce_mod(self.p, self.m)
         elif f.ring != self.modulus:
             raise ValueError("polynomial modulus does not match the rewrite system")
-        terms, fragments = self._reduce_terms({key: c.value for key, c in f.terms.items()})
+        terms, fragments = self._reduce_terms(dict(f.terms))
         vector = np.zeros(self.span_size, dtype=np.int64)
         for (i, j), value in terms.items():
             vector[j * self.block + i] = value
@@ -161,11 +161,6 @@ class RewriteSystem:
         low = max(0, -(-(weight - block + 1) // p))
         js = np.arange(low, min(block - 1, weight // p) + 1, dtype=np.int64)
         return js * block + weight - p * js
-
-    def monomial_index(self, i: int, j: int) -> int:
-        if not (0 <= i < self.block and 0 <= j < self.block):
-            raise ValueError("monomial outside the span block")
-        return j * self.block + i
 
     def vector_to_polynomial(self, vector: np.ndarray) -> Polynomial:
         block = self.block
@@ -264,9 +259,6 @@ class MembershipModule:
 
     # ---- queries ----
 
-    def reduce_to_span(self, f: Polynomial):
-        return self.rewrite.reduce(f)
-
     def is_member(self, f: Polynomial) -> MembershipResult:
         """Decide f in ideal mod p^m; attach a certificate or a witness."""
         vector, fragments = self.rewrite.reduce(f)
@@ -287,8 +279,7 @@ class MembershipModule:
         for _ in range(exponent - 1):
             carried = {}
             for g, terms in fragments.items():
-                product = base_mod * Polynomial(self.modulus, terms)
-                carried[g] = {key: c.value for key, c in product.terms.items()}
+                carried[g] = (base_mod * Polynomial(self.modulus, terms)).terms
             partial = base_mod * self.rewrite.vector_to_polynomial(vector)
             vector, fresh = self.rewrite.reduce(partial)
             for g, terms in fresh.items():
@@ -447,10 +438,7 @@ def build_membership_module(
     modulus = rewrite.modulus
     n = modulus.value
     ideal = IdealSpec.build(p, e)
-    generators_mod = [
-        {key: c.value for key, c in g.reduce_mod(p, m).terms.items()}
-        for g in ideal.generators
-    ]
+    generators_mod = [g.reduce_mod(p, m).terms for g in ideal.generators]
     block = rewrite.block
     columns_of: dict = {}
 
@@ -548,12 +536,7 @@ def brute_force_membership_oracle(p: int, e: int, m: int, f: Polynomial) -> bool
     n = p**m
     block = p**e
     top = ThetaContext(p).iterate_polynomial(e)
-    tail = {
-        key: c.value
-        for key, c in (Polynomial.monomial(RATIONALS, block, 0) - top)
-        .reduce_mod(p, m)
-        .terms.items()
-    }
+    tail = (Polynomial.monomial(RATIONALS, block, 0) - top).reduce_mod(p, m).terms
 
     def oracle_reduce(terms: dict) -> tuple:
         terms = {key: value % n for key, value in terms.items() if value % n}
@@ -585,9 +568,7 @@ def brute_force_membership_oracle(p: int, e: int, m: int, f: Polynomial) -> bool
 
     seeds = []
     for g in standard_generators(p, e):
-        reduced = oracle_reduce(
-            {key: c.value for key, c in g.reduce_mod(p, m).terms.items()}
-        )
+        reduced = oracle_reduce(g.reduce_mod(p, m).terms)
         if any(reduced):
             seeds.append(reduced)
 
@@ -609,5 +590,5 @@ def brute_force_membership_oracle(p: int, e: int, m: int, f: Polynomial) -> bool
         worklist.append(shift(candidate, 0, 1))
 
     query = f.reduce_mod(p, m) if f.ring is RATIONALS else f
-    reduced = oracle_reduce({key: c.value for key, c in query.terms.items()})
+    reduced = oracle_reduce(query.terms)
     return reduced in elements

@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 
 from .coefficients import divide_exact_by_p, is_prime, rational, vp
-from .polynomials import RATIONALS, Polynomial, coerce_coefficient
+from .polynomials import RATIONALS, Polynomial
 
 
 @dataclass
@@ -88,13 +88,12 @@ class ThetaContext:
         """
         p = self.p
         ring = f.ring
-        zero = coerce_coefficient(ring, 0)
         terms = f.terms
         common = 1
         if ring is RATIONALS:
             common = math.lcm(*(c.denominator for c in terms.values()))
             terms = {k: c.numerator * (common // c.denominator) for k, c in terms.items()}
-        parts: dict[int, dict[int, object]] = {}
+        parts: dict[int, dict[int, int]] = {}
         for (i, j), c in terms.items():
             parts.setdefault(i + p * j, {})[j] = c
         out = {}
@@ -103,7 +102,7 @@ class ThetaContext:
             top = w - p * j0
             acc = [part[j0]]
             for step in range(1, top + 1):
-                acc = [a - p * b for a, b in zip(acc + [zero], [zero] + acc)]
+                acc = [a - p * b for a, b in zip(acc + [0], [0] + acc)]
                 if step % p == 0 and j0 + step // p in part:
                     acc[step] += part[j0 + step // p]
             for index, c in enumerate(acc):

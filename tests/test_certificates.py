@@ -130,6 +130,12 @@ def test_duplicate_cofactor_rejected():
         certificate_from_text(text)
 
 
+@pytest.mark.parametrize("line", ["target = 1/0*x", "target = x\ncofactor 0 = y+"])
+def test_malformed_polynomial_text_rejected(line):
+    with pytest.raises(ValueError):
+        certificate_from_text(f"p = 2\ne = 1\nm = 2\n{line}\n")
+
+
 def test_missing_header_rejected():
     with pytest.raises(ValueError):
         certificate_from_text("p = 2\ne = 1\ntarget = x\n")

@@ -1,5 +1,6 @@
 """Driver behavior: exit codes, determinism, report and certificate files."""
 
+import hashlib
 import json
 import os
 import time
@@ -163,6 +164,24 @@ def test_verify_deterministic_bytes(tmp_path, capsys):
         )
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# sha256 of the default `nilcert verify --format machine` stdout and of its
+# --out-certs files concatenated in sorted name order; a change to any
+# verdict, witness or certificate byte of the default run shows here
+DEFAULT_VERIFY_REPORT_SHA256 = "7a321274c4ab3d1f5321e711bfcb06b537a1727e2ed97197751845c559361ecd"
+DEFAULT_VERIFY_CERTS_SHA256 = "7c8bbf1611348be9275bff9e0050138df7fe210120715af703eb2ae173d41d35"
+
+
+def test_default_verify_bytes_pinned(tmp_path, capsys):
+    certs = tmp_path / "certs"
+    code, out, _ = run(["verify", "--format", "machine", "--out-certs", str(certs)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == DEFAULT_VERIFY_REPORT_SHA256
+    names = sorted(os.listdir(certs))
+    assert len(names) == 14
+    joined = b"".join((certs / name).read_bytes() for name in names)
+    assert hashlib.sha256(joined).hexdigest() == DEFAULT_VERIFY_CERTS_SHA256
 
 
 def test_verify_span_limit_skips(capsys):

@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcert.coefficients import LocalizedRational, Modulus
-from nilcert.polynomials import (
-    RATIONALS,
-    Polynomial,
-    frobenius_recompose,
-)
+from nilcert.polynomials import RATIONALS, Polynomial
 
 X, Y = Polynomial.generators(RATIONALS)
 
@@ -143,36 +139,6 @@ def test_lift_round_trip():
         lifted.lift()
 
 
-def test_frobenius_decompose_monomial():
-    f = X**3
-    grid = f.frobenius_decompose(2)
-    assert grid[(1, 0)] == X
-    assert all(g.is_zero() for key, g in grid.items() if key != (1, 0))
-    g = X**3 * Y**2
-    grid = g.frobenius_decompose(2)
-    assert grid[(1, 0)] == X * Y
-
-
-@settings(max_examples=60)
-@given(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.sampled_from([2, 3, 5]),
-)
-def test_frobenius_decompose_round_trip(seed, p):
-    rng = random.Random(seed)
-    f = _random_poly(rng, max_degree=6, max_terms=8)
-    grid = f.frobenius_decompose(p)
-    assert len(grid) == p * p
-    assert frobenius_recompose(grid, p, RATIONALS) == f
-
-
-def test_frobenius_decompose_unique():
-    # two distinct polynomials never share a full grid
-    f = X**2 + Y
-    g = X**2 + 2 * Y
-    assert f.frobenius_decompose(2) != g.frobenius_decompose(2)
-
-
 def test_text_rendering_frozen():
     f = Polynomial(RATIONALS, {(4, 0): 1, (2, 1): -4, (0, 2): 2})
     assert f.to_text() == "x^4 - 4*x^2*y + 2*y^2"
@@ -210,8 +176,8 @@ def test_text_round_trip(seed):
 
 @st.composite
 def _p_integral_polynomials(draw):
-    """Random p-integral polynomials, with proper fractions and with
-    fractions that reduce to integers, such as 6/3."""
+    """A prime p and a random p-integral polynomial, with proper fractions
+    and with fractions that reduce to integers, such as 6/3."""
     p = draw(st.sampled_from([2, 3, 5]))
     denominators = st.sampled_from([d for d in (1, 2, 3, 5, 7, 9) if d % p])
     terms = draw(
@@ -221,14 +187,18 @@ def _p_integral_polynomials(draw):
             max_size=8,
         )
     )
-    return Polynomial(RATIONALS, terms)
+    return p, Polynomial(RATIONALS, terms)
 
 
-@given(_p_integral_polynomials())
-def test_parse_round_trip_p_integral(f):
+@given(_p_integral_polynomials(), st.integers(1, 4))
+def test_parse_round_trip_p_integral(pf, m):
+    p, f = pf
     back = Polynomial.parse(f.to_text(), RATIONALS)
     assert back == f and hash(back) == hash(f)
     assert all(type(c) is int or c.denominator > 1 for c in back.terms.values())
+    residues = f.reduce_mod(p, m)
+    assert all(type(c) is int and 0 < c < p**m for c in residues.terms.values())
+    assert Polynomial.parse(residues.to_text(), residues.ring) == residues
 
 
 def test_integer_coefficients_are_plain_ints():
@@ -253,6 +223,23 @@ def test_parse_errors():
         Polynomial.parse("x + z", RATIONALS)
     with pytest.raises(ValueError):
         Polynomial.parse("x^", RATIONALS)
+
+
+@pytest.mark.parametrize("text", ["1/0*x", "0/0", "--x", "x+", "x - -y", "x +"])
+def test_parse_rejects_zero_denominators_and_stray_signs(text):
+    with pytest.raises(ValueError):
+        Polynomial.parse(text, RATIONALS)
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="0123456789xy^*/+- ", max_size=24))
+def test_parse_raises_only_value_error(text):
+    for ring in (RATIONALS, Modulus(3, 2)):
+        try:
+            f = Polynomial.parse(text, ring)
+        except ValueError:
+            continue
+        assert f.ring == ring
 
 
 def test_parse_tolerates_order_and_spacing():
