@@ -13,6 +13,7 @@ from nilcert.coefficients import (
     reduce_mod,
     vp,
 )
+from nilcert.polynomials import Polynomial
 
 PRIMES = [2, 3, 5]
 
@@ -212,6 +213,26 @@ def test_reduce_mod_respects_fractions(num, den, p, m):
     r = reduce_mod(q, p, m)
     # multiplying back by the denominator recovers the numerator's class
     assert r * den % p**m == reduce_mod(num, p, m)
+
+
+def test_residue_arithmetic():
+    # Z/p^m residues are plain ints in [0, p^m); arithmetic on them goes
+    # through constant polynomials over the Modulus ring.
+    mod = Modulus(2, 3)
+    a = Polynomial.constant(mod, 5)
+    b = Polynomial.constant(mod, 6)
+    assert (a + b).coefficient(0, 0) == 3
+    assert (a * b).coefficient(0, 0) == 6
+    assert (a - b).coefficient(0, 0) == 7
+    assert (-a).coefficient(0, 0) == 3
+    assert (a**2).coefficient(0, 0) == 1
+    assert a + 3 == Polynomial.zero(mod)
+    assert str(b) == "6"
+    assert mod.residue(-3) == 5
+    assert mod.residue(rational(1, 3)) == 3
+    assert all(type(c) is int for c in (a * b + a).terms.values())
+    with pytest.raises(ValueError, match="mixed coefficient rings"):
+        a + Polynomial.constant(Modulus(2, 2), 1)
 
 
 def test_modulus_validation():
