@@ -29,16 +29,16 @@ x^a y^b g_n (weight a + p*b + p^n) and every target x^N.  Reduction keeps
 the weight, so T is the direct sum of its weight classes, the spans of
 the monomials x^i y^j with i + p*j = w, each at most p^(e-1) wide.  The
 build Howellizes each class on its own (Macaulay-style elimination degree
-by degree, as for homogeneous ideals) and scatters the class bases into
-one canonical Howell basis over the span, which queries reduce against.
+by degree, as for homogeneous ideals), and those class bases are the
+module's basis: a query splits its reduction by weight and reduces each
+part against its own class, and the canonical remainder is the class
+remainders side by side.
 
 Certificates ride along: the rewrite records cofactor fragments, each
 closure atom carries a small cofactor bundle, and a positive membership
 answer combines them through the Howell transforms of the classes its
-remainder touched into one cofactor per generator, verifiable by
+reduction touched into one cofactor per generator, verifiable by
 independent expansion (see certificates.py).
-
-Span vectors index the monomial x^i y^j at position j * p^e + i.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ class RewriteSystem:
         self.modulus = Modulus(p, m)
         self.p, self.e, self.m = p, e, m
         self.block = p**e
-        self.span_size = p ** (2 * e)
         top = ThetaContext(p).iterate_polynomial(e)
         tail = Polynomial.monomial(RATIONALS, self.block, 0) - top
         self.tail = tail.reduce_mod(p, m).terms
@@ -136,47 +135,48 @@ class RewriteSystem:
         return work, {g: dict(d) for g, d in fragments.items() if d}
 
     def reduce(self, f: Polynomial):
-        """Normal form of a polynomial: (span vector, cofactor fragments).
+        """Normal form of a polynomial: (span terms, cofactor fragments).
 
-        The fragments account exactly for what was removed:
+        The span terms are a {(i, j): int} dict with 0 <= i, j < p^e; the
+        fragments account exactly for what was removed:
         f = sum over g of fragment_g * generator_g + span part, mod p^m.
         """
         if f.ring is RATIONALS:
             f = f.reduce_mod(self.p, self.m)
         elif f.ring != self.modulus:
             raise ValueError("polynomial modulus does not match the rewrite system")
-        terms, fragments = self._reduce_terms(dict(f.terms))
-        vector = np.zeros(self.span_size, dtype=np.int64)
-        for (i, j), value in terms.items():
-            vector[j * self.block + i] = value
-        return vector, fragments
+        return self._reduce_terms(dict(f.terms))
 
-    def weight_columns(self, weight: int) -> np.ndarray:
-        """Span indices of the monomials x^i y^j with i + p*j = weight.
+    def weight_class(self, weight: int) -> tuple:
+        """(low, width): the span monomials x^i y^j with i + p*j = weight
+        are those with low <= j < low + width, and a class-local vector
+        holds x^i y^j at position j - low."""
+        low = max(0, -(-(weight - self.block + 1) // self.p))
+        return low, min(self.block - 1, weight // self.p) - low + 1
 
-        Ascending, which is ascending j: x^i y^j sits at position
-        j - (smallest j of the class) in the class.
-        """
-        block, p = self.block, self.p
-        low = max(0, -(-(weight - block + 1) // p))
-        js = np.arange(low, min(block - 1, weight // p) + 1, dtype=np.int64)
-        return js * block + weight - p * js
 
-    def vector_to_polynomial(self, vector: np.ndarray) -> Polynomial:
-        block = self.block
-        terms = {
-            (index % block, index // block): int(value)
-            for index, value in enumerate(vector)
-            if value
-        }
-        return Polynomial(self.modulus, terms)
+def _add_into(bucket: dict, terms: dict, scale: int, n: int) -> None:
+    """bucket += scale * terms mod n, on {(i, j): int} dicts without zeros."""
+    for key, value in terms.items():
+        total = (bucket.get(key, 0) + scale * value) % n
+        if total:
+            bucket[key] = total
+        else:
+            bucket.pop(key, None)
+
+
+def _class_vector(terms: dict, low: int, width: int) -> np.ndarray:
+    """Span terms {(i, j): c}, all of one weight, as a class-local vector."""
+    vector = np.zeros(width, dtype=np.int64)
+    for (_, j), value in terms.items():
+        vector[j - low] = value
+    return vector
 
 
 @dataclass(frozen=True, eq=False)
 class ResidueWitness:
     """The canonical nonzero remainder proving a non-membership."""
 
-    vector: np.ndarray
     polynomial: Polynomial
 
     def to_text(self) -> str:
@@ -196,7 +196,7 @@ class _Atom:
 
     key is (n, a, b) and weight is a + p*b + p^n, the weight class the
     reduction lies in; vector holds it over that class's columns
-    (RewriteSystem.weight_columns(weight)).  bundle maps generator index
+    (RewriteSystem.weight_class(weight)).  bundle maps generator index
     to a cofactor term dict whose expansion equals the reduction mod p^m
     (the monomial cofactor on g_n minus whatever the reduction credited
     to other generators).
@@ -212,38 +212,48 @@ class _Atom:
 class _WeightClass:
     """The part of T in one weight class.
 
-    columns are the class's span indices, ascending; basis is the Howell
-    form of the class's atoms over those columns, with
-    basis.matrix = transform @ (atom vectors) mod p^m; rows[k] is the row
-    of the module's basis that local row k was scattered to.
+    low is the smallest y-degree in the class, so column k holds the
+    monomial of y-degree low + k; basis is the Howell form of the class's
+    atoms over those columns, with
+    basis.matrix = transform @ (atom vectors) mod p^m.
     """
 
-    columns: np.ndarray
+    low: int
     atoms: list
     basis: HowellBasis
     transform: np.ndarray
-    rows: np.ndarray
+
+
+class GradedBasis(dict):
+    """The basis of T, one weight class at a time: weight -> _WeightClass.
+
+    The classes share no monomials, so T is their direct sum and its rank
+    is the sum of the class ranks.  Weights without atoms are absent.
+    """
+
+    @property
+    def rank(self) -> int:
+        return sum(weight_class.basis.rank for weight_class in self.values())
 
 
 class MembershipModule:
     """Queryable description of T = reductions of the ideal, mod p^m.
 
-    basis is the canonical Howell basis of T over the whole span;
-    weight_classes holds the per-class eliminations it was assembled
-    from, and atoms every nonzero closure atom.
+    basis is the GradedBasis of T; atoms lists every nonzero closure atom,
+    class by class.  Queries reduce each weight part of a target against
+    its own class.
     """
 
-    def __init__(self, ideal, rewrite, basis, weight_classes, atoms):
+    def __init__(self, ideal, rewrite, basis):
         self.ideal = ideal
         self.rewrite = rewrite
         self.modulus = rewrite.modulus
         self.basis = basis
-        self.weight_classes = weight_classes
-        self.atoms = atoms
-        self._row_class = np.zeros(basis.rank, dtype=np.int64)
-        for index, weight_class in enumerate(weight_classes):
-            self._row_class[weight_class.rows] = index
         self.theta_context = ThetaContext(ideal.p)
+
+    @property
+    def atoms(self) -> list:
+        return [atom for weight_class in self.basis.values() for atom in weight_class.atoms]
 
     @property
     def p(self) -> int:
@@ -261,8 +271,8 @@ class MembershipModule:
 
     def is_member(self, f: Polynomial) -> MembershipResult:
         """Decide f in ideal mod p^m; attach a certificate or a witness."""
-        vector, fragments = self.rewrite.reduce(f)
-        return self._finish(vector, fragments, self._as_target(f))
+        terms, fragments = self.rewrite.reduce(f)
+        return self._finish(terms, fragments, self._as_target(f))
 
     def power_membership(self, base: Polynomial, exponent: int) -> MembershipResult:
         """Membership of base**exponent, by repeated multiply-then-reduce.
@@ -275,57 +285,54 @@ class MembershipModule:
             raise ValueError("exponent must be positive")
         base_mod = base.reduce_mod(self.p, self.m) if base.ring is RATIONALS else base
         n = self.modulus.value
-        vector, fragments = self.rewrite.reduce(base_mod)
+        terms, fragments = self.rewrite.reduce(base_mod)
         for _ in range(exponent - 1):
             carried = {}
-            for g, terms in fragments.items():
-                carried[g] = (base_mod * Polynomial(self.modulus, terms)).terms
-            partial = base_mod * self.rewrite.vector_to_polynomial(vector)
-            vector, fresh = self.rewrite.reduce(partial)
-            for g, terms in fresh.items():
-                bucket = carried.setdefault(g, {})
-                for key, value in terms.items():
-                    total = (bucket.get(key, 0) + value) % n
-                    if total:
-                        bucket[key] = total
-                    else:
-                        bucket.pop(key, None)
+            for g, cofactor in fragments.items():
+                carried[g] = (base_mod * Polynomial(self.modulus, cofactor)).terms
+            terms, fresh = self.rewrite.reduce(base_mod * Polynomial(self.modulus, terms))
+            for g, cofactor in fresh.items():
+                _add_into(carried.setdefault(g, {}), cofactor, 1, n)
             fragments = {g: d for g, d in carried.items() if d}
         target = self._as_target(base) ** exponent
-        return self._finish(vector, fragments, target)
+        return self._finish(terms, fragments, target)
 
     def _as_target(self, f: Polynomial) -> Polynomial:
         return f if f.ring is RATIONALS else f.lift()
 
-    def _finish(self, vector, fragments, target) -> MembershipResult:
-        residue, coefficients = self.basis.reduce(vector)
-        if residue.any():
-            witness = ResidueWitness(
-                vector=residue, polynomial=self.rewrite.vector_to_polynomial(residue)
+    def _finish(self, terms, fragments, target) -> MembershipResult:
+        p, n = self.p, self.modulus.value
+        parts: dict = {}
+        for (i, j), value in terms.items():
+            parts.setdefault(i + p * j, {})[(i, j)] = value
+        remainder = {}
+        solved = []
+        for weight, part in sorted(parts.items()):
+            weight_class = self.basis.get(weight)
+            if weight_class is None:
+                remainder.update(part)
+                continue
+            low = weight_class.low
+            residue, coefficients = weight_class.basis.reduce(
+                _class_vector(part, low, weight_class.basis.ncols)
             )
+            for k in np.flatnonzero(residue):
+                remainder[(weight - p * (low + int(k)), low + int(k))] = int(residue[k])
+            solved.append((weight_class, coefficients))
+        if remainder:
+            witness = ResidueWitness(polynomial=Polynomial(self.modulus, remainder))
             return MembershipResult(member=False, witness=witness)
-        n = self.modulus.value
-        combined = {g: dict(terms) for g, terms in fragments.items()}
-        touched = np.unique(self._row_class[np.flatnonzero(coefficients)])
-        for index in touched:
-            weight_class = self.weight_classes[index]
-            atom_weights = (coefficients[weight_class.rows] @ weight_class.transform) % n
+        combined = {g: dict(cofactor) for g, cofactor in fragments.items()}
+        for weight_class, coefficients in solved:
+            atom_weights = (coefficients @ weight_class.transform) % n
             for atom, weight in zip(weight_class.atoms, atom_weights):
-                if not weight:
-                    continue
-                weight = int(weight)
-                for g, terms in atom.bundle.items():
-                    bucket = combined.setdefault(g, {})
-                    for key, value in terms.items():
-                        total = (bucket.get(key, 0) + weight * value) % n
-                        if total:
-                            bucket[key] = total
-                        else:
-                            bucket.pop(key, None)
+                if weight:
+                    for g, cofactor in atom.bundle.items():
+                        _add_into(combined.setdefault(g, {}), cofactor, int(weight), n)
         cofactors = tuple(
-            (g, Polynomial(RATIONALS, terms))
-            for g, terms in sorted(combined.items())
-            if terms
+            (g, Polynomial(RATIONALS, cofactor))
+            for g, cofactor in sorted(combined.items())
+            if cofactor
         )
         certificate = Certificate(
             p=self.p, e=self.e, m=self.m, target=target, cofactors=cofactors
@@ -417,30 +424,32 @@ class MembershipModule:
 def build_membership_module(
     p: int, e: int, m: int, span_limit: int | None = None
 ) -> MembershipModule:
-    """Compute T and its Howell basis for (p, e) at precision m.
+    """Compute T and its graded Howell basis for (p, e) at precision m.
 
     span_limit bounds the monomial span p^(2e); exceeding it raises
-    ValueError so callers can turn resource overruns into skip verdicts.
+    ValueError before any other work, so callers can turn resource
+    overruns into skip verdicts.
 
     One elimination per weight class: the atoms of weight w are reduced
     over that class's at most p^(e-1) columns by howell_complete, whose
-    transform certificates later combine cofactors through.  The class
-    bases are scattered into one basis over the span, rows sorted by
-    pivot column, which is the Howell form of all atoms together because
-    the classes share no columns.  Combining a certificate sums, per
-    class, one product of two residues below p^m per class basis row, so
-    the largest class rank times (p^m)^2 must stay below 2^63; above it
-    the build raises ValueError.
+    transform certificates later combine cofactors through.  Combining a
+    certificate sums one product of two residues below p^m per class
+    basis row, so the largest class rank times (p^m)^2 must stay below
+    2^63; above it the build raises ValueError.
     """
+    if span_limit is not None:
+        # p^(2e) >= 2^e > span_limit once e reaches its bit length, so an
+        # absurd depth is refused without forming p^(2e)
+        if e >= span_limit.bit_length():
+            raise ValueError(f"span size {p}^{2 * e} exceeds the limit {span_limit}")
+        if p ** (2 * e) > span_limit:
+            raise ValueError(f"span size {p ** (2 * e)} exceeds the limit {span_limit}")
     rewrite = RewriteSystem(p, e, m)
-    if span_limit is not None and rewrite.span_size > span_limit:
-        raise ValueError(f"span size {rewrite.span_size} exceeds the limit {span_limit}")
     modulus = rewrite.modulus
     n = modulus.value
     ideal = IdealSpec.build(p, e)
     generators_mod = [g.reduce_mod(p, m).terms for g in ideal.generators]
     block = rewrite.block
-    columns_of: dict = {}
 
     def make_atom(key):
         gen_index, a, b = key
@@ -453,40 +462,25 @@ def build_membership_module(
         weight = a + p * b + p**gen_index
         if any(i + p * j != weight for i, j in terms):
             raise AssertionError(f"atom {key} is not weighted homogeneous")
-        if weight not in columns_of:
-            columns_of[weight] = rewrite.weight_columns(weight)
-        columns = columns_of[weight]
-        first = int(columns[0]) // block
-        vector = np.zeros(len(columns), dtype=np.int64)
-        for (i, j), value in terms.items():
-            vector[j - first] = value
         bundle = {gen_index: {(a, b): 1}}
         for g, cofactor in fragments.items():
-            bucket = bundle.setdefault(g, {})
-            for term_key, value in cofactor.items():
-                total = (bucket.get(term_key, 0) - value) % n
-                if total:
-                    bucket[term_key] = total
-                else:
-                    bucket.pop(term_key, None)
+            _add_into(bundle.setdefault(g, {}), cofactor, -1, n)
         return _Atom(
-            key=key, weight=weight, vector=vector,
+            key=key, weight=weight, vector=_class_vector(terms, *rewrite.weight_class(weight)),
             bundle={g: d for g, d in bundle.items() if d},
         )
 
     # multiples of the last generator reduce to zero outright (every term
     # has y-degree >= p^e), so the grid runs over the iterate generators
-    atoms = []
     by_weight: dict = {}
     for gen_index in range(e + 1):
         for b in range(block):
             for a in range(block):
                 atom = make_atom((gen_index, a, b))
                 if atom is not None:
-                    atoms.append(atom)
                     by_weight.setdefault(atom.weight, []).append(atom)
 
-    weight_classes = []
+    basis = GradedBasis()
     for weight in sorted(by_weight):
         members = by_weight[weight]
         class_basis, transform = howell_complete(
@@ -494,32 +488,11 @@ def build_membership_module(
         )
         if class_basis.rank * n * n >= 2**63:
             raise ValueError("precision too large for int64 transform arithmetic")
-        weight_classes.append(
-            _WeightClass(
-                columns=columns_of[weight], atoms=members, basis=class_basis,
-                transform=transform, rows=np.zeros(class_basis.rank, dtype=np.int64),
-            )
+        basis[weight] = _WeightClass(
+            low=rewrite.weight_class(weight)[0], atoms=members, basis=class_basis,
+            transform=transform,
         )
-
-    order = sorted(
-        (int(weight_class.columns[column]), index, local)
-        for index, weight_class in enumerate(weight_classes)
-        for local, column in enumerate(weight_class.basis.pivot_columns)
-    )
-    matrix = np.zeros((len(order), rewrite.span_size), dtype=np.int64)
-    for row, (_, index, local) in enumerate(order):
-        weight_class = weight_classes[index]
-        matrix[row, weight_class.columns] = weight_class.basis.matrix[local]
-        weight_class.rows[local] = row
-    basis = HowellBasis(
-        modulus=modulus,
-        matrix=matrix,
-        pivot_columns=tuple(column for column, _, _ in order),
-        pivot_values=tuple(
-            weight_classes[index].basis.pivot_values[local] for _, index, local in order
-        ),
-    )
-    return MembershipModule(ideal, rewrite, basis, weight_classes, atoms)
+    return MembershipModule(ideal, rewrite, basis)
 
 
 def brute_force_membership_oracle(p: int, e: int, m: int, f: Polynomial) -> bool:

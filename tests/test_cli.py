@@ -196,6 +196,19 @@ def test_verify_span_limit_skips(capsys):
     assert json.loads(out)["summary"]["skipped"] == 1
 
 
+def test_verify_absurd_depth_skips_promptly(capsys):
+    # the span guard runs before the rewrite system computes the
+    # degree-p^e top iterate, and never forms p^(2e) for a huge e
+    for depth in ("13", "1000000000"):
+        started = time.perf_counter()
+        code, out, _ = run(["verify", "--p", "2", "--e", depth, "--format", "machine"], capsys)
+        assert time.perf_counter() - started < 1
+        assert code == 0
+        verdicts = json.loads(out)["records"][0]["verdicts"]
+        assert list(verdicts) == ["cell"]
+        assert verdicts["cell"].startswith("skipped: span size")
+
+
 def test_verify_failure_sets_exit_code(monkeypatch, capsys):
     from nilcert.quotient import MembershipModule
 
