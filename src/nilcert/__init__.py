@@ -22,7 +22,6 @@ from .coefficients import (
     divide_exact_by_p,
     is_prime,
     rational,
-    reduce_mod,
     vp,
 )
 from .howell import HowellBasis, howell_complete, howell_form, howell_spanning_subset
@@ -67,7 +66,6 @@ __all__ = [
     "random_polynomial",
     "rational",
     "read_certificate",
-    "reduce_mod",
     "standard_generators",
     "verify_certificate",
     "vp",

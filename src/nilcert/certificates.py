@@ -36,9 +36,12 @@ from .theta import ThetaContext
 
 # A certificate file is outside input, so its header is bounded before any
 # generator is built: p^e at most the default --degree-cap of the iterate
-# checks, and m far above the precisions the int64 engine can reach.
+# checks, and m far above the precisions the int64 engine can reach.  Its
+# expansion is bounded too, by the term products it needs (about a second
+# of work); the engine's certificates need a few hundred.
 MAX_DEGREE = 1024
 MAX_PRECISION = 64
+MAX_TERM_PRODUCTS = 10**6
 
 
 def standard_generators(p: int, e: int) -> tuple:
@@ -92,16 +95,24 @@ def verify_certificate(certificate: Certificate) -> bool:
     """Expand the certificate and compare against the target mod p^m.
 
     Returns False on an honest mismatch; raises ValueError when the
-    certificate is structurally malformed (bad index, wrong ring).
+    certificate is structurally malformed (bad index, wrong ring) or its
+    expansion needs more than MAX_TERM_PRODUCTS term products.
     """
     p, e, m = certificate.p, certificate.e, certificate.m
     generators = _checker_generators(p, e)
-    total = Polynomial.zero(RATIONALS)
+    products = 0
     for index, cofactor in certificate.cofactors:
         if not 0 <= index < len(generators):
             raise ValueError(f"cofactor index {index} out of range")
         if cofactor.ring is not RATIONALS:
             raise ValueError("cofactors must have integer coefficients")
+        products += len(cofactor.terms) * len(generators[index].terms)
+    if products > MAX_TERM_PRODUCTS:
+        raise ValueError(
+            f"certificate expansion needs {products} term products, above {MAX_TERM_PRODUCTS}"
+        )
+    total = Polynomial.zero(RATIONALS)
+    for index, cofactor in certificate.cofactors:
         total = total + cofactor * generators[index]
     return total.reduce_mod(p, m) == certificate.target.reduce_mod(p, m)
 

@@ -230,9 +230,3 @@ def divide_exact_by_p(q, p: int):
     if q.numerator % p != 0:
         raise ValueError("not divisible by p")
     return rational(q.numerator // p, q.denominator)
-
-
-def reduce_mod(q, p: int, m: int) -> int:
-    """Reduce an integer or p-integral fraction into Z/p^m: its
-    representative in [0, p^m), as Modulus(p, m).residue(q) gives it."""
-    return Modulus(p, m).residue(q)

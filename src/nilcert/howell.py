@@ -160,18 +160,31 @@ def _howell_engine(rows: np.ndarray, ncols: int, modulus: Modulus):
     return work, r, pivots, origins
 
 
-def howell_form(rows: np.ndarray, modulus: Modulus) -> HowellBasis:
-    """Canonical Howell basis of the row module spanned by rows."""
+def _eliminate(rows, modulus: Modulus, track: bool = False):
+    """Run the engine on rows and assemble the Howell basis of their span.
+
+    Returns (basis, work, origins) with work and origins cut to the basis
+    rows.  With track, an identity block rides to the right of the rows,
+    so work[:, ncols:] is the transform expressing the basis in them.
+    """
     _check_modulus(modulus)
     rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    work, r, pivots, _ = _howell_engine(rows, rows.shape[1], modulus)
-    matrix = work[:r, : rows.shape[1]].copy()
-    return HowellBasis(
+    nrows, ncols = rows.shape
+    if track:
+        rows = np.hstack([rows, np.eye(nrows, dtype=np.int64)])
+    work, r, pivots, origins = _howell_engine(rows, ncols, modulus)
+    basis = HowellBasis(
         modulus=modulus,
-        matrix=matrix,
+        matrix=work[:r, :ncols].copy(),
         pivot_columns=tuple(c for c, _ in pivots),
         pivot_values=tuple(pk for _, pk in pivots),
     )
+    return basis, work[:r], origins[:r]
+
+
+def howell_form(rows: np.ndarray, modulus: Modulus) -> HowellBasis:
+    """Canonical Howell basis of the row module spanned by rows."""
+    return _eliminate(rows, modulus)[0]
 
 
 def howell_spanning_subset(rows: np.ndarray, modulus: Modulus):
@@ -184,17 +197,8 @@ def howell_spanning_subset(rows: np.ndarray, modulus: Modulus):
     slot originals alone: span(rows[indices]) = span(rows).  The indices
     are returned in ascending order; at most one per basis row.
     """
-    _check_modulus(modulus)
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    work, r, pivots, origins = _howell_engine(rows, rows.shape[1], modulus)
-    basis = HowellBasis(
-        modulus=modulus,
-        matrix=work[:r, : rows.shape[1]].copy(),
-        pivot_columns=tuple(c for c, _ in pivots),
-        pivot_values=tuple(pk for _, pk in pivots),
-    )
-    indices = sorted(origin for origin in origins[:r] if origin >= 0)
-    return basis, indices
+    basis, _, origins = _eliminate(rows, modulus)
+    return basis, sorted(origin for origin in origins if origin >= 0)
 
 
 def howell_complete(rows: np.ndarray, modulus: Modulus):
@@ -205,18 +209,5 @@ def howell_complete(rows: np.ndarray, modulus: Modulus):
     basis row.  Tracking columns ride along through the elimination, so
     the transform is exact by construction.
     """
-    _check_modulus(modulus)
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    nrows, ncols = rows.shape
-    augmented = np.zeros((nrows, ncols + nrows), dtype=np.int64)
-    augmented[:, :ncols] = rows % modulus.value
-    augmented[:, ncols:] = np.eye(nrows, dtype=np.int64)
-    work, r, pivots, _ = _howell_engine(augmented, ncols, modulus)
-    basis = HowellBasis(
-        modulus=modulus,
-        matrix=work[:r, :ncols].copy(),
-        pivot_columns=tuple(c for c, _ in pivots),
-        pivot_values=tuple(pk for _, pk in pivots),
-    )
-    transform = work[:r, ncols:].copy()
-    return basis, transform
+    basis, work, _ = _eliminate(rows, modulus, track=True)
+    return basis, work[:, basis.ncols :].copy()

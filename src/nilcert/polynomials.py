@@ -119,22 +119,11 @@ class Polynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(i + j for i, j in self.terms)
-
     def degree_first(self) -> int:
         """Degree in the first variable; -1 for zero."""
         if not self.terms:
             return -1
         return max(i for i, _ in self.terms)
-
-    def degree_second(self) -> int:
-        if not self.terms:
-            return -1
-        return max(j for _, j in self.terms)
 
     def coefficient(self, i, j):
         """Coefficient of the (i, j) monomial, 0 if absent.

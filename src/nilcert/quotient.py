@@ -20,8 +20,9 @@ in the ideal mod p^m iff its reduction lies in the row module T spanned
 by the reductions of all multiples x^a y^b g_n.  Finitely many multiples
 suffice: a reduction with a >= p^e rewrites into reductions of strictly
 smaller a (x^(p^e) acts as the rewrite tail modulo the monic generator),
-and y^b g_n reduces to zero once b reaches p^e, so the grid
-0 <= a, b < p^e spans T.
+y^b g_n reduces to zero once b reaches p^e, and every multiple of g_e or
+of y^(p^e) lies in the rewrite ideal itself and reduces to zero, so the
+grid 0 <= a, b < p^e over g_0 .. g_(e-1) spans T.
 
 Everything here is weighted homogeneous for wt(x) = 1, wt(y) = p: the
 iterate generators, the rewrite tail, y^(p^e), so every grid multiple
@@ -38,7 +39,11 @@ Certificates ride along: the rewrite records cofactor fragments, each
 closure atom carries a small cofactor bundle, and a positive membership
 answer combines them through the Howell transforms of the classes its
 reduction touched into one cofactor per generator, verifiable by
-independent expansion (see certificates.py).
+independent expansion (see certificates.py).  A power x^N is queried as
+its expansion: the normal form modulo g_e and y^(p^e) is unique, and so
+is the g_e quotient the rewrite credits (its y-degree stays below p^e),
+so one reduction of x^N gives the same certificate as reducing step by
+step.
 """
 
 from __future__ import annotations
@@ -85,6 +90,9 @@ class RewriteSystem:
     (leftmost in the term order on ties).  Each x-step strictly lowers
     the x-degree, so the loop terminates; confluence makes the order
     irrelevant to the result, which the tests exercise separately.
+
+    ideal is the generator family for (p, e): its g_e gives the rewrite
+    tail, and the membership build takes its multiples from it.
     """
 
     def __init__(self, p: int, e: int, m: int):
@@ -93,8 +101,8 @@ class RewriteSystem:
         self.modulus = Modulus(p, m)
         self.p, self.e, self.m = p, e, m
         self.block = p**e
-        top = ThetaContext(p).iterate_polynomial(e)
-        tail = Polynomial.monomial(RATIONALS, self.block, 0) - top
+        self.ideal = IdealSpec.build(p, e)
+        tail = Polynomial.monomial(RATIONALS, self.block, 0) - self.ideal.generators[e]
         self.tail = tail.reduce_mod(p, m).terms
         if any(i >= self.block or j >= self.block for i, j in self.tail):
             raise AssertionError("rewrite tail escapes the span block")
@@ -244,12 +252,12 @@ class MembershipModule:
     its own class.
     """
 
-    def __init__(self, ideal, rewrite, basis):
-        self.ideal = ideal
+    def __init__(self, rewrite, basis):
+        self.ideal = rewrite.ideal
         self.rewrite = rewrite
         self.modulus = rewrite.modulus
         self.basis = basis
-        self.theta_context = ThetaContext(ideal.p)
+        self.theta_context = ThetaContext(rewrite.p)
 
     @property
     def atoms(self) -> list:
@@ -270,37 +278,9 @@ class MembershipModule:
     # ---- queries ----
 
     def is_member(self, f: Polynomial) -> MembershipResult:
-        """Decide f in ideal mod p^m; attach a certificate or a witness."""
+        """Decide f in ideal mod p^m; attach a certificate (its target f,
+        lifted to integers) or a witness."""
         terms, fragments = self.rewrite.reduce(f)
-        return self._finish(terms, fragments, self._as_target(f))
-
-    def power_membership(self, base: Polynomial, exponent: int) -> MembershipResult:
-        """Membership of base**exponent, by repeated multiply-then-reduce.
-
-        The unreduced power is never materialized: after each
-        multiplication the product is reduced back onto the span, and the
-        cofactor fragments are transported alongside.
-        """
-        if exponent < 1:
-            raise ValueError("exponent must be positive")
-        base_mod = base.reduce_mod(self.p, self.m) if base.ring is RATIONALS else base
-        n = self.modulus.value
-        terms, fragments = self.rewrite.reduce(base_mod)
-        for _ in range(exponent - 1):
-            carried = {}
-            for g, cofactor in fragments.items():
-                carried[g] = (base_mod * Polynomial(self.modulus, cofactor)).terms
-            terms, fresh = self.rewrite.reduce(base_mod * Polynomial(self.modulus, terms))
-            for g, cofactor in fresh.items():
-                _add_into(carried.setdefault(g, {}), cofactor, 1, n)
-            fragments = {g: d for g, d in carried.items() if d}
-        target = self._as_target(base) ** exponent
-        return self._finish(terms, fragments, target)
-
-    def _as_target(self, f: Polynomial) -> Polynomial:
-        return f if f.ring is RATIONALS else f.lift()
-
-    def _finish(self, terms, fragments, target) -> MembershipResult:
         p, n = self.p, self.modulus.value
         parts: dict = {}
         for (i, j), value in terms.items():
@@ -334,10 +314,20 @@ class MembershipModule:
             for g, cofactor in sorted(combined.items())
             if cofactor
         )
+        target = f if f.ring is RATIONALS else f.lift()
         certificate = Certificate(
             p=self.p, e=self.e, m=self.m, target=target, cofactors=cofactors
         )
         return MembershipResult(member=True, certificate=certificate)
+
+    def power_membership(self, base: Polynomial, exponent: int) -> MembershipResult:
+        """Membership of base**exponent, queried as its expansion (see the
+        module docstring); the target is the integer lift of base, raised
+        to exponent."""
+        if exponent < 1:
+            raise ValueError("exponent must be positive")
+        lifted = base if base.ring is RATIONALS else base.lift()
+        return self.is_member(lifted**exponent)
 
     # ---- verification operations ----
 
@@ -447,8 +437,7 @@ def build_membership_module(
     rewrite = RewriteSystem(p, e, m)
     modulus = rewrite.modulus
     n = modulus.value
-    ideal = IdealSpec.build(p, e)
-    generators_mod = [g.reduce_mod(p, m).terms for g in ideal.generators]
+    generators_mod = [g.reduce_mod(p, m).terms for g in rewrite.ideal.generators]
     block = rewrite.block
 
     def make_atom(key):
@@ -470,10 +459,10 @@ def build_membership_module(
             bundle={g: d for g, d in bundle.items() if d},
         )
 
-    # multiples of the last generator reduce to zero outright (every term
-    # has y-degree >= p^e), so the grid runs over the iterate generators
+    # multiples of g_e and of y^(p^e) lie in the rewrite ideal and reduce
+    # to zero, so the grid runs over g_0 .. g_(e-1)
     by_weight: dict = {}
-    for gen_index in range(e + 1):
+    for gen_index in range(e):
         for b in range(block):
             for a in range(block):
                 atom = make_atom((gen_index, a, b))
@@ -492,7 +481,7 @@ def build_membership_module(
             low=rewrite.weight_class(weight)[0], atoms=members, basis=class_basis,
             transform=transform,
         )
-    return MembershipModule(ideal, rewrite, basis)
+    return MembershipModule(rewrite, basis)
 
 
 def brute_force_membership_oracle(p: int, e: int, m: int, f: Polynomial) -> bool:

@@ -7,6 +7,7 @@ import pytest
 from nilcert.certificates import (
     MAX_DEGREE,
     MAX_PRECISION,
+    MAX_TERM_PRODUCTS,
     Certificate,
     _checker_generators,
     certificate_from_text,
@@ -65,6 +66,28 @@ def test_perturbed_grid_certificate_fails():
     )
     assert not verify_certificate(bad)
     # the cached family is not altered by checking
+    assert verify_certificate(certificate)
+
+
+def test_oversized_expansion_refused_promptly():
+    # a 10^5-term cofactor on the 513-term g_10 at p = 2 would need about
+    # 5 * 10^7 term products; the checker refuses it before expanding
+    cofactor = Polynomial(RATIONALS, {(i, j): 1 for i in range(400) for j in range(250)})
+    certificate = Certificate(p=2, e=10, m=11, target=X, cofactors=((10, cofactor),))
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="51300000 term products"):
+        verify_certificate(certificate)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_engine_certificates_far_below_expansion_bound():
+    from nilcert.quotient import build_membership_module
+
+    certificate = build_membership_module(2, 5, 6).verify_nilpotence().certificate
+    generators = _checker_generators(2, 5)
+    products = sum(len(c.terms) * len(generators[i].terms) for i, c in certificate.cofactors)
+    assert products == 189
+    assert products * 1000 < MAX_TERM_PRODUCTS
     assert verify_certificate(certificate)
 
 

@@ -184,6 +184,23 @@ def test_default_verify_bytes_pinned(tmp_path, capsys):
     assert hashlib.sha256(joined).hexdigest() == DEFAULT_VERIFY_CERTS_SHA256
 
 
+# sha256 of the default `nilcert iterates --format machine` and
+# `nilcert axioms --format machine` stdout: every verdict and structural
+# fact the operator layer reports on its default run
+DEFAULT_OPERATOR_REPORTS_SHA256 = {
+    "iterates": "6d303149a4872f0399d54f9ef1a94a77db711b14f9109714ec7cbc06c72c8ae8",
+    "axioms": "6fd43748ed5a5fc19b49db67f99728d8298b080cffb8b902e6cc54b997920944",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_OPERATOR_REPORTS_SHA256))
+def test_default_operator_reports_pinned(command, capsys):
+    code, out, _ = run([command, "--format", "machine"], capsys)
+    assert code == 0
+    digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+    assert digest == DEFAULT_OPERATOR_REPORTS_SHA256[command]
+
+
 def test_verify_span_limit_skips(capsys):
     code, out, _ = run(
         ["verify", "--p", "2", "--e", "5", "--span-limit", "64", "--format", "machine"],

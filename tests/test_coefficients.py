@@ -10,7 +10,6 @@ from nilcert.coefficients import (
     divide_exact_by_p,
     is_prime,
     rational,
-    reduce_mod,
     vp,
 )
 from nilcert.polynomials import Polynomial
@@ -169,20 +168,20 @@ def test_divide_exact_multiplies_back(num, den, p):
 
 
 def test_reduce_mod_examples():
-    assert reduce_mod(5, 2, 2) == 1
-    assert reduce_mod(0, 3, 2) == 0
-    r = reduce_mod(LocalizedRational(1, 3), 2, 3)
+    assert Modulus(2, 2).residue(5) == 1
+    assert Modulus(3, 2).residue(0) == 0
+    r = Modulus(2, 3).residue(LocalizedRational(1, 3))
     assert r == 3 and type(r) is int
     assert (3 * 3) % 8 == 1  # inverse check for the frozen value above
-    assert reduce_mod(-1, 5, 1) == 4
+    assert Modulus(5, 1).residue(-1) == 4
     assert Modulus(2, 3).residue(-3) == 5
     with pytest.raises(TypeError):
-        reduce_mod(0.5, 2, 3)
+        Modulus(2, 3).residue(0.5)
 
 
 def test_reduce_mod_rejects_bad_denominator():
     with pytest.raises(ValueError, match="invertible"):
-        reduce_mod(LocalizedRational(1, 2), 2, 3)
+        Modulus(2, 3).residue(LocalizedRational(1, 2))
 
 
 @given(
@@ -192,12 +191,13 @@ def test_reduce_mod_rejects_bad_denominator():
     st.integers(min_value=1, max_value=4),
 )
 def test_reduce_mod_is_ring_hom(a, b, p, m):
-    n = p**m
-    ra, rb = reduce_mod(a, p, m), reduce_mod(b, p, m)
+    modulus = Modulus(p, m)
+    n = modulus.value
+    ra, rb = modulus.residue(a), modulus.residue(b)
     assert 0 <= ra < n and 0 <= rb < n
-    assert reduce_mod(a + b, p, m) == (ra + rb) % n
-    assert reduce_mod(a * b, p, m) == (ra * rb) % n
-    assert reduce_mod(-a, p, m) == -ra % n
+    assert modulus.residue(a + b) == (ra + rb) % n
+    assert modulus.residue(a * b) == (ra * rb) % n
+    assert modulus.residue(-a) == -ra % n
 
 
 @given(
@@ -210,9 +210,10 @@ def test_reduce_mod_respects_fractions(num, den, p, m):
     while den % p == 0:
         den += 1
     q = LocalizedRational(num, den)
-    r = reduce_mod(q, p, m)
+    modulus = Modulus(p, m)
+    r = modulus.residue(q)
     # multiplying back by the denominator recovers the numerator's class
-    assert r * den % p**m == reduce_mod(num, p, m)
+    assert r * den % p**m == modulus.residue(num)
 
 
 def test_residue_arithmetic():

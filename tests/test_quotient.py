@@ -185,14 +185,20 @@ def test_fragments_account_for_reduction_odd(f):
 @pytest.mark.parametrize("a", range(0, 4))
 @pytest.mark.parametrize("b", range(0, 4))
 def test_confluence_monomial_multiples_vanish(a, b):
-    # multiples of the two rewrite generators must reduce to zero exactly
-    for p, e, m in [(2, 1, 2), (2, 2, 3), (3, 1, 2)]:
+    # multiples of the two rewrite generators must reduce to zero exactly;
+    # the build skips the grid multiples of g_e on the strength of this.
+    # Case (a, b) takes the shifts congruent to it mod 4, so the 16 cases
+    # cover every x^i y^j with i, j < max(p^e, 4) on each cell
+    for p, e, m in [(2, 1, 2), (2, 2, 3), (3, 1, 2), (5, 2, 3), (3, 3, 4), (2, 4, 5)]:
         rewrite = RewriteSystem(p, e, m)
-        ideal = IdealSpec.build(p, e)
-        mono = Polynomial.monomial(RATIONALS, a, b)
-        for g in (ideal.generators[e], ideal.generators[e + 1]):
-            terms, _ = rewrite.reduce(mono * g)
-            assert terms == {}
+        generators = rewrite.ideal.generators
+        top = max(p**e, 4)
+        for i in range(a, top, 4):
+            for j in range(b, top, 4):
+                mono = Polynomial.monomial(RATIONALS, i, j)
+                for g in (generators[e], generators[e + 1]):
+                    terms, _ = rewrite.reduce(mono * g)
+                    assert terms == {}
 
 
 # ---- the closure and its basis ----
@@ -399,6 +405,32 @@ def test_power_membership_matches_direct_expansion():
         if via_power.member:
             assert verify_certificate(via_power.certificate)
             assert via_power.certificate.target == X**exponent
+
+
+def stepwise_power_reduction(module, exponent):
+    """x^exponent reduced one multiplication by x at a time, with the
+    cofactor fragments carried along: (span terms, fragments)."""
+    modulus = module.modulus
+    x = X.reduce_mod(module.p, module.m)
+    terms, fragments = module.rewrite.reduce(x)
+    for _ in range(exponent - 1):
+        carried = {g: x * Polynomial(modulus, cofactor) for g, cofactor in fragments.items()}
+        terms, fresh = module.rewrite.reduce(x * Polynomial(modulus, terms))
+        for g, cofactor in fresh.items():
+            carried[g] = carried.get(g, Polynomial.zero(modulus)) + Polynomial(modulus, cofactor)
+        fragments = {g: dict(c.terms) for g, c in carried.items() if c}
+    return terms, fragments
+
+
+@pytest.mark.parametrize("p,e,m", GRADED_CELLS)
+def test_power_reduction_matches_stepwise_reduction(p, e, m):
+    # normal forms mod g_e and y^(p^e) are unique, and so is the g_e
+    # quotient of y-degree below p^e: reducing x^N at once gives the same
+    # span part and fragments, so the same certificate, as step by step
+    module = module_for(p, e, m)
+    bound = p**e + p ** (e - 1)
+    for exponent in (bound - 1, bound, bound + p):
+        assert module.rewrite.reduce(X**exponent) == stepwise_power_reduction(module, exponent)
 
 
 # ---- agreement with the enumeration oracle ----
