@@ -17,12 +17,13 @@ Certificate file grammar (one item per line, '#' starts a comment):
     target = <polynomial text>
     cofactor <generator index> = <polynomial text>
 
-Polynomial text is the package's standard format in variables x, y.  The
-generator indices refer to the fixed family for (p, e): index n for
-0 <= n <= e is p^(e-n) times the n-th iterate polynomial read in (x, y),
-and index e+1 is y^(p^e).  Cofactor lines may appear in any order and
-absent indices mean zero cofactors; an empty cofactor list asserts the
-target is 0 mod p^m.
+The whole text is ASCII of at most MAX_CERTIFICATE_BYTES (256 KiB); longer
+input is refused before any line is parsed.  Polynomial text is the
+package's standard format in variables x, y.  The generator indices refer
+to the fixed family for (p, e): index n for 0 <= n <= e is p^(e-n) times
+the n-th iterate polynomial read in (x, y), and index e+1 is y^(p^e).
+Cofactor lines may appear in any order and absent indices mean zero
+cofactors; an empty cofactor list asserts the target is 0 mod p^m.
 """
 
 from __future__ import annotations
@@ -34,14 +35,17 @@ from .coefficients import is_prime
 from .polynomials import RATIONALS, Polynomial
 from .theta import ThetaContext
 
-# A certificate file is outside input, so its header is bounded before any
-# generator is built: p^e at most the default --degree-cap of the iterate
-# checks, and m far above the precisions the int64 engine can reach.  Its
-# expansion is bounded too, by the term products it needs (about a second
-# of work); the engine's certificates need a few hundred.
+# A certificate file is outside input, so its text is bounded before it is
+# parsed (the engine's largest certificate is under half a kilobyte), and
+# its header before any generator is built: p^e at most the default
+# --degree-cap of the iterate checks, and m far above the precisions the
+# int64 engine can reach.  Its expansion is bounded too, by the term
+# products it needs (about a second of work); the engine's certificates
+# need a few hundred.
 MAX_DEGREE = 1024
 MAX_PRECISION = 64
 MAX_TERM_PRODUCTS = 10**6
+MAX_CERTIFICATE_BYTES = 2**18
 
 
 def standard_generators(p: int, e: int) -> tuple:
@@ -130,7 +134,10 @@ def certificate_to_text(certificate: Certificate) -> str:
 
 
 def certificate_from_text(text: str) -> Certificate:
-    """Parse the grammar above; raises ValueError on malformed input."""
+    """Parse the grammar above; raises ValueError on malformed input and,
+    before parsing, on text longer than MAX_CERTIFICATE_BYTES."""
+    if len(text) > MAX_CERTIFICATE_BYTES:
+        raise ValueError(f"certificate text exceeds {MAX_CERTIFICATE_BYTES} bytes")
     header: dict = {}
     cofactors: list = []
     for raw in text.splitlines():
@@ -182,5 +189,6 @@ def write_certificate(certificate: Certificate, path) -> None:
 
 
 def read_certificate(path) -> Certificate:
+    # one byte past the bound is enough for the parser to refuse the file
     with open(path, "r", encoding="ascii") as handle:
-        return certificate_from_text(handle.read())
+        return certificate_from_text(handle.read(MAX_CERTIFICATE_BYTES + 1))

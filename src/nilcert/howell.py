@@ -7,14 +7,16 @@ closes the row set under such annihilator multiples and is the canonical
 object here: two generating sets span the same row module over Z/p^m if
 and only if their Howell forms are identical matrices.
 
-Because the modulus is a prime power, every nonzero element factors as
-unit * p^k, which simplifies the classical algorithm: the pivot of a
-column is the entry of minimal p-adic valuation (that valuation realizes
-the gcd of the column), the pivot is normalized to exactly p^k by a unit,
-and every other entry in the column is cleared or reduced by an exact
-quotient.  After placing a pivot p^k with k > 0, the annihilator multiple
-p^(m-k) * row is appended so later columns still generate everything the
-row module contains.
+Because the modulus n = p^m is a prime power, every nonzero residue a
+factors as unit * p^k with k < m, and gcd(a, n) = p^k exactly, while
+gcd(0, n) = n.  That simplifies the classical algorithm to one gcd per
+column: the pivot is the first entry of least gcd with n (a least gcd of
+n means the column is zero from the current row down), that gcd p^k
+generates the column's ideal, the pivot is normalized to exactly p^k by a
+unit, and every other entry in the column is cleared or reduced by an
+exact quotient.  After placing a pivot p^k with k > 0, the annihilator
+multiple (n / p^k) * row is appended so later columns still generate
+everything the row module contains.
 
 Matrices are numpy int64 with entries kept in [0, p^m); moduli must stay
 below 2^31 so products never overflow.
@@ -34,21 +36,6 @@ INT64_MODULUS_LIMIT = 2**31
 def _check_modulus(modulus: Modulus) -> None:
     if modulus.value >= INT64_MODULUS_LIMIT:
         raise ValueError("modulus too large for int64 matrix arithmetic")
-
-
-def _column_valuations(column: np.ndarray, p: int, m: int) -> np.ndarray:
-    """Per-entry p-adic valuation, with m as the sentinel for zeros."""
-    vals = np.full(column.shape, m, dtype=np.int64)
-    work = column.copy()
-    alive = work != 0
-    vals[alive] = 0
-    while True:
-        divisible = alive & (work % p == 0)
-        if not divisible.any():
-            return vals
-        vals[divisible] += 1
-        work[divisible] //= p
-        alive = divisible
 
 
 @dataclass(frozen=True)
@@ -95,16 +82,23 @@ class HowellBasis:
         return residue, coefficients
 
 
-def _howell_engine(rows: np.ndarray, ncols: int, modulus: Modulus):
-    """Shared elimination; rows may carry extra tracking columns at the
-    right of the first ncols.  Returns (work, count, pivots, origins)
-    where the first count rows are the Howell rows of the left block and
-    origins[i] is the input row index that slot i started as (-1 for
-    appended annihilator rows), tracked through swaps only."""
-    p, m, n = modulus.p, modulus.m, modulus.value
-    nrows, width = rows.shape
+def _howell_engine(rows, modulus: Modulus, track: bool = False):
+    """Eliminate rows and assemble the Howell basis of their span.
+
+    Returns (basis, work, origins): work holds the basis rows, and
+    origins[i] is the input row index that basis row i started as (-1 for
+    an appended annihilator row), tracked through swaps only.  With track,
+    an identity block rides to the right of the rows, so work[:, ncols:]
+    is the transform expressing the basis in them.
+    """
+    _check_modulus(modulus)
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+    nrows, ncols = rows.shape
+    if track:
+        rows = np.hstack([rows, np.eye(nrows, dtype=np.int64)])
+    n = modulus.value
     # capacity for one appended annihilator row per pivot
-    work = np.zeros((nrows + ncols + 1, width), dtype=np.int64)
+    work = np.zeros((nrows + ncols + 1, rows.shape[1]), dtype=np.int64)
     work[:nrows] = rows % n
     origins = list(range(nrows)) + [-1] * (ncols + 1)
     count = nrows
@@ -116,63 +110,44 @@ def _howell_engine(rows: np.ndarray, ncols: int, modulus: Modulus):
         # every row from r down is zero left of c, so all updates can
         # stay on the column slice c: (tracking columns ride at the far
         # right and are always inside the slice)
-        vals = _column_valuations(work[r:count, c], p, m)
-        best = int(vals.argmin())
-        k = int(vals[best])
-        if k == m:
-            placed = False
-        else:
-            best += r
-            if best != r:
-                work[[r, best]] = work[[best, r]]
-                origins[r], origins[best] = origins[best], origins[r]
-            pk = p**k
-            unit = int(work[r, c]) // pk
-            if unit != 1:
-                work[r, c:] = (work[r, c:] * pow(unit, -1, n)) % n
-            if count > r + 1:
-                factors = work[r + 1 : count, c] // pk
-                work[r + 1 : count, c:] = (
-                    work[r + 1 : count, c:] - factors[:, None] * work[r, c:]
-                ) % n
-            if r > 0:
-                factors = work[:r, c] // pk
-                work[:r, c:] = (work[:r, c:] - factors[:, None] * work[r, c:]) % n
-            if k > 0:
-                annihilator = (work[r, c:] * p ** (m - k)) % n
-                if annihilator[: ncols - c].any():
-                    work[count] = 0
-                    work[count, c:] = annihilator
-                    origins[count] = -1
-                    count += 1
-            pivots.append((c, pk))
-            r += 1
-            placed = True
+        gcds = np.gcd(work[r:count, c], n)
+        best = int(gcds.argmin())
+        pk = int(gcds[best])
+        if pk == n:
+            continue
+        best += r
+        if best != r:
+            work[[r, best]] = work[[best, r]]
+            origins[r], origins[best] = origins[best], origins[r]
+        unit = int(work[r, c]) // pk
+        if unit != 1:
+            work[r, c:] = (work[r, c:] * pow(unit, -1, n)) % n
+        if count > r + 1:
+            factors = work[r + 1 : count, c] // pk
+            work[r + 1 : count, c:] = (
+                work[r + 1 : count, c:] - factors[:, None] * work[r, c:]
+            ) % n
+        if r > 0:
+            factors = work[:r, c] // pk
+            work[:r, c:] = (work[:r, c:] - factors[:, None] * work[r, c:]) % n
+        if pk > 1:
+            annihilator = (work[r, c:] * (n // pk)) % n
+            if annihilator[: ncols - c].any():
+                work[count] = 0
+                work[count, c:] = annihilator
+                origins[count] = -1
+                count += 1
+        pivots.append((c, pk))
+        r += 1
         # rows that went entirely dead in the left block only slow the
         # vector ops down; drop them now and then
-        if placed and count - r > 128 and len(pivots) % 32 == 0:
+        if count - r > 128 and len(pivots) % 32 == 0:
             alive = work[r:count, c + 1 : ncols].any(axis=1)
             keep = np.flatnonzero(alive)
             if keep.size < count - r:
                 work[r : r + keep.size] = work[r:count][keep]
                 origins[r : r + keep.size] = [origins[r + i] for i in keep]
                 count = r + keep.size
-    return work, r, pivots, origins
-
-
-def _eliminate(rows, modulus: Modulus, track: bool = False):
-    """Run the engine on rows and assemble the Howell basis of their span.
-
-    Returns (basis, work, origins) with work and origins cut to the basis
-    rows.  With track, an identity block rides to the right of the rows,
-    so work[:, ncols:] is the transform expressing the basis in them.
-    """
-    _check_modulus(modulus)
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    nrows, ncols = rows.shape
-    if track:
-        rows = np.hstack([rows, np.eye(nrows, dtype=np.int64)])
-    work, r, pivots, origins = _howell_engine(rows, ncols, modulus)
     basis = HowellBasis(
         modulus=modulus,
         matrix=work[:r, :ncols].copy(),
@@ -184,7 +159,7 @@ def _eliminate(rows, modulus: Modulus, track: bool = False):
 
 def howell_form(rows: np.ndarray, modulus: Modulus) -> HowellBasis:
     """Canonical Howell basis of the row module spanned by rows."""
-    return _eliminate(rows, modulus)[0]
+    return _howell_engine(rows, modulus)[0]
 
 
 def howell_spanning_subset(rows: np.ndarray, modulus: Modulus):
@@ -197,7 +172,7 @@ def howell_spanning_subset(rows: np.ndarray, modulus: Modulus):
     slot originals alone: span(rows[indices]) = span(rows).  The indices
     are returned in ascending order; at most one per basis row.
     """
-    basis, _, origins = _eliminate(rows, modulus)
+    basis, _, origins = _howell_engine(rows, modulus)
     return basis, sorted(origin for origin in origins if origin >= 0)
 
 
@@ -209,5 +184,5 @@ def howell_complete(rows: np.ndarray, modulus: Modulus):
     basis row.  Tracking columns ride along through the elimination, so
     the transform is exact by construction.
     """
-    basis, work, _ = _eliminate(rows, modulus, track=True)
+    basis, work, _ = _howell_engine(rows, modulus, track=True)
     return basis, work[:, basis.ncols :].copy()

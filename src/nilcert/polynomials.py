@@ -237,22 +237,13 @@ class Polynomial:
     # ---- ring maps ----
 
     def substitute(self, first: "Polynomial", second: "Polynomial") -> "Polynomial":
-        """Evaluate self at (first, second); both must share self's ring.
-
-        Powers of the images are built once, ascending, so repeated
-        exponents across terms are not recomputed.
-        """
+        """Evaluate self at (first, second); both must share self's ring."""
         self._check_ring(first)
         self._check_ring(second)
-        pow_first = _power_table(first, {i for i, _ in self.terms})
-        pow_second = _power_table(second, {j for _, j in self.terms})
-        out = {}
-        get = out.get
+        total = Polynomial.zero(self.ring)
         for (i, j), c in sorted(self.terms.items()):
-            for key, v in (pow_first[i] * pow_second[j]).terms.items():
-                s = get(key)
-                out[key] = v * c if s is None else s + v * c
-        return Polynomial(self.ring, out)
+            total = total + c * first**i * second**j
+        return total
 
     def reduce_mod(self, p: int, m: int) -> "Polynomial":
         """Reduce every coefficient into Z/p^m, dropping vanishing terms."""
@@ -342,17 +333,3 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.ring!r}, {self.to_text()!r})"
-
-
-def _power_table(base: Polynomial, exponents) -> dict:
-    """Powers base**e for every e in exponents, via one ascending sweep."""
-    table = {0: Polynomial.one(base.ring)}
-    if not exponents:
-        return table
-    top = max(exponents)
-    current = table[0]
-    for e in range(1, top + 1):
-        current = current * base
-        if e in exponents or e == top:
-            table[e] = current
-    return table

@@ -54,7 +54,7 @@ import numpy as np
 
 from .certificates import Certificate, standard_generators
 from .coefficients import Modulus
-from .howell import HowellBasis, howell_complete
+from .howell import HowellBasis, _check_modulus, howell_complete
 
 # not called here any more; kept importable by this name, which
 # perfbench/tracing.py wraps
@@ -396,14 +396,12 @@ class MembershipModule:
         x, _ = Polynomial.generators(RATIONALS)
         return self.power_membership(x, self.p**self.e + self.p ** (self.e - 1) - 1)
 
-    def verify_torsion_powers(self, ks=None) -> bool:
-        """Each p^(e-k) * x is p^k-torsion mod the ideal, so its
-        (p^k + p^(k-1))-th power must be a member, at every precision."""
-        if ks is None:
-            ks = range(1, self.e + 1)
+    def verify_torsion_powers(self) -> bool:
+        """Each p^(e-k) * x, 1 <= k <= e, is p^k-torsion mod the ideal, so
+        its (p^k + p^(k-1))-th power must be a member, at every precision."""
         x, _ = Polynomial.generators(RATIONALS)
         ok = True
-        for k in ks:
+        for k in range(1, self.e + 1):
             exponent = self.p**k + self.p ** (k - 1)
             scalar = (self.p ** (self.e - k)) ** exponent
             target = (x**exponent).scale(scalar)
@@ -418,14 +416,16 @@ def build_membership_module(
 
     span_limit bounds the monomial span p^(2e); exceeding it raises
     ValueError before any other work, so callers can turn resource
-    overruns into skip verdicts.
+    overruns into skip verdicts.  A precision the int64 arithmetic cannot
+    hold is refused the same way, before any atom is built: p^m must stay
+    below howell.INT64_MODULUS_LIMIT, and p^(e-1) * (p^m)^2 below 2^63.
 
     One elimination per weight class: the atoms of weight w are reduced
     over that class's at most p^(e-1) columns by howell_complete, whose
-    transform certificates later combine cofactors through.  Combining a
-    certificate sums one product of two residues below p^m per class
-    basis row, so the largest class rank times (p^m)^2 must stay below
-    2^63; above it the build raises ValueError.
+    transform certificates later combine cofactors through.  A Howell
+    basis has at most one row per column, and combining a certificate
+    sums one product of two residues below p^m per class basis row, which
+    is what the second bound keeps below 2^63.
     """
     if span_limit is not None:
         # p^(2e) >= 2^e > span_limit once e reaches its bit length, so an
@@ -434,9 +434,12 @@ def build_membership_module(
             raise ValueError(f"span size {p}^{2 * e} exceeds the limit {span_limit}")
         if p ** (2 * e) > span_limit:
             raise ValueError(f"span size {p ** (2 * e)} exceeds the limit {span_limit}")
-    rewrite = RewriteSystem(p, e, m)
-    modulus = rewrite.modulus
+    modulus = Modulus(p, m)
+    _check_modulus(modulus)
     n = modulus.value
+    if p ** (e - 1) * n * n >= 2**63:
+        raise ValueError("precision too large for int64 transform arithmetic")
+    rewrite = RewriteSystem(p, e, m)
     generators_mod = [g.reduce_mod(p, m).terms for g in rewrite.ideal.generators]
     block = rewrite.block
 
@@ -475,8 +478,6 @@ def build_membership_module(
         class_basis, transform = howell_complete(
             np.vstack([atom.vector for atom in members]), modulus
         )
-        if class_basis.rank * n * n >= 2**63:
-            raise ValueError("precision too large for int64 transform arithmetic")
         basis[weight] = _WeightClass(
             low=rewrite.weight_class(weight)[0], atoms=members, basis=class_basis,
             transform=transform,

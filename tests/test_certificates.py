@@ -5,6 +5,7 @@ import time
 import pytest
 
 from nilcert.certificates import (
+    MAX_CERTIFICATE_BYTES,
     MAX_DEGREE,
     MAX_PRECISION,
     MAX_TERM_PRODUCTS,
@@ -194,6 +195,35 @@ def test_largest_admitted_header_parses():
     text = f"p = 2\ne = 10\nm = {MAX_PRECISION}\ntarget = x\n"
     certificate = certificate_from_text(text)
     assert (certificate.e, certificate.m) == (10, MAX_PRECISION)
+
+
+def padded_certificate_text(size):
+    """Certificate text of exactly size bytes: a cofactor of size // 16
+    terms on g_0, then a comment line filling up the rest."""
+    cofactor = " + ".join(f"x^{i}" for i in range(size // 16))
+    text = f"p = 2\ne = 1\nm = 2\ntarget = x\ncofactor 0 = {cofactor}\n#"
+    return text + "#" * (size - len(text))
+
+
+def test_certificate_text_bounded_before_parsing(tmp_path):
+    at_bound = padded_certificate_text(MAX_CERTIFICATE_BYTES)
+    assert len(at_bound) == MAX_CERTIFICATE_BYTES
+    ((index, cofactor),) = certificate_from_text(at_bound).cofactors
+    assert (index, len(cofactor.terms)) == (0, MAX_CERTIFICATE_BYTES // 16)
+    over = padded_certificate_text(MAX_CERTIFICATE_BYTES + 1)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"exceeds {MAX_CERTIFICATE_BYTES} bytes"):
+        certificate_from_text(over)
+    assert time.perf_counter() - started < 0.05
+    # the reader stops one byte past the bound, however long the file is
+    path = tmp_path / "oversized.cert"
+    path.write_text(over * 8, encoding="ascii")
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"exceeds {MAX_CERTIFICATE_BYTES} bytes"):
+        read_certificate(path)
+    assert time.perf_counter() - started < 0.05
+    path.write_text(at_bound, encoding="ascii")
+    assert read_certificate(path) == certificate_from_text(at_bound)
 
 
 def test_file_round_trip(tmp_path):

@@ -213,6 +213,16 @@ def test_verify_span_limit_skips(capsys):
     assert json.loads(out)["summary"]["skipped"] == 1
 
 
+def test_verify_int64_precision_skips(capsys):
+    # residues mod 5^29 do not fit int64: the build refuses the precision
+    # before making any atom, where one would not fit its class vector
+    argv = ["verify", "--p", "5", "--e", "2", "--extra-precision", "26", "--format", "machine"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    verdicts = json.loads(out)["records"][0]["verdicts"]
+    assert verdicts == {"cell": "skipped: modulus too large for int64 matrix arithmetic"}
+
+
 def test_verify_absurd_depth_skips_promptly(capsys):
     # the span guard runs before the rewrite system computes the
     # degree-p^e top iterate, and never forms p^(2e) for a huge e

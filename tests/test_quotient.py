@@ -6,7 +6,9 @@ exhaustive enumeration along a second, independent code path.
 """
 
 import functools
+import hashlib
 import random
+import time
 
 import numpy as np
 import pytest
@@ -323,6 +325,39 @@ def test_deep_cells_build_and_certify(p, e):
     assert not module.verify_sharpness().member
 
 
+
+def class_digest(module):
+    """sha256 over every weight class: low, Howell matrix, pivot columns
+    and values, transform and atom keys, in weight order."""
+    digest = hashlib.sha256()
+    for weight, weight_class in sorted(module.basis.items()):
+        basis = weight_class.basis
+        fields = (
+            weight,
+            weight_class.low,
+            basis.matrix.tolist(),
+            basis.pivot_columns,
+            basis.pivot_values,
+            weight_class.transform.tolist(),
+            [atom.key for atom in weight_class.atoms],
+        )
+        digest.update(repr(fields).encode("ascii"))
+    return digest.hexdigest()
+
+
+# class_digest of the built modules; any change to the elimination's
+# pivots, row order, transforms or atom order shows here
+CLASS_DIGESTS = {
+    (5, 2, 3): "326d247cea5c7e8c347f624f7d33a08ed3e525464f1052aba3ae2405fb3c533e",
+    (3, 3, 4): "e123462356ee34021dad85c4c193e14dae3e157fc5139ff6d491ef3826fb44b3",
+    (2, 5, 6): "20cd4edda129611d0260918700c07f17278175b21e49d850689fa059d53c1a7c",
+}
+
+
+@pytest.mark.parametrize("p,e,m", sorted(CLASS_DIGESTS))
+def test_elimination_pinned(p, e, m):
+    assert class_digest(module_for(p, e, m)) == CLASS_DIGESTS[(p, e, m)]
+
 def test_generators_are_members():
     for p, e, m in [(2, 1, 2), (3, 1, 2), (2, 2, 3)]:
         module = module_for(p, e, m)
@@ -534,3 +569,19 @@ def test_transform_guard_is_per_weight_class():
     # classes of width 8 at full rank do pass it
     with pytest.raises(ValueError, match="precision too large"):
         build_membership_module(2, 4, 30)
+
+
+@pytest.mark.parametrize(
+    "p,e,m,message",
+    [
+        # p^m = 2^31 reaches the Howell modulus limit
+        (2, 6, 31, "modulus too large"),
+        # 3^19 is below it, but 3^3 * (3^19)^2 passes 2^63
+        (3, 4, 19, "precision too large"),
+    ],
+)
+def test_int64_overflow_refused_before_any_work(p, e, m, message):
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        build_membership_module(p, e, m)
+    assert time.perf_counter() - started < 0.05
