@@ -40,6 +40,26 @@ PASS, FAIL = "pass", "fail"
 # already take seconds, and their cost grows about fourfold per doubling.
 MAX_DEGREE_CAP = 4096
 
+# Largest accepted --p: a larger prime admits no iterate depth under the
+# degree cap and no verify cell under the span limit, and is_prime on it
+# would be the only work done.
+MAX_PRIME = MAX_DEGREE_CAP
+
+# Largest accepted --span-limit: the largest cells it admits, (2, 7) and
+# (5, 3), build in about 25 s and 2 s at their sharpness precision.
+MAX_SPAN_LIMIT = 2**14
+
+# Largest accepted --trials: one trial of axioms at p = 7 takes about 0.1 s.
+MAX_TRIALS = 1000
+
+# Largest accepted |N| for `bound N`, whose trial division runs to sqrt(N).
+MAX_TORSION = 10**12
+
+# axioms skips a prime whose theta(psi(f)) may exceed this many terms: it
+# raises psi(f) to the p-th power, and the cost grows with the terms of
+# that power, not only with its degree.  p <= 7 runs, p >= 11 is skipped.
+MAX_AXIOM_TERMS = 4096
+
 
 def skipped(reason: str) -> str:
     return f"skipped: {reason}"
@@ -148,18 +168,33 @@ def _timing(label: str, started: float) -> None:
 # ---- subcommand bodies ----
 
 
+def _axioms_skip_reason(p: int, degree_cap: int) -> str | None:
+    """Why axioms skips p, checking degree before terms; None to run it."""
+    top_degree = SAMPLE_DEGREE * p * p
+    if top_degree > degree_cap:
+        return (
+            f"theta of psi of a sample reaches degree {top_degree}, "
+            f"above the degree cap {degree_cap}"
+        )
+    # psi(f) has degree at most SAMPLE_DEGREE * p and x-degrees divisible
+    # by p, so psi(f)^p has at most one term x^(p*k) y^l per
+    # p*k + l <= top_degree
+    top_terms = sum(top_degree - p * k + 1 for k in range(SAMPLE_DEGREE * p + 1))
+    if top_terms > MAX_AXIOM_TERMS:
+        return (
+            f"theta of psi of a sample may have {top_terms} terms, "
+            f"above the term bound {MAX_AXIOM_TERMS}"
+        )
+    return None
+
+
 def run_axioms(config: RunConfig) -> Report:
     report = Report("axioms", config)
     for p in sorted(set(config.primes)):
         started = time.perf_counter()
-        top_degree = SAMPLE_DEGREE * p * p
-        if top_degree > config.degree_cap:
-            verdicts = {
-                "axioms": skipped(
-                    f"theta of psi of a sample reaches degree {top_degree}, "
-                    f"above the degree cap {config.degree_cap}"
-                )
-            }
+        reason = _axioms_skip_reason(p, config.degree_cap)
+        if reason is not None:
+            verdicts = {"axioms": skipped(reason)}
             report.records.append({"p": p, "trials": config.trials, "verdicts": verdicts})
             _timing(f"axioms p={p}", started)
             continue
@@ -324,6 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(parser, args) -> RunConfig:
     primes = args.p if args.p else [2, 3, 5]
     for p in primes:
+        if p > MAX_PRIME:
+            parser.error(f"prime must be at most {MAX_PRIME}")
         if not is_prime(p):
             parser.error(f"{p} is not prime")
     depths = args.e if args.e else []
@@ -332,6 +369,10 @@ def config_from_args(parser, args) -> RunConfig:
             parser.error("depth must be at least 1")
     if args.trials < 1:
         parser.error("trials must be at least 1")
+    if args.trials > MAX_TRIALS:
+        parser.error(f"trials must be at most {MAX_TRIALS}")
+    if args.span_limit > MAX_SPAN_LIMIT:
+        parser.error(f"span limit must be at most {MAX_SPAN_LIMIT}")
     if args.extra_precision < 0:
         parser.error("extra precision must be nonnegative")
     if args.extra_precision > MAX_PRECISION:
@@ -356,6 +397,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "bound":
+        if abs(args.torsion) > MAX_TORSION:
+            parser.error(f"torsion order must be at most {MAX_TORSION} in absolute value")
         try:
             value = nilpotence_bound(args.torsion)
         except ValueError as error:

@@ -18,6 +18,10 @@ exact quotient.  After placing a pivot p^k with k > 0, the annihilator
 multiple (n / p^k) * row is appended so later columns still generate
 everything the row module contains.
 
+One elimination serves howell_form (the basis), howell_complete (also the
+transform expressing it in the input rows) and howell_spanning_subset (the
+input rows that transform uses).
+
 Matrices are numpy int64 with entries kept in [0, p^m); moduli must stay
 below 2^31 so products never overflow.
 """
@@ -85,11 +89,10 @@ class HowellBasis:
 def _howell_engine(rows, modulus: Modulus, track: bool = False):
     """Eliminate rows and assemble the Howell basis of their span.
 
-    Returns (basis, work, origins): work holds the basis rows, and
-    origins[i] is the input row index that basis row i started as (-1 for
-    an appended annihilator row), tracked through swaps only.  With track,
+    Returns (basis, work) with work holding the basis rows.  With track,
     an identity block rides to the right of the rows, so work[:, ncols:]
-    is the transform expressing the basis in them.
+    is the transform expressing the basis in them.  Rows that fall to
+    zero stay below the pivots, where their gcd n never picks them.
     """
     _check_modulus(modulus)
     rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
@@ -100,7 +103,6 @@ def _howell_engine(rows, modulus: Modulus, track: bool = False):
     # capacity for one appended annihilator row per pivot
     work = np.zeros((nrows + ncols + 1, rows.shape[1]), dtype=np.int64)
     work[:nrows] = rows % n
-    origins = list(range(nrows)) + [-1] * (ncols + 1)
     count = nrows
     pivots = []
     r = 0
@@ -118,7 +120,6 @@ def _howell_engine(rows, modulus: Modulus, track: bool = False):
         best += r
         if best != r:
             work[[r, best]] = work[[best, r]]
-            origins[r], origins[best] = origins[best], origins[r]
         unit = int(work[r, c]) // pk
         if unit != 1:
             work[r, c:] = (work[r, c:] * pow(unit, -1, n)) % n
@@ -135,26 +136,16 @@ def _howell_engine(rows, modulus: Modulus, track: bool = False):
             if annihilator[: ncols - c].any():
                 work[count] = 0
                 work[count, c:] = annihilator
-                origins[count] = -1
                 count += 1
         pivots.append((c, pk))
         r += 1
-        # rows that went entirely dead in the left block only slow the
-        # vector ops down; drop them now and then
-        if count - r > 128 and len(pivots) % 32 == 0:
-            alive = work[r:count, c + 1 : ncols].any(axis=1)
-            keep = np.flatnonzero(alive)
-            if keep.size < count - r:
-                work[r : r + keep.size] = work[r:count][keep]
-                origins[r : r + keep.size] = [origins[r + i] for i in keep]
-                count = r + keep.size
     basis = HowellBasis(
         modulus=modulus,
         matrix=work[:r, :ncols].copy(),
         pivot_columns=tuple(c for c, _ in pivots),
         pivot_values=tuple(pk for _, pk in pivots),
     )
-    return basis, work[:r], origins[:r]
+    return basis, work[:r]
 
 
 def howell_form(rows: np.ndarray, modulus: Modulus) -> HowellBasis:
@@ -165,15 +156,14 @@ def howell_form(rows: np.ndarray, modulus: Modulus) -> HowellBasis:
 def howell_spanning_subset(rows: np.ndarray, modulus: Modulus):
     """Howell basis plus indices of input rows that already span the module.
 
-    The returned indices are the rows promoted into pivot slots during
-    elimination.  Row mixing only ever subtracts rows of earlier pivot
-    slots, and annihilator rows are multiples of pivot rows, so by
-    induction every row of the final basis is a combination of the pivot
-    slot originals alone: span(rows[indices]) = span(rows).  The indices
-    are returned in ascending order; at most one per basis row.
+    The indices, ascending, are the input rows the howell_complete transform
+    uses, so they span: basis = transform @ rows.  Each pivot row is the row
+    first promoted into its slot plus multiples of other pivot rows, and an
+    annihilator row is a multiple of a pivot row, so there is at most one
+    index per basis row.
     """
-    basis, _, origins = _howell_engine(rows, modulus)
-    return basis, sorted(origin for origin in origins if origin >= 0)
+    basis, transform = howell_complete(rows, modulus)
+    return basis, [int(k) for k in np.flatnonzero(transform.any(axis=0))]
 
 
 def howell_complete(rows: np.ndarray, modulus: Modulus):
@@ -184,5 +174,5 @@ def howell_complete(rows: np.ndarray, modulus: Modulus):
     basis row.  Tracking columns ride along through the elimination, so
     the transform is exact by construction.
     """
-    basis, work, _ = _howell_engine(rows, modulus, track=True)
+    basis, work = _howell_engine(rows, modulus, track=True)
     return basis, work[:, basis.ncols :].copy()

@@ -143,6 +143,16 @@ class Polynomial:
 
     # ---- arithmetic ----
 
+    def _from_sums(self, terms: dict) -> "Polynomial":
+        """Polynomial from zero-free sums or products of self.ring's coefficients:
+        kept as they are over RATIONALS, reduced by the constructor otherwise."""
+        if self.ring is not RATIONALS:
+            return Polynomial(self.ring, terms)
+        result = Polynomial.__new__(Polynomial)
+        object.__setattr__(result, "ring", RATIONALS)
+        object.__setattr__(result, "terms", terms)
+        return result
+
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.ring, other)
@@ -155,22 +165,12 @@ class Polynomial:
                 out[key] = s
             else:
                 out.pop(key, None)
-        if self.ring is not RATIONALS:
-            return Polynomial(self.ring, out)
-        result = Polynomial.__new__(Polynomial)
-        object.__setattr__(result, "ring", self.ring)
-        object.__setattr__(result, "terms", out)
-        return result
+        return self._from_sums(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.ring is not RATIONALS:
-            return Polynomial(self.ring, {k: -c for k, c in self.terms.items()})
-        result = Polynomial.__new__(Polynomial)
-        object.__setattr__(result, "ring", self.ring)
-        object.__setattr__(result, "terms", {k: -c for k, c in self.terms.items()})
-        return result
+        return self._from_sums({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -192,12 +192,7 @@ class Polynomial:
                 key = (i1 + i2, j1 + j2)
                 s = get(key)
                 out[key] = c1 * c2 if s is None else s + c1 * c2
-        if self.ring is not RATIONALS:
-            return Polynomial(self.ring, out)
-        result = Polynomial.__new__(Polynomial)
-        object.__setattr__(result, "ring", self.ring)
-        object.__setattr__(result, "terms", {k: c for k, c in out.items() if c})
-        return result
+        return self._from_sums({k: c for k, c in out.items() if c})
 
     def __rmul__(self, other):
         return self.scale(other)

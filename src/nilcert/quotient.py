@@ -114,33 +114,20 @@ class RewriteSystem:
         n = self.modulus.value
         block = self.block
         fragments: dict = {}
-
-        def credit(generator: int, key, value):
-            bucket = fragments.setdefault(generator, {})
-            total = (bucket.get(key, 0) + value) % n
-            if total:
-                bucket[key] = total
-            else:
-                bucket.pop(key, None)
-
         while True:
-            for key in [key for key in work if key[1] >= block]:
-                value = work.pop(key)
-                credit(self.e + 1, (key[0], key[1] - block), value)
+            killed = [key for key in work if key[1] >= block]
+            if killed:
+                terms = {key: work.pop(key) for key in killed}
+                _add_into(fragments.setdefault(self.e + 1, {}), terms, 1, n, 0, -block)
             heavy = [key for key in work if key[0] >= block]
             if not heavy:
                 break
             i, j = max(heavy)
             value = work.pop((i, j))
-            credit(self.e, (i - block, j), value)
-            for (ti, tj), tc in self.tail.items():
-                key = (i - block + ti, j + tj)
-                total = (work.get(key, 0) + value * tc) % n
-                if total:
-                    work[key] = total
-                else:
-                    work.pop(key, None)
-        return work, {g: dict(d) for g, d in fragments.items() if d}
+            # popped keys strictly decrease, so no credit here meets another
+            fragments.setdefault(self.e, {})[(i - block, j)] = value
+            _add_into(work, self.tail, value, n, i - block, j)
+        return work, {g: d for g, d in fragments.items() if d}
 
     def reduce(self, f: Polynomial):
         """Normal form of a polynomial: (span terms, cofactor fragments).
@@ -163,9 +150,11 @@ class RewriteSystem:
         return low, min(self.block - 1, weight // self.p) - low + 1
 
 
-def _add_into(bucket: dict, terms: dict, scale: int, n: int) -> None:
-    """bucket += scale * terms mod n, on {(i, j): int} dicts without zeros."""
-    for key, value in terms.items():
+def _add_into(bucket: dict, terms: dict, scale: int, n: int, di: int = 0, dj: int = 0) -> None:
+    """bucket += scale * x^di * y^dj * terms mod n on {(i, j): int} dicts
+    without zeros, dropping terms that cancel: the one accumulate loop."""
+    for (i, j), value in terms.items():
+        key = (i + di, j + dj)
         total = (bucket.get(key, 0) + scale * value) % n
         if total:
             bucket[key] = total

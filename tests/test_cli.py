@@ -9,7 +9,14 @@ import pytest
 
 from nilcert.certificates import read_certificate, verify_certificate
 from nilcert.certificates import MAX_PRECISION
-from nilcert.cli import MAX_DEGREE_CAP, main
+from nilcert.cli import (
+    MAX_DEGREE_CAP,
+    MAX_PRIME,
+    MAX_SPAN_LIMIT,
+    MAX_TORSION,
+    MAX_TRIALS,
+    main,
+)
 from nilcert.quotient import MembershipResult
 
 
@@ -86,6 +93,47 @@ def test_oversized_flags_are_usage_errors_promptly(capsys):
         assert time.perf_counter() - started < 2
         assert info.value.code == 2
         assert message in capsys.readouterr().err
+
+
+def test_unbounded_integer_inputs_are_usage_errors_promptly(capsys):
+    # each of these ran for tens of seconds before any bound applied:
+    # trial division, is_prime, the trials loop, an oversized span
+    for argv, message in (
+        (["bound", "1000000000000000003"], "torsion order"),
+        (["bound", str(-MAX_TORSION - 1)], "torsion order"),
+        (["iterates", "--p", "1000000000000000003"], "prime must be at most"),
+        (["axioms", "--p", str(MAX_PRIME + 1)], "prime must be at most"),
+        (["axioms", "--trials", "100000000"], "trials"),
+        (["axioms", "--trials", str(MAX_TRIALS + 1)], "trials"),
+        (["verify", "--p", "2", "--e", "9", "--span-limit", "1000000000"], "span limit"),
+        (["verify", "--span-limit", str(MAX_SPAN_LIMIT + 1)], "span limit"),
+    ):
+        started = time.perf_counter()
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert time.perf_counter() - started < 1
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+    # the bounds themselves are admitted
+    code, out, _ = run(["bound", str(MAX_TORSION)], capsys)
+    assert code == 0 and out == "292968750\n"
+    code, out, _ = run(["iterates", "--p", "4093", "--format", "machine"], capsys)
+    assert code == 0 and json.loads(out)["summary"]["skipped"] == 1
+
+
+def test_axioms_skip_primes_by_term_bound(capsys):
+    # psi(f)^p is dense: its term bound skips p = 11 and above, even
+    # where the degree cap admits them, while p = 7 still runs
+    for argv in (["--p", "13"], ["--p", "31", "--degree-cap", "4096"], ["--p", "11"]):
+        started = time.perf_counter()
+        code, out, _ = run(["axioms", *argv, "--format", "machine"], capsys)
+        assert time.perf_counter() - started < 2
+        assert code == 0
+        verdicts = json.loads(out)["records"][0]["verdicts"]
+        assert list(verdicts) == ["axioms"]
+        assert verdicts["axioms"].startswith("skipped: theta of psi of a sample may have")
+    code, out, _ = run(["axioms", "--p", "7", "--trials", "1"], capsys)
+    assert code == 0 and "skipped:" not in out
 
 
 def test_axioms_skip_primes_beyond_the_degree_cap(capsys):

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcert.coefficients import Modulus
-from nilcert.howell import HowellBasis, howell_complete, howell_form
+from nilcert.howell import (
+    HowellBasis,
+    howell_complete,
+    howell_form,
+    howell_spanning_subset,
+)
 
 
 def _span_set(rows, n):
@@ -169,3 +174,37 @@ def test_transform_identity(pm, nrows, seed):
     assert np.array_equal(basis.matrix, transform @ rows % n)
     # and the transform route agrees with the plain route
     assert np.array_equal(basis.matrix, howell_form(rows, Modulus(p, m)).matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (2, 3), (3, 2), (5, 1)]),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_spanning_subset_spans(pm, nrows, ncols, seed):
+    # ascending indices, at most one per basis row, spanning the module
+    p, m = pm
+    n = p**m
+    rng = random.Random(seed)
+    # every other row a combination of earlier ones, so some are redundant
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.5:
+            row = [0] * ncols
+            for earlier in rows:
+                factor = rng.randrange(n)
+                row = [(x + factor * y) % n for x, y in zip(row, earlier)]
+            rows.append(row)
+        else:
+            rows.append([rng.randrange(n) if rng.random() < 0.6 else 0 for _ in range(ncols)])
+    rows = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+    basis, indices = howell_spanning_subset(rows, Modulus(p, m))
+    assert list(indices) == sorted(set(indices))
+    assert all(0 <= k < nrows for k in indices)
+    assert len(indices) <= basis.rank
+    again = howell_form(rows[list(indices)], Modulus(p, m))
+    assert np.array_equal(again.matrix, basis.matrix)
+    assert again.pivot_columns == basis.pivot_columns
+    assert again.pivot_values == basis.pivot_values

@@ -351,6 +351,9 @@ CLASS_DIGESTS = {
     (5, 2, 3): "326d247cea5c7e8c347f624f7d33a08ed3e525464f1052aba3ae2405fb3c533e",
     (3, 3, 4): "e123462356ee34021dad85c4c193e14dae3e157fc5139ff6d491ef3826fb44b3",
     (2, 5, 6): "20cd4edda129611d0260918700c07f17278175b21e49d850689fa059d53c1a7c",
+    # classes of more than 128 rows and 32 pivots, where many rows fall
+    # to zero during the elimination
+    (2, 6, 7): "a28df561ee54e0303ca9fe5f5d93b2933035324f6808f1f9964df707116c0fb8",
 }
 
 
