@@ -19,7 +19,6 @@ from .certificates import (
 from .coefficients import (
     LocalizedRational,
     Modulus,
-    divide_exact_by_p,
     is_prime,
     rational,
     vp,
@@ -57,7 +56,6 @@ __all__ = [
     "build_membership_module",
     "certificate_from_text",
     "certificate_to_text",
-    "divide_exact_by_p",
     "howell_complete",
     "howell_form",
     "howell_spanning_subset",

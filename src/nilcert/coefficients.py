@@ -216,17 +216,3 @@ class Modulus:
             return q.numerator * pow(q.denominator, -1, self.value) % self.value
         raise TypeError(f"cannot reduce {type(q).__name__} mod p^m")
 
-
-def divide_exact_by_p(q, p: int):
-    """Divide q by p, requiring the quotient to stay p-integral.
-
-    q may be an integer or a LocalizedRational whose denominator is coprime
-    to p; the quotient is in canonical form, so an int for integer q.
-    Raises ValueError("not divisible by p") when p does not divide the
-    numerator of a nonzero q.
-    """
-    if q.denominator % p == 0:
-        raise ValueError("denominator is not coprime to p")
-    if q.numerator % p != 0:
-        raise ValueError("not divisible by p")
-    return rational(q.numerator // p, q.denominator)

@@ -9,6 +9,14 @@ greater than 1, so equal polynomials have equal terms and equal hashes.
 A Modulus(p, m) coefficient is a plain int, its representative in
 [0, p^m); arithmetic over a Modulus returns through the constructor,
 which reduces every term.
+
+Products over RATIONALS run on cleared integers: each operand is scaled by
+the lcm of its denominators (clear_denominators), the integer polynomials
+are multiplied, and each output term is divided back once through
+coefficients.rational.  A large integer product goes through one kernel,
+_int_product, which packs both operands into big integers by Kronecker
+substitution and multiplies them with one big-int multiply; small or
+sparse products keep the schoolbook loop.
 Variables are positional; they are only named at the text boundary,
 rendered as x, y by default or s, t for the iterate family.
 
@@ -20,9 +28,10 @@ omitted, e.g. "x^4 - 4*x^2*y + 2*y^2".
 
 from __future__ import annotations
 
+import math
 import re
 
-from .coefficients import LocalizedRational, Modulus
+from .coefficients import LocalizedRational, Modulus, rational
 
 
 class _RationalRing:
@@ -60,6 +69,148 @@ def coerce_coefficient(ring, value):
     if isinstance(ring, Modulus):
         return ring.residue(value)
     raise TypeError(f"unknown coefficient ring {ring!r}")
+
+
+def clear_denominators(terms: dict):
+    """(cleared, d): d is the lcm of the denominators of the coefficients
+    in terms, and cleared maps each key to the integer d * coefficient.
+
+    With d = 1 (every coefficient an int) terms itself comes back, so the
+    caller must not mutate it.
+    """
+    if LocalizedRational not in set(map(type, terms.values())):
+        return terms, 1
+    d = math.lcm(*[c.denominator for c in terms.values()])
+    return {k: c.numerator * (d // c.denominator) for k, c in terms.items()}, d
+
+
+def _schoolbook(a: dict, b: dict) -> dict:
+    """Product of two coefficient dicts by the term-by-term loop, zeros dropped."""
+    out = {}
+    get = out.get
+    right = [(i2, j2, c2) for (i2, j2), c2 in b.items()]
+    for (i1, j1), c1 in a.items():
+        for i2, j2, c2 in right:
+            key = (i1 + i2, j1 + j2)
+            s = get(key)
+            out[key] = c1 * c2 if s is None else s + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _slope(keys) -> int:
+    """An integer c that makes i + c*j nearly constant over keys: the one
+    joining a term of least y-degree to a term of greatest y-degree (p for
+    a weighted-homogeneous polynomial with wt(x) = 1, wt(y) = p)."""
+    low = min(j for _, j in keys)
+    high = max(j for _, j in keys)
+    if low == high:
+        return 0
+    i_low = max(i for i, j in keys if j == low)
+    i_high = min(i for i, j in keys if j == high)
+    return (i_low - i_high) // (high - low)
+
+
+def _layout(a: dict, b: dict):
+    """Kronecker layout (slots, c, width, base_a, base_b) for the product a*b.
+
+    x^i*y^j of an operand goes to slot width*(i + c*j - s0) + (j - j0),
+    where base = (s0, j0) holds the operand's least i + c*j and least j.
+    width exceeds the y-degree spread of the product, so the map is
+    one-to-one on the product for any integer c; c is 0 or one of the
+    operands' slopes, whichever gives the product fewer slots.
+    """
+    keys_a, keys_b = list(a), list(b)
+    ja = [j for _, j in keys_a]
+    jb = [j for _, j in keys_b]
+    ja0, jb0 = min(ja), min(jb)
+    width = max(ja) - ja0 + max(jb) - jb0 + 1
+    best = None
+    for c in {0, _slope(keys_a), _slope(keys_b)}:
+        sa = [i + c * j for i, j in keys_a]
+        sb = [i + c * j for i, j in keys_b]
+        sa0, sb0 = min(sa), min(sb)
+        slots = width * (max(sa) - sa0 + max(sb) - sb0 + 1)
+        if best is None or slots < best[0]:
+            best = (slots, c, width, (sa0, ja0), (sb0, jb0))
+    return best
+
+
+def _pack(terms: dict, c: int, width: int, base, w: int) -> int:
+    """The integer sum of coefficient * 2^(8*w*slot) over terms."""
+    s0, j0 = base
+    offsets = [(width * (i + c * j - s0) + j - j0) * w for i, j in terms]
+    positive = bytearray(max(offsets) + w)
+    negative = bytearray(len(positive))
+    for offset, v in zip(offsets, terms.values()):
+        if v > 0:
+            positive[offset:offset + w] = v.to_bytes(w, "little")
+        else:
+            negative[offset:offset + w] = (-v).to_bytes(w, "little")
+    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+
+
+def _int_product(a: dict, b: dict, layout=None) -> dict:
+    """Product of two zero-free integer polynomials {(i, j): int}, zeros dropped, by
+    Kronecker substitution (von zur Gathen and Gerhard, Modern Computer
+    Algebra, 8.4): each operand is evaluated at z = 2^(8w) under the
+    layout of _layout, the two integers are multiplied once, and the
+    product is read back slot by slot.
+
+    A slot of the product holds a sum of at most min(len a, len b) terms,
+    each at most max|a| * max|b| in absolute value; w bytes per slot keep
+    that sum below 2^(8w-1), so adding 2^(8w-1) to every slot makes each
+    one a nonnegative w-byte field and the signed values come back exactly.
+    """
+    if not a or not b:
+        return {}
+    if layout is None:
+        layout = _layout(a, b)
+    slots, c, width, base_a, base_b = layout
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    w = (bound.bit_length() + 8) // 8
+    packed = _pack(a, c, width, base_a, w)
+    # one packed object for a square, so CPython's multiply takes its squaring path
+    product = packed * (packed if b is a else _pack(b, c, width, base_b, w))
+    half = 1 << (8 * w - 1)
+    zero = half.to_bytes(w, "little")
+    data = (product + int.from_bytes(zero * slots, "little")).to_bytes(slots * w, "little")
+    s0 = base_a[0] + base_b[0]
+    j0 = base_a[1] + base_b[1]
+    out = {}
+    for slot, offset in enumerate(range(0, slots * w, w)):
+        field = data[offset:offset + w]
+        if field != zero:
+            s, j = divmod(slot, width)
+            j += j0
+            out[(s + s0 - c * j, j)] = int.from_bytes(field, "little") - half
+    return out
+
+
+def _product(a: dict, b: dict) -> dict:
+    """Product of two integer coefficient dicts, zeros dropped: through
+    _int_product when the product has fewer than an eighth as many slots
+    as term products, by the schoolbook loop otherwise."""
+    if not a or not b:
+        return {}
+    products = len(a) * len(b)
+    # a product has at least len(a) + len(b) - 1 slots
+    if 8 * (len(a) + len(b) - 1) >= products:
+        return _schoolbook(a, b)
+    layout = _layout(a, b)
+    if 8 * layout[0] >= products:
+        return _schoolbook(a, b)
+    return _int_product(a, b, layout)
+
+
+def from_cleared(terms: dict, d: int) -> "Polynomial":
+    """The RATIONALS polynomial terms / d, from zero-free integer terms:
+    each term divided once through coefficients.rational."""
+    if d != 1:
+        terms = {k: rational(c, d) for k, c in terms.items()}
+    result = Polynomial.__new__(Polynomial)
+    object.__setattr__(result, "ring", RATIONALS)
+    object.__setattr__(result, "terms", terms)
+    return result
 
 
 def _term_sort_key(exponents):
@@ -148,10 +299,7 @@ class Polynomial:
         kept as they are over RATIONALS, reduced by the constructor otherwise."""
         if self.ring is not RATIONALS:
             return Polynomial(self.ring, terms)
-        result = Polynomial.__new__(Polynomial)
-        object.__setattr__(result, "ring", RATIONALS)
-        object.__setattr__(result, "terms", terms)
-        return result
+        return from_cleared(terms, 1)
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
@@ -184,15 +332,11 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_ring(other)
-        out = {}
-        get = out.get
-        right = [(i2, j2, c2) for (i2, j2), c2 in other.terms.items()]
-        for (i1, j1), c1 in self.terms.items():
-            for i2, j2, c2 in right:
-                key = (i1 + i2, j1 + j2)
-                s = get(key)
-                out[key] = c1 * c2 if s is None else s + c1 * c2
-        return self._from_sums({k: c for k, c in out.items() if c})
+        if self.ring is not RATIONALS:
+            return self._from_sums(_schoolbook(self.terms, other.terms))
+        a, da = clear_denominators(self.terms)
+        b, db = clear_denominators(other.terms)
+        return from_cleared(_product(a, b), da * db)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -203,17 +347,31 @@ class Polynomial:
         return Polynomial(self.ring, {k: v * c for k, v in self.terms.items()})
 
     def __pow__(self, exponent: int):
+        """Square-and-multiply; over RATIONALS on the cleared integer
+        polynomial, divided by d^exponent once at the end."""
         if exponent < 0:
             raise ValueError("negative powers are not defined")
-        result = Polynomial.one(self.ring)
-        base = self
+        ring = self.ring
+        if ring is RATIONALS:
+            base, d = clear_denominators(self.terms)
+            multiply = _product
+        else:
+            base, d = self.terms, 1
+
+            def multiply(a, b):
+                return Polynomial(ring, _schoolbook(a, b)).terms
+
+        result = {(0, 0): 1}
         e = exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
+                result = multiply(result, base)
+            if e > 1:
+                base = multiply(base, base)
             e >>= 1
-        return result
+        if ring is RATIONALS:
+            return from_cleared(result, d**exponent)
+        return Polynomial(ring, result)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

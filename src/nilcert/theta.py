@@ -4,7 +4,10 @@ Everything is relative to one prime p, carried by a ThetaContext.  On the
 polynomial ring in x, y (coefficients p-integral) the Adams operation is
 the ring map psi(x) = x^p - p*y, psi(y) = y^p.  It lifts the Frobenius:
 psi(f) is congruent to f^p mod p, so theta(f) = (f^p - psi(f)) / p is an
-exact polynomial.  theta and psi satisfy the usual divided-power-style
+exact polynomial.  theta runs on cleared integers: for f = F/d it forms
+the integer numerator F^p - d^(p-1)*psi(F), whose power goes through the
+big-int product kernel of the polynomials module, and divides it by
+p*d^p once per term.  theta and psi satisfy the usual divided-power-style
 identities, which check_theta_axioms verifies on concrete inputs.
 
 psi is graded: for wt(x) = 1, wt(y) = p it carries the weight-w part of
@@ -32,8 +35,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .coefficients import divide_exact_by_p, is_prime, rational, vp
-from .polynomials import RATIONALS, Polynomial
+from .coefficients import is_prime, rational, vp
+from .polynomials import RATIONALS, Polynomial, clear_denominators, from_cleared
 
 
 @dataclass
@@ -82,17 +85,12 @@ class ThetaContext:
         in X of degree top, evaluated by Horner's rule on a dense list
         indexed by the power of y: multiplying by X keeps index L on
         x^p and moves -p times it to index L+1, and a_j enters at index
-        p*(j - j0).  Index L stands for x^(p*(top-L)) y^(p*j0+L).  Over
-        RATIONALS the coefficients are cleared to integers by one common
-        denominator first, so the expansion runs on plain ints.
+        p*(j - j0).  Index L stands for x^(p*(top-L)) y^(p*j0+L).  The
+        coefficients are cleared to integers by clear_denominators first,
+        so the expansion runs on plain ints.
         """
         p = self.p
-        ring = f.ring
-        terms = f.terms
-        common = 1
-        if ring is RATIONALS:
-            common = math.lcm(*(c.denominator for c in terms.values()))
-            terms = {k: c.numerator * (common // c.denominator) for k, c in terms.items()}
+        terms, common = clear_denominators(f.terms)
         parts: dict[int, dict[int, int]] = {}
         for (i, j), c in terms.items():
             parts.setdefault(i + p * j, {})[j] = c
@@ -110,7 +108,7 @@ class ThetaContext:
                 out[(p * (w - y_power), y_power)] = c
         if common != 1:
             out = {k: rational(c, common) for k, c in out.items()}
-        return Polynomial(ring, out)
+        return Polynomial(f.ring, out)
 
     def psi_iterate(self, f: Polynomial, k: int) -> Polynomial:
         """k-fold application of psi; k = 0 returns f unchanged."""
@@ -123,25 +121,43 @@ class ThetaContext:
     def theta(self, f: Polynomial) -> Polynomial:
         """The exact quotient (f^p - psi(f)) / p.
 
-        Defined for p-integral coefficients; the division is termwise and
-        exact because psi lifts the Frobenius.
+        Defined for p-integral coefficients.  It runs on cleared integers:
+        with f = F/d, the integer numerator N = F^p - d^(p-1)*psi(F) of
+        f^p - psi(f) = N/d^p is formed, p must divide each coefficient of
+        N because psi lifts the Frobenius, and N is divided by p*d^p once
+        per term.
         """
         if f.ring is not RATIONALS:
             raise ValueError("theta expects rational or integer coefficients")
         p = self.p
-        numerator = f**p - self.psi(f)
-        terms = {}
-        for key, c in numerator.terms.items():
-            # a denominator divisible by p is left to divide_exact_by_p
-            if c.numerator % p and c.denominator % p:
-                raise ValueError("Frobenius congruence violated")
-            terms[key] = divide_exact_by_p(c, p)
-        return Polynomial(RATIONALS, terms)
+        numerator, d = self._cleared_difference(f)
+        if d % p == 0:
+            raise ValueError("denominator is not coprime to p")
+        if any(c % p for c in numerator.terms.values()):
+            raise ValueError("Frobenius congruence violated")
+        return from_cleared({k: c // p for k, c in numerator.terms.items()}, d**p)
 
     def check_frobenius_congruence(self, f: Polynomial) -> bool:
-        """True iff f^p - psi(f) has every coefficient divisible by p."""
-        difference = f**self.p - self.psi(f)
-        return all(vp(c, self.p) >= 1 for c in difference.terms.values())
+        """True iff f^p - psi(f) has every coefficient divisible by p.
+
+        Never true for a denominator divisible by p: with v < 0 the least
+        valuation of a coefficient of f, f^p has a coefficient of valuation
+        p*v, and psi(f) has none below v.
+        """
+        numerator, d = self._cleared_difference(f)
+        return d % self.p != 0 and all(c % self.p == 0 for c in numerator.terms.values())
+
+    def _cleared_difference(self, f: Polynomial):
+        """(N, d) with f^p - psi(f) = N / d^p, where d is the common
+        denominator of f and N = F^p - d^(p-1)*psi(F) for the integer
+        polynomial F = d*f."""
+        terms, d = clear_denominators(f.terms)
+        cleared = Polynomial(f.ring, terms)
+        p = self.p
+        image = self.psi(cleared)
+        if d != 1:
+            image = image.scale(d ** (p - 1))
+        return cleared**p - image, d
 
     # ---- axiom checks ----
 

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from nilcert.coefficients import (
     LocalizedRational,
     Modulus,
-    divide_exact_by_p,
     is_prime,
     rational,
     vp,
 )
-from nilcert.polynomials import Polynomial
+from nilcert.polynomials import RATIONALS, Polynomial
+from nilcert.theta import ThetaContext
 
 PRIMES = [2, 3, 5]
 
@@ -112,9 +112,10 @@ def test_rational_values_are_integer_native():
     assert type(-LocalizedRational(5)) is int
     assert type(third**0) is int
     assert type(half + third) is LocalizedRational
-    assert type(divide_exact_by_p(6, 3)) is int
-    assert type(divide_exact_by_p(LocalizedRational(6, 1), 3)) is int
-    assert type(divide_exact_by_p(LocalizedRational(6, 5), 3)) is LocalizedRational
+    # theta's one division by p (times d^p) is canonical too
+    assert type(_theta_of_constant(2, 3)) is int
+    assert type(_theta_of_constant(LocalizedRational(2, 1), 3)) is int
+    assert type(_theta_of_constant(LocalizedRational(6, 5), 3)) is LocalizedRational
 
 
 @given(
@@ -138,19 +139,34 @@ def test_rational_field_laws(an, ad, bn, bd):
     assert gcd(c.numerator, c.denominator) == 1 or c.numerator == 0
 
 
+def _theta_of_constant(q, p: int):
+    """theta(q) = (q^p - q) / p for a constant q, as a coefficient."""
+    return ThetaContext(p).theta(Polynomial.constant(RATIONALS, q)).coefficient(0, 0)
+
+
+# Exact division by p happens once per term on theta's cleared integer
+# numerator; these tests check it through theta on constants.
+
+
 def test_divide_exact_examples():
-    assert divide_exact_by_p(6, 3) == 2
-    assert divide_exact_by_p(0, 5) == 0
-    assert divide_exact_by_p(LocalizedRational(4, 3), 2) == LocalizedRational(2, 3)
+    assert _theta_of_constant(2, 3) == 2  # (8 - 2) / 3
+    assert _theta_of_constant(0, 5) == 0
+    assert _theta_of_constant(1, 5) == 0
+    assert _theta_of_constant(LocalizedRational(4, 3), 2) == LocalizedRational(2, 9)
 
 
 def test_divide_exact_failure():
-    with pytest.raises(ValueError, match="not divisible by p"):
-        divide_exact_by_p(7, 2)
-    with pytest.raises(ValueError, match="not divisible by p"):
-        divide_exact_by_p(LocalizedRational(3, 5), 2)
+    class NoLift(ThetaContext):
+        def psi(self, f):
+            return f
+
+    x = Polynomial.monomial(RATIONALS, 1, 0)
+    with pytest.raises(ValueError, match="Frobenius congruence violated"):
+        NoLift(2).theta(x.scale(7))
+    with pytest.raises(ValueError, match="Frobenius congruence violated"):
+        NoLift(2).theta(x.scale(LocalizedRational(3, 5)))
     with pytest.raises(ValueError, match="coprime"):
-        divide_exact_by_p(LocalizedRational(2, 4), 2)
+        ThetaContext(2).theta(x.scale(LocalizedRational(2, 4)))
 
 
 @given(
@@ -159,12 +175,10 @@ def test_divide_exact_failure():
     st.sampled_from(PRIMES),
 )
 def test_divide_exact_multiplies_back(num, den, p):
-    if den % p == 0:
-        den += 1 if den % p else 0
-        while den % p == 0:
-            den += 1
-    q = LocalizedRational(num * p, den)
-    assert divide_exact_by_p(q, p) * p == q
+    while den % p == 0:
+        den += 1
+    q = LocalizedRational(num, den)
+    assert _theta_of_constant(q, p) * p == q**p - q
 
 
 def test_reduce_mod_examples():

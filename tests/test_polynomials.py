@@ -252,3 +252,122 @@ def test_parse_tolerates_order_and_spacing():
     a = Polynomial.parse("2*y^2+x^4-4*x^2*y", RATIONALS)
     b = Polynomial.parse("x^4 - 4*x^2*y + 2*y^2", RATIONALS)
     assert a == b
+
+
+# ---- the Kronecker kernel ----
+
+
+def _dict_product(a: dict, b: dict) -> dict:
+    # reference: the plain double loop on {(i, j): int} dicts, zeros dropped
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+# polynomial terms are zero-free, so the kernel's operands are too
+_coefficients = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([2**63, -(2**63), 2**64 - 1, -(2**64), 2**64 + 1, 2**127 - 1]),
+).filter(bool)
+
+
+@st.composite
+def _int_dicts(draw, max_degree=12, max_terms=24):
+    """Integer dicts, either free-form or on a line i + slope*j = const."""
+    slope = draw(st.sampled_from([None, 1, 2, 3, 5]))
+    if slope is None:
+        keys = st.tuples(st.integers(0, max_degree), st.integers(0, max_degree))
+    else:
+        weight = draw(st.integers(0, 3 * max_degree))
+        keys = st.integers(0, weight // slope).map(lambda j: (weight - slope * j, j))
+    return draw(st.dictionaries(keys, _coefficients, max_size=max_terms))
+
+
+@settings(max_examples=200)
+@given(_int_dicts(), _int_dicts())
+def test_int_product_matches_schoolbook(a, b):
+    from nilcert.polynomials import _int_product, _product, _schoolbook
+
+    expected = _dict_product(a, b)
+    assert _int_product(a, b) == expected
+    assert _product(a, b) == expected
+    assert _schoolbook(a, b) == expected
+
+
+def test_int_product_edge_cases():
+    from nilcert.polynomials import _int_product
+
+    # empty and single-term operands
+    assert _int_product({}, {(1, 2): 3}) == {}
+    assert _int_product({(1, 2): 3}, {}) == {}
+    assert _int_product({(0, 0): -1}, {(4, 1): 5}) == {(4, 1): -5}
+    assert _int_product({(3, 0): 2**100}, {(0, 7): -(2**90)}) == {(3, 7): -(2**190)}
+    # cancellation to zero: (x + y)(x - y) = x^2 - y^2, and f * g with f*g = 0 terms
+    assert _int_product({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}) == {
+        (2, 0): 1,
+        (0, 2): -1,
+    }
+    a = {(i, 0): (-1) ** i for i in range(9)}  # 1 - x + x^2 - ... + x^8
+    assert _int_product(a, {(0, 0): 1, (1, 0): 1}) == {(0, 0): 1, (9, 0): 1}
+    # operands of different slopes: weighted for wt(y) = 2 against wt(y) = 3
+    a = {(6 - 2 * j, j): j + 1 for j in range(4)}
+    b = {(9 - 3 * j, j): -(j + 2) for j in range(4)}
+    assert _int_product(a, b) == _dict_product(a, b)
+
+
+@pytest.mark.parametrize("magnitude", [2**31, 2**32 - 1, 2**63 - 1, 2**63, 2**64, 2**64 + 1])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 17])
+def test_int_product_at_slot_width_boundary(magnitude, sign, length):
+    from nilcert.polynomials import _int_product
+
+    # equal coefficients of one sign: the middle slot sums to exactly
+    # length * magnitude^2, the bound the slot width is sized from
+    a = {(i, 0): sign * magnitude for i in range(length)}
+    b = {(0, j): magnitude for j in range(length)}
+    c = {(i, 0): sign * magnitude for i in range(length)}
+    assert _int_product(a, b) == _dict_product(a, b)
+    assert _int_product(a, c) == _dict_product(a, c)
+    assert _int_product(a, c)[(length - 1, 0)] == length * magnitude**2
+
+
+@pytest.mark.parametrize("p, top", [(2, 7), (3, 4), (5, 3), (7, 3)])
+def test_iterate_products_match_schoolbook(p, top):
+    from nilcert.polynomials import _int_product
+    from nilcert.theta import ThetaContext
+
+    ctx = ThetaContext(p)
+    for n in range(top + 1):
+        f = ctx.iterate_polynomial(n).terms
+        square = _dict_product(f, f)
+        assert (ctx.iterate_polynomial(n) * ctx.iterate_polynomial(n)).terms == square
+        assert _int_product(f, f) == square
+        power = f
+        for _ in range(p - 1):
+            power = _dict_product(power, f)
+        assert (ctx.iterate_polynomial(n) ** p).terms == power
+
+
+def test_rational_products_divide_back_once():
+    # products and powers over RATIONALS clear denominators, multiply
+    # integers, and divide back: same values, canonical coefficients
+    rng = random.Random(11)
+
+    def sample(denominators):
+        terms = {}
+        for _ in range(rng.randint(0, 20)):
+            key = (rng.randint(0, 5), rng.randint(0, 5))
+            terms[key] = LocalizedRational(rng.randint(-9, 9), rng.choice(denominators))
+        return Polynomial(RATIONALS, terms)
+
+    for _ in range(40):
+        f, g = sample([1, 3, 7, 9]), sample([1, 5, 25])
+        product, cube = f * g, f**3
+        assert product == _schoolbook_product(f, g)
+        assert cube == _schoolbook_product(_schoolbook_product(f, f), f)
+        for c in list(product.terms.values()) + list(cube.terms.values()):
+            assert c and (type(c) is int or c.denominator > 1)

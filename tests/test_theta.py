@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilcert.coefficients import LocalizedRational, vp
@@ -327,3 +328,80 @@ def test_sampler_is_seeded_and_p_integral():
             assert max((i + j for i, j in f.terms), default=-1) <= 4
             assert len(f.terms) <= 6
             assert all(c.denominator % p != 0 for c in f.terms.values())
+
+
+# ---- theta on cleared integers against a termwise Fraction computation ----
+
+
+def _fraction_product(a: dict, b: dict) -> dict:
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _fraction_power(a: dict, k: int) -> dict:
+    result = {(0, 0): Fraction(1)}
+    for _ in range(k):
+        result = _fraction_product(result, a)
+    return result
+
+
+def _fraction_theta(terms: dict, p: int) -> dict:
+    """(f^p - psi(f)) / p with psi(x) = x^p - p*y, psi(y) = y^p, every
+    coefficient a Fraction, psi expanded monomial by monomial."""
+    image_x = {(p, 0): Fraction(1), (0, 1): Fraction(-p)}
+    difference = _fraction_power(terms, p)
+    for (i, j), c in terms.items():
+        for key, value in _fraction_power(image_x, i).items():
+            shifted = (key[0], key[1] + p * j)
+            difference[shifted] = difference.get(shifted, 0) - c * value
+    return {k: c / p for k, c in difference.items() if c}
+
+
+@st.composite
+def _p_integral_fractions(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    denominators = [d for d in (1, 3, 5, 7, 9, 11, 25, 49) if d % p]
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 3)),
+            st.tuples(st.integers(-30, 30), st.sampled_from(denominators)),
+            max_size=6,
+        )
+    )
+    return p, {k: Fraction(n, d) for k, (n, d) in terms.items() if n}
+
+
+@settings(max_examples=60)
+@given(_p_integral_fractions())
+def test_theta_matches_fraction_computation(case):
+    p, terms = case
+    f = Polynomial(
+        RATIONALS, {k: LocalizedRational(c.numerator, c.denominator) for k, c in terms.items()}
+    )
+    theta = ThetaContext(p).theta(f)
+    got = {k: Fraction(c.numerator, c.denominator) for k, c in theta.terms.items()}
+    assert got == _fraction_theta(terms, p)
+
+
+def test_theta_checks_the_denominator_before_the_congruence():
+    class NoLift(ThetaContext):
+        def psi(self, f):
+            return f
+
+    half_x = Polynomial.constant(RATIONALS, LocalizedRational(1, 2)) * X
+    # both faults at once: the denominator is reported
+    with pytest.raises(ValueError, match="coprime"):
+        NoLift(2).theta(half_x)
+    with pytest.raises(ValueError, match="coprime"):
+        ThetaContext(2).theta(half_x + X**3)
+    assert not ThetaContext(2).check_frobenius_congruence(half_x)
+    assert not NoLift(2).check_frobenius_congruence(X)
+    third_x = Polynomial.constant(RATIONALS, LocalizedRational(1, 3)) * X
+    assert ThetaContext(2).check_frobenius_congruence(third_x)
+    assert ThetaContext(2).theta(third_x) == (third_x**2 - ThetaContext(2).psi(third_x)).scale(
+        LocalizedRational(1, 2)
+    )
