@@ -9,7 +9,8 @@ it deliberately shares nothing with the membership engine beyond the
 polynomial layer, so a certificate check is evidence independent of the
 machinery that produced it.
 
-Certificate file grammar (one item per line, '#' starts a comment):
+Certificate file grammar (one item per line, '#' starts a comment; each
+header key once, numbers in plain ASCII digits):
 
     p = <prime>
     e = <depth, at least 1, with p^e at most MAX_DEGREE>
@@ -29,6 +30,7 @@ cofactors; an empty cofactor list asserts the target is 0 mod p^m.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 from .coefficients import is_prime
@@ -149,15 +151,17 @@ def certificate_from_text(text: str) -> Certificate:
         key, value = (part.strip() for part in line.split("=", 1))
         if key.startswith("cofactor"):
             index_text = key[len("cofactor") :].strip()
-            if not index_text.isdigit():
+            if not re.fullmatch("[0-9]+", index_text):
                 raise ValueError(f"malformed cofactor index in {raw!r}")
             cofactors.append((int(index_text), Polynomial.parse(value, RATIONALS)))
-        elif key in ("p", "e", "m"):
+        elif key in ("p", "e", "m") and key not in header:
+            if not re.fullmatch("[0-9]+", value):
+                raise ValueError(f"certificate {key} must be plain digits in {raw!r}")
             header[key] = int(value)
-        elif key == "target":
-            header["target"] = Polynomial.parse(value, RATIONALS)
+        elif key == "target" and key not in header:
+            header[key] = Polynomial.parse(value, RATIONALS)
         else:
-            raise ValueError(f"unknown certificate key {key!r}")
+            raise ValueError(f"unknown or repeated certificate key {key!r}")
     missing = {"p", "e", "m", "target"} - set(header)
     if missing:
         raise ValueError(f"certificate is missing {sorted(missing)}")

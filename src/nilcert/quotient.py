@@ -35,15 +35,13 @@ module's basis: a query splits its reduction by weight and reduces each
 part against its own class, and the canonical remainder is the class
 remainders side by side.
 
-Certificates ride along: the rewrite records cofactor fragments, each
-closure atom carries a small cofactor bundle, and a positive membership
-answer combines them through the Howell transforms of the classes its
-reduction touched into one cofactor per generator, verifiable by
-independent expansion (see certificates.py).  A power x^N is queried as
-its expansion: the normal form modulo g_e and y^(p^e) is unique, and so
-is the g_e quotient the rewrite credits (its y-degree stays below p^e),
-so one reduction of x^N gives the same certificate as reducing step by
-step.
+Certificates are derived from atom keys: the class transforms weight the
+atoms, an atom (n, a, b) of weight w is the cofactor w * x^a y^b on g_n,
+and the span part less those multiples rewrites to credits on g_e and
+y^(p^e) alone.  Those credits are unique mod p^m (the one on g_e has
+y-degree below p^e), so the certificate, checked by independent expansion
+(certificates.py), does not depend on how a rewrite is split: one
+reduction of a power x^N gives what reducing step by step would.
 """
 
 from __future__ import annotations
@@ -91,8 +89,8 @@ class RewriteSystem:
     the x-degree, so the loop terminates; confluence makes the order
     irrelevant to the result, which the tests exercise separately.
 
-    ideal is the generator family for (p, e): its g_e gives the rewrite
-    tail, and the membership build takes its multiples from it.
+    ideal is the generator family for (p, e), generator_terms the same mod
+    p^m as {(i, j): int} dicts; its g_e gives the rewrite tail.
     """
 
     def __init__(self, p: int, e: int, m: int):
@@ -102,6 +100,7 @@ class RewriteSystem:
         self.p, self.e, self.m = p, e, m
         self.block = p**e
         self.ideal = IdealSpec.build(p, e)
+        self.generator_terms = tuple(g.reduce_mod(p, m).terms for g in self.ideal.generators)
         tail = Polynomial.monomial(RATIONALS, self.block, 0) - self.ideal.generators[e]
         self.tail = tail.reduce_mod(p, m).terms
         if any(i >= self.block or j >= self.block for i, j in self.tail):
@@ -193,16 +192,12 @@ class _Atom:
 
     key is (n, a, b) and weight is a + p*b + p^n, the weight class the
     reduction lies in; vector holds it over that class's columns
-    (RewriteSystem.weight_class(weight)).  bundle maps generator index
-    to a cofactor term dict whose expansion equals the reduction mod p^m
-    (the monomial cofactor on g_n minus whatever the reduction credited
-    to other generators).
+    (RewriteSystem.weight_class(weight)).
     """
 
     key: tuple
     weight: int
     vector: np.ndarray
-    bundle: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +264,7 @@ class MembershipModule:
     def is_member(self, f: Polynomial) -> MembershipResult:
         """Decide f in ideal mod p^m; attach a certificate (its target f,
         lifted to integers) or a witness."""
-        terms, fragments = self.rewrite.reduce(f)
+        terms, combined = self.rewrite.reduce(f)
         p, n = self.p, self.modulus.value
         parts: dict = {}
         for (i, j), value in terms.items():
@@ -291,13 +286,20 @@ class MembershipModule:
         if remainder:
             witness = ResidueWitness(polynomial=Polynomial(self.modulus, remainder))
             return MembershipResult(member=False, witness=witness)
-        combined = {g: dict(cofactor) for g, cofactor in fragments.items()}
+        # an atom (index, a, b) of weight w is the cofactor w * x^a y^b on
+        # g_index; the rest of the span part must rewrite to credits only
         for weight_class, coefficients in solved:
             atom_weights = (coefficients @ weight_class.transform) % n
             for atom, weight in zip(weight_class.atoms, atom_weights):
                 if weight:
-                    for g, cofactor in atom.bundle.items():
-                        _add_into(combined.setdefault(g, {}), cofactor, int(weight), n)
+                    index, a, b = atom.key
+                    combined.setdefault(index, {})[(a, b)] = int(weight)
+                    _add_into(terms, self.rewrite.generator_terms[index], -int(weight), n, a, b)
+        left, credits = self.rewrite._reduce_terms(terms)
+        if left:
+            raise AssertionError("atom multiples do not account for the span part")
+        for g, cofactor in credits.items():
+            _add_into(combined.setdefault(g, {}), cofactor, 1, n)
         cofactors = tuple(
             (g, Polynomial(RATIONALS, cofactor))
             for g, cofactor in sorted(combined.items())
@@ -411,7 +413,7 @@ def build_membership_module(
 
     One elimination per weight class: the atoms of weight w are reduced
     over that class's at most p^(e-1) columns by howell_complete, whose
-    transform certificates later combine cofactors through.  A Howell
+    transforms later weight the atoms of a certificate.  A Howell
     basis has at most one row per column, and combining a certificate
     sums one product of two residues below p^m per class basis row, which
     is what the second bound keeps below 2^63.
@@ -429,27 +431,19 @@ def build_membership_module(
     if p ** (e - 1) * n * n >= 2**63:
         raise ValueError("precision too large for int64 transform arithmetic")
     rewrite = RewriteSystem(p, e, m)
-    generators_mod = [g.reduce_mod(p, m).terms for g in rewrite.ideal.generators]
     block = rewrite.block
 
     def make_atom(key):
         gen_index, a, b = key
-        shifted = {
-            (i + a, j + b): value for (i, j), value in generators_mod[gen_index].items()
-        }
-        terms, fragments = rewrite._reduce_terms(shifted)
+        generator = rewrite.generator_terms[gen_index]
+        shifted = {(i + a, j + b): value for (i, j), value in generator.items()}
+        terms, _ = rewrite._reduce_terms(shifted)
         if not terms:
             return None
         weight = a + p * b + p**gen_index
         if any(i + p * j != weight for i, j in terms):
             raise AssertionError(f"atom {key} is not weighted homogeneous")
-        bundle = {gen_index: {(a, b): 1}}
-        for g, cofactor in fragments.items():
-            _add_into(bundle.setdefault(g, {}), cofactor, -1, n)
-        return _Atom(
-            key=key, weight=weight, vector=_class_vector(terms, *rewrite.weight_class(weight)),
-            bundle={g: d for g, d in bundle.items() if d},
-        )
+        return _Atom(key, weight, _class_vector(terms, *rewrite.weight_class(weight)))
 
     # multiples of g_e and of y^(p^e) lie in the rewrite ideal and reduce
     # to zero, so the grid runs over g_0 .. g_(e-1)

@@ -160,6 +160,47 @@ def test_malformed_polynomial_text_rejected(line):
         certificate_from_text(f"p = 2\ne = 1\nm = 2\n{line}\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p = 2\ne = 1\nm = 2\np = 3\ntarget = x\n",
+        "p = 2\ne = 1\ne = 1\nm = 2\ntarget = x\n",
+        "p = 2\ne = 1\nm = 2\nm = 3\ntarget = x\n",
+        "p = 2\ne = 1\nm = 2\ntarget = x^3\ntarget = 0\ncofactor 0 = y\n",
+    ],
+    ids=["p", "e", "m", "target"],
+)
+def test_repeated_header_rejected(text):
+    # a second line used to replace the first without a word
+    with pytest.raises(ValueError, match="repeated"):
+        certificate_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("m", "2_0"),
+        ("m", "+2"),
+        ("e", "-1"),
+        ("p", "\uff12"),  # fullwidth 2
+        ("p", "\u0662"),  # Arabic-Indic 2
+        ("m", "2.0"),
+        ("m", ""),
+        ("e", "1 1"),
+    ],
+)
+def test_header_values_must_be_plain_digits(key, value):
+    fields = {"p": "2", "e": "1", "m": "2", key: value}
+    text = "".join(f"{name} = {fields[name]}\n" for name in "pem") + "target = x\n"
+    with pytest.raises(ValueError, match="plain digits"):
+        certificate_from_text(text)
+
+
+def test_cofactor_index_must_be_plain_digits():
+    with pytest.raises(ValueError, match="malformed cofactor index"):
+        certificate_from_text("p = 2\ne = 1\nm = 2\ntarget = x\ncofactor \u0660 = x\n")
+
+
 def test_missing_header_rejected():
     with pytest.raises(ValueError):
         certificate_from_text("p = 2\ne = 1\ntarget = x\n")

@@ -15,7 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcert.certificates import standard_generators, verify_certificate
+from nilcert.certificates import (
+    certificate_to_text,
+    standard_generators,
+    verify_certificate,
+)
 from nilcert.howell import HowellBasis, howell_form
 from nilcert.polynomials import RATIONALS, Polynomial
 from nilcert.quotient import (
@@ -224,14 +228,35 @@ def test_extra_precision_separates_cosets():
     assert module.is_member(Y.scale(4)).member
 
 
-def test_atom_bundles_expand_to_their_vectors():
-    for p, e, m in [(2, 1, 3), (2, 2, 3)]:
+def test_atom_vectors_are_rewrites_of_their_keys():
+    # an atom stores its key and its class vector only; certificates are
+    # derived from the key, so the vector must be the key's rewrite
+    for p, e, m in [(2, 1, 3), (2, 2, 3), (3, 2, 3)]:
         module = module_for(p, e, m)
         for atom in module.atoms:
-            terms = class_terms(module, atom.weight, atom.vector)
-            span_part = Polynomial(module.modulus, terms).lift()
-            difference = expand(module, atom.bundle) - span_part
-            assert difference.reduce_mod(p, m).is_zero()
+            n, a, b = atom.key
+            multiple = Polynomial.monomial(RATIONALS, a, b) * module.ideal.generators[n]
+            terms, _ = module.rewrite.reduce(multiple)
+            assert class_terms(module, atom.weight, atom.vector) == terms
+
+
+def test_corrupted_transform_breaks_the_certificate():
+    # a basis row reduces against its class with coefficient 1 on itself,
+    # so its atom weights are its transform row; one weight off by 1 adds
+    # a nonzero atom vector the derived cofactors cannot account for
+    module = build_membership_module(2, 2, 3)
+    weight, weight_class = max(module.basis.items(), key=lambda item: item[1].basis.rank)
+    row = weight_class.basis.matrix[0]
+    target = Polynomial(module.modulus, class_terms(module, weight, row)).lift()
+    _, coefficients = weight_class.basis.reduce(row)
+    assert coefficients.tolist() == [1] + [0] * (weight_class.basis.rank - 1)
+    result = module.is_member(target)
+    assert result.member
+    assert verify_certificate(result.certificate)
+    transform = weight_class.transform
+    transform[0, -1] = (transform[0, -1] + 1) % module.modulus.value
+    with pytest.raises(AssertionError, match="do not account"):
+        module.is_member(target)
 
 
 def test_basis_stable_under_atom_shuffling():
@@ -360,6 +385,27 @@ CLASS_DIGESTS = {
 @pytest.mark.parametrize("p,e,m", sorted(CLASS_DIGESTS))
 def test_elimination_pinned(p, e, m):
     assert class_digest(module_for(p, e, m)) == CLASS_DIGESTS[(p, e, m)]
+
+
+def test_certificate_bytes_pinned():
+    # sha256 over the certificate texts of the nilpotence query on every
+    # CLASS_DIGESTS cell, then of theta(g) and psi(g) for each generator
+    # at (3, 2, 3) and (5, 2, 3): certificates the default verify run
+    # neither writes nor pins
+    digest = hashlib.sha256()
+    results = [module_for(p, e, m).verify_nilpotence() for p, e, m in sorted(CLASS_DIGESTS)]
+    for cell in [(3, 2, 3), (5, 2, 3)]:
+        module = module_for(*cell)
+        context = module.theta_context
+        for g in module.ideal.generators:
+            results += [module.is_member(context.theta(g)), module.is_member(context.psi(g))]
+    for result in results:
+        assert result.member
+        digest.update(certificate_to_text(result.certificate).encode("ascii"))
+    assert digest.hexdigest() == (
+        "c47092bd8b933121a50fbdeee69fbd3fad170891b6bfabf85c21d6af2d9dba97"
+    )
+
 
 def test_generators_are_members():
     for p, e, m in [(2, 1, 2), (3, 1, 2), (2, 2, 3)]:
