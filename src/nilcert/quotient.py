@@ -28,12 +28,14 @@ Everything here is weighted homogeneous for wt(x) = 1, wt(y) = p: the
 iterate generators, the rewrite tail, y^(p^e), so every grid multiple
 x^a y^b g_n (weight a + p*b + p^n) and every target x^N.  Reduction keeps
 the weight, so T is the direct sum of its weight classes, the spans of
-the monomials x^i y^j with i + p*j = w, each at most p^(e-1) wide.  The
-build Howellizes each class on its own (Macaulay-style elimination degree
-by degree, as for homogeneous ideals), and those class bases are the
+the monomials x^i y^j with i + p*j = w, each at most p^(e-1) wide.  Each
+class is Howellized on its own (Macaulay-style elimination degree by
+degree, as for homogeneous ideals), and those class bases are the
 module's basis: a query splits its reduction by weight and reduces each
 part against its own class, and the canonical remainder is the class
-remainders side by side.
+remainders side by side.  A class needs only its own atoms, the grid
+multiples of its weight, so it is built the first time a query touches
+it; x^N, say, reads the weight-N class alone.
 
 Certificates are derived from atom keys: the class transforms weight the
 atoms, an atom (n, a, b) of weight w is the cofactor w * x^a y^b on g_n,
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import Certificate, standard_generators
+from .certificates import Certificate, standard_generators, verify_certificate
 from .coefficients import Modulus
 from .howell import HowellBasis, _check_modulus, howell_complete
 
@@ -228,20 +230,72 @@ class GradedBasis(dict):
         return sum(weight_class.basis.rank for weight_class in self.values())
 
 
+def _build_class(rewrite: RewriteSystem, weight: int):
+    """The _WeightClass of one weight, or None when all its atoms vanish.
+
+    Its atoms are the grid multiples x^a y^b g_n with a + p*b + p^n equal
+    to weight and 0 <= a, b < p^e, taken in order of n, then b, as in a
+    sweep of the whole grid.  Multiples of g_e and of y^(p^e) lie in the
+    rewrite ideal and reduce to zero, so n runs over 0 .. e-1.
+    """
+    p = rewrite.p
+    low, width = rewrite.weight_class(weight)
+    atoms = []
+    for gen_index in range(rewrite.e):
+        generator = rewrite.generator_terms[gen_index]
+        # a = rest - p*b lies in [0, p^e) for exactly the b of the class
+        # of weight rest (an empty range when rest < 0)
+        rest = weight - p**gen_index
+        first, count = rewrite.weight_class(rest)
+        for b in range(first, first + count):
+            a = rest - p * b
+            shifted = {(i + a, j + b): value for (i, j), value in generator.items()}
+            terms, _ = rewrite._reduce_terms(shifted)
+            if not terms:
+                continue
+            if any(i + p * j != weight for i, j in terms):
+                raise AssertionError(f"atom {(gen_index, a, b)} is not weighted homogeneous")
+            atoms.append(_Atom((gen_index, a, b), weight, _class_vector(terms, low, width)))
+    if not atoms:
+        return None
+    class_basis, transform = howell_complete(
+        np.vstack([atom.vector for atom in atoms]), rewrite.modulus
+    )
+    return _WeightClass(low=low, atoms=atoms, basis=class_basis, transform=transform)
+
+
 class MembershipModule:
     """Queryable description of T = reductions of the ideal, mod p^m.
 
-    basis is the GradedBasis of T; atoms lists every nonzero closure atom,
-    class by class.  Queries reduce each weight part of a target against
-    its own class.
+    Weight classes are built on first touch.  basis is the GradedBasis of
+    T and atoms lists every nonzero closure atom, class by class; reading
+    either builds every class not yet built.  Queries reduce each weight
+    part of a target against its own class.
     """
 
-    def __init__(self, rewrite, basis):
+    def __init__(self, rewrite):
         self.ideal = rewrite.ideal
         self.rewrite = rewrite
         self.modulus = rewrite.modulus
-        self.basis = basis
         self.theta_context = ThetaContext(rewrite.p)
+        # weight -> _WeightClass, or None for a weight without atoms
+        self._classes: dict = {}
+
+    def _weight_class(self, weight: int):
+        if weight not in self._classes:
+            self._classes[weight] = _build_class(self.rewrite, weight)
+        return self._classes[weight]
+
+    @property
+    def basis(self) -> GradedBasis:
+        # the span monomials x^i y^j, 0 <= i, j < p^e, have weights
+        # 0 .. (p^e - 1) * (p + 1)
+        basis = GradedBasis()
+        for weight in range((self.rewrite.block - 1) * (self.p + 1) + 1):
+            weight_class = self._weight_class(weight)
+            if weight_class is not None:
+                basis[weight] = weight_class
+        return basis
 
     @property
     def atoms(self) -> list:
@@ -272,7 +326,7 @@ class MembershipModule:
         remainder = {}
         solved = []
         for weight, part in sorted(parts.items()):
-            weight_class = self.basis.get(weight)
+            weight_class = self._weight_class(weight)
             if weight_class is None:
                 remainder.update(part)
                 continue
@@ -322,6 +376,11 @@ class MembershipModule:
 
     # ---- verification operations ----
 
+    def _proved(self, f: Polynomial) -> bool:
+        """f is a member and its certificate passes the independent check."""
+        result = self.is_member(f)
+        return result.member and verify_certificate(result.certificate)
+
     def check_theta_stability(self) -> bool:
         """The ideal is carried into itself by theta and psi, mod p^m.
 
@@ -338,8 +397,8 @@ class MembershipModule:
         for index, g in enumerate(self.ideal.generators):
             theta_g = ctx.theta(g)
             psi_g = ctx.psi(g)
-            ok = ok and self.is_member(theta_g).member
-            ok = ok and self.is_member(psi_g).member
+            ok = ok and self._proved(theta_g)
+            ok = ok and self._proved(psi_g)
             if index < e:
                 expected = (iterates[index] ** p).scale(p ** ((e - index) * p - 1))
                 expected = expected - iterates[index + 1].scale(p ** (e - index - 1))
@@ -358,7 +417,7 @@ class MembershipModule:
             raise ValueError("k out of range")
         x, _ = Polynomial.generators(RATIONALS)
         target = self.theta_context.psi_iterate(x, k).scale(self.p ** (self.e - k))
-        return self.is_member(target).member
+        return self._proved(target)
 
     def verify_iterate_power_identity(self, k: int) -> bool:
         """x^(p^e + p^(e-1)) agrees mod the ideal with the k-th Adams
@@ -369,7 +428,7 @@ class MembershipModule:
         x, _ = Polynomial.generators(RATIONALS)
         small = p ** (e - k) + p ** (e - k - 1)
         difference = x ** (p**e + p ** (e - 1)) - self.theta_context.psi_iterate(x, k) ** small
-        return self.is_member(difference).member
+        return self._proved(difference)
 
     def verify_nilpotence(self) -> MembershipResult:
         """x^(p^e + p^(e-1)) lies in the ideal mod p^m, with certificate."""
@@ -396,27 +455,28 @@ class MembershipModule:
             exponent = self.p**k + self.p ** (k - 1)
             scalar = (self.p ** (self.e - k)) ** exponent
             target = (x**exponent).scale(scalar)
-            ok = ok and self.is_member(target).member
+            ok = ok and self._proved(target)
         return ok
 
 
 def build_membership_module(
     p: int, e: int, m: int, span_limit: int | None = None
 ) -> MembershipModule:
-    """Compute T and its graded Howell basis for (p, e) at precision m.
+    """The membership module of (p, e) at precision m, its classes unbuilt.
 
     span_limit bounds the monomial span p^(2e); exceeding it raises
     ValueError before any other work, so callers can turn resource
     overruns into skip verdicts.  A precision the int64 arithmetic cannot
-    hold is refused the same way, before any atom is built: p^m must stay
-    below howell.INT64_MODULUS_LIMIT, and p^(e-1) * (p^m)^2 below 2^63.
+    hold is refused the same way: p^m must stay below
+    howell.INT64_MODULUS_LIMIT, and p^(e-1) * (p^m)^2 below 2^63.  Past
+    these checks and the rewrite system's own, no atom is built here.
 
-    One elimination per weight class: the atoms of weight w are reduced
-    over that class's at most p^(e-1) columns by howell_complete, whose
-    transforms later weight the atoms of a certificate.  A Howell
-    basis has at most one row per column, and combining a certificate
-    sums one product of two residues below p^m per class basis row, which
-    is what the second bound keeps below 2^63.
+    One elimination per weight class, on the class's first touch: the
+    atoms of weight w are reduced over that class's at most p^(e-1)
+    columns by howell_complete, whose transforms later weight the atoms
+    of a certificate.  A Howell basis has at most one row per column, and
+    combining a certificate sums one product of two residues below p^m
+    per class basis row, which is what the second bound keeps below 2^63.
     """
     if span_limit is not None:
         # p^(2e) >= 2^e > span_limit once e reaches its bit length, so an
@@ -430,42 +490,7 @@ def build_membership_module(
     n = modulus.value
     if p ** (e - 1) * n * n >= 2**63:
         raise ValueError("precision too large for int64 transform arithmetic")
-    rewrite = RewriteSystem(p, e, m)
-    block = rewrite.block
-
-    def make_atom(key):
-        gen_index, a, b = key
-        generator = rewrite.generator_terms[gen_index]
-        shifted = {(i + a, j + b): value for (i, j), value in generator.items()}
-        terms, _ = rewrite._reduce_terms(shifted)
-        if not terms:
-            return None
-        weight = a + p * b + p**gen_index
-        if any(i + p * j != weight for i, j in terms):
-            raise AssertionError(f"atom {key} is not weighted homogeneous")
-        return _Atom(key, weight, _class_vector(terms, *rewrite.weight_class(weight)))
-
-    # multiples of g_e and of y^(p^e) lie in the rewrite ideal and reduce
-    # to zero, so the grid runs over g_0 .. g_(e-1)
-    by_weight: dict = {}
-    for gen_index in range(e):
-        for b in range(block):
-            for a in range(block):
-                atom = make_atom((gen_index, a, b))
-                if atom is not None:
-                    by_weight.setdefault(atom.weight, []).append(atom)
-
-    basis = GradedBasis()
-    for weight in sorted(by_weight):
-        members = by_weight[weight]
-        class_basis, transform = howell_complete(
-            np.vstack([atom.vector for atom in members]), modulus
-        )
-        basis[weight] = _WeightClass(
-            low=rewrite.weight_class(weight)[0], atoms=members, basis=class_basis,
-            transform=transform,
-        )
-    return MembershipModule(rewrite, basis)
+    return MembershipModule(RewriteSystem(p, e, m))
 
 
 def brute_force_membership_oracle(p: int, e: int, m: int, f: Polynomial) -> bool:

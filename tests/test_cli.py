@@ -17,6 +17,7 @@ from nilcert.cli import (
     MAX_TRIALS,
     main,
 )
+from nilcert import quotient
 from nilcert.quotient import MembershipResult
 
 
@@ -191,6 +192,17 @@ def test_verify_cell_report_and_certificates(tmp_path, capsys):
     # timings are stderr-only, never report content
     assert "timing" not in out
     assert "[timing]" in err
+
+
+def test_verify_fails_when_a_certificate_check_fails(monkeypatch, capsys):
+    # the membership verdicts pass only on certificates the independent
+    # checker accepts
+    monkeypatch.setattr(quotient, "verify_certificate", lambda certificate: False)
+    code, out, _ = run(["verify", "--p", "2", "--e", "1", "--format", "machine"], capsys)
+    assert code == 1
+    verdicts = json.loads(out)["records"][0]["verdicts"]
+    for name in ["theta_stability", "iterate_torsion_k0", "iterate_power_k0", "torsion_powers"]:
+        assert verdicts[name] == "fail"
 
 
 def test_verify_records_sorted(capsys):

@@ -20,6 +20,7 @@ from nilcert.certificates import (
     standard_generators,
     verify_certificate,
 )
+from nilcert import quotient
 from nilcert.howell import HowellBasis, howell_form
 from nilcert.polynomials import RATIONALS, Polynomial
 from nilcert.quotient import (
@@ -407,6 +408,75 @@ def test_certificate_bytes_pinned():
     )
 
 
+def test_largest_admitted_cell_pinned():
+    # (2, 7, 8), the largest cell --span-limit admits; its nilpotence and
+    # sharpness queries read two weight classes, not all 381
+    module = build_membership_module(2, 7, 8)
+    result = module.verify_nilpotence()
+    assert result.member
+    text = certificate_to_text(result.certificate)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+        "024bb4d34549f82b57e569011d44aa4396aa3913b9e32a08e168b525e150a3b3"
+    )
+    assert module.verify_sharpness().witness.to_text() == "2*x^63*y^64"
+
+
+# ---- classes built on first touch ----
+
+
+def test_classes_built_on_first_touch(monkeypatch):
+    # calls holds the row count of each elimination
+    calls = []
+    inner = quotient.howell_complete
+
+    def counted(rows, modulus):
+        calls.append(rows.shape[0])
+        return inner(rows, modulus)
+
+    monkeypatch.setattr(quotient, "howell_complete", counted)
+    module = build_membership_module(2, 6, 7)
+    assert calls == []
+    assert module.verify_nilpotence().member
+    assert len(calls) == 1
+    # reading the basis builds each remaining class once, and only once
+    assert len(module.basis) == len(calls) == 189
+    assert len(module.atoms) == sum(calls)
+    assert len(calls) == 189
+
+
+def default_queries(module):
+    """The membership queries of a default verify cell, nilpotence and
+    sharpness first."""
+    p, e = module.p, module.e
+    context = module.theta_context
+    bound = p**e + p ** (e - 1)
+    queries = [X**bound, X ** (bound - 1)]
+    for g in module.ideal.generators:
+        queries += [context.theta(g), context.psi(g)]
+    for k in range(e + 1):
+        queries.append(context.psi_iterate(X, k).scale(p ** (e - k)))
+    for k in range(e):
+        small = p ** (e - k) + p ** (e - k - 1)
+        queries.append(X**bound - context.psi_iterate(X, k) ** small)
+    return queries
+
+
+def answer(result):
+    if result.member:
+        return True, certificate_to_text(result.certificate)
+    return False, result.witness.to_text()
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 4, 5), (3, 2, 3), (5, 2, 3)])
+def test_class_build_order_does_not_matter(p, e, m):
+    forward, backward = build_membership_module(p, e, m), build_membership_module(p, e, m)
+    queries = default_queries(forward)
+    answers = [answer(forward.is_member(f)) for f in queries]
+    reversed_answers = [answer(backward.is_member(f)) for f in reversed(queries)]
+    assert answers == reversed_answers[::-1]
+    assert class_digest(forward) == class_digest(backward)
+
+
 def test_generators_are_members():
     for p, e, m in [(2, 1, 2), (3, 1, 2), (2, 2, 3)]:
         module = module_for(p, e, m)
@@ -594,6 +664,16 @@ def test_sharpness_requires_critical_precision():
 @pytest.mark.parametrize("p,e,m", [(2, 2, 3), (2, 2, 4), (3, 2, 3)])
 def test_torsion_powers(p, e, m):
     assert module_for(p, e, m).verify_torsion_powers()
+
+
+def test_verification_operations_check_their_certificates(monkeypatch):
+    module = build_membership_module(2, 2, 3)
+    assert module.check_theta_stability()
+    monkeypatch.setattr(quotient, "verify_certificate", lambda certificate: False)
+    assert not module.check_theta_stability()
+    assert not any(module.verify_iterate_torsion(k) for k in range(3))
+    assert not any(module.verify_iterate_power_identity(k) for k in range(2))
+    assert not module.verify_torsion_powers()
 
 
 # ---- resource guards ----
