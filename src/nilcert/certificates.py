@@ -20,9 +20,11 @@ header key once, numbers in plain ASCII digits):
 
 The whole text is ASCII of at most MAX_CERTIFICATE_BYTES (256 KiB); longer
 input is refused before any line is parsed.  Polynomial text is the
-package's standard format in variables x, y.  The generator indices refer
-to the fixed family for (p, e): index n for 0 <= n <= e is p^(e-n) times
-the n-th iterate polynomial read in (x, y), and index e+1 is y^(p^e).
+package's standard format in variables x, y, in which each monomial
+appears at most once (Polynomial.parse refuses a repeat).  The generator
+indices refer to the fixed family for (p, e): index n for 0 <= n <= e is
+p^(e-n) times the n-th iterate polynomial read in (x, y), and index e+1
+is y^(p^e).
 Cofactor lines may appear in any order and absent indices mean zero
 cofactors; an empty cofactor list asserts the target is 0 mod p^m.
 """

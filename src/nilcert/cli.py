@@ -259,11 +259,12 @@ def _certificate_name(kind: str, p: int, e: int, m: int) -> str:
     return f"{kind}_p{p}_e{e}_m{m}.cert"
 
 
-def _store_certificate(config, record, kind, p, e, m, certificate) -> bool:
-    """Write the certificate when --out-certs is set and re-verify the file;
-    False when the written file fails re-verification (it stays listed)."""
-    if not config.out_certs or certificate is None:
-        return True
+def _check_certificate(config, record, kind, p, e, m, certificate) -> bool:
+    """Check the certificate with verify_certificate.  With --out-certs it
+    is written first and the file read back is checked; a file that fails
+    the check stays listed."""
+    if not config.out_certs:
+        return verify_certificate(certificate)
     os.makedirs(config.out_certs, exist_ok=True)
     name = _certificate_name(kind, p, e, m)
     path = os.path.join(config.out_certs, name)
@@ -294,7 +295,7 @@ def run_verify(config: RunConfig) -> Report:
             continue
         for m in moduli:
             result = modules[m].verify_nilpotence()
-            proved = result.member and _store_certificate(
+            proved = result.member and _check_certificate(
                 config, record, "nilpotence", p, e, m, result.certificate
             )
             verdicts[f"nilpotence_m{m}"] = PASS if proved else FAIL

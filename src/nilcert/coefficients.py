@@ -5,10 +5,13 @@ localized at a prime p (fractions whose denominator is coprime to p), and
 the finite rings Z/p^m.  Everything here is exact big-integer arithmetic;
 no floats are involved anywhere.
 
-LocalizedRational is the only coefficient class.  Rational values are
-integer-native: an integer is always a plain int, and a LocalizedRational
-is produced by arithmetic only when the reduced denominator is greater
-than 1.  rational() is the one constructor that enforces this, so
+LocalizedRational is the only coefficient class, and a stored value: it
+holds a fraction in lowest terms, compares, hashes and prints, and
+multiplies by a scalar, but it does not add.  Polynomial arithmetic runs
+on cleared integers (see the polynomials module) and divides back once
+per term through rational(), the one constructor of rational values.
+Rational values are integer-native: rational() returns a plain int when
+the reduced denominator is 1 and a LocalizedRational only otherwise, so
 integer-valued work (the iterate family, psi and theta on integer input)
 stays in the interpreter's built-in int arithmetic.
 
@@ -61,23 +64,26 @@ def vp(n, p: int) -> int:
 def rational(numerator: int, denominator: int = 1):
     """The value numerator/denominator in canonical form: an int when the
     reduced denominator is 1, otherwise a LocalizedRational."""
-    if denominator == 1:
-        return int(numerator)
-    q = LocalizedRational(numerator, denominator)
-    return q.numerator if q.denominator == 1 else q
+    if numerator % denominator == 0:
+        return int(numerator // denominator)
+    return LocalizedRational(numerator, denominator)
 
 
 class LocalizedRational:
     """A fraction a/b kept in lowest terms with b > 0.
 
-    Used for computations in the localization of Z at a prime p.  The value
-    itself does not know p; operations that need p-locality (exact division
-    by p, reduction mod p^m) check the denominator at the point of use.
-    Zero is always stored as 0/1.
+    A coefficient in the localization of Z at a prime p.  The value itself
+    does not know p; operations that need p-locality (exact division by p,
+    reduction mod p^m) check the denominator at the point of use.  Zero is
+    always stored as 0/1.
 
-    The constructor always builds an instance, but arithmetic returns its
-    result through rational(), so an integer-valued result is a plain int.
-    An integer-valued instance equals, and hashes like, the same int.
+    Sums and powers are not defined here: polynomials add and multiply
+    their coefficients as cleared integers.  The one arithmetic operation
+    is the product with an int or another fraction, which Polynomial.scale
+    and Polynomial.parse use; it returns through rational(), so an
+    integer-valued result is a plain int.  The constructor always builds
+    an instance, and an integer-valued instance equals, and hashes like,
+    the same int.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -101,39 +107,9 @@ class LocalizedRational:
     def __setattr__(self, name, value):
         raise AttributeError("LocalizedRational is immutable")
 
-    @staticmethod
-    def _coerce(other):
-        # an int carries numerator and denominator (n/1) itself
-        if isinstance(other, (LocalizedRational, int)):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return rational(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return rational(-self.numerator, self.denominator)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        # an int carries numerator and denominator (n/1) itself
+        if not isinstance(other, (LocalizedRational, int)):
             return NotImplemented
         return rational(
             self.numerator * other.numerator,
@@ -142,14 +118,8 @@ class LocalizedRational:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers are not defined here")
-        return rational(self.numerator**exponent, self.denominator**exponent)
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (LocalizedRational, int)):
             return NotImplemented
         return (
             self.numerator == other.numerator

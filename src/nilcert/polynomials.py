@@ -7,23 +7,29 @@ coefficients are integer-native: an integer value is always stored as a
 plain int and a LocalizedRational only when its reduced denominator is
 greater than 1, so equal polynomials have equal terms and equal hashes.
 A Modulus(p, m) coefficient is a plain int, its representative in
-[0, p^m); arithmetic over a Modulus returns through the constructor,
-which reduces every term.
+[0, p^m).
 
-Products over RATIONALS run on cleared integers: each operand is scaled by
-the lcm of its denominators (clear_denominators), the integer polynomials
-are multiplied, and each output term is divided back once through
-coefficients.rational.  A large integer product goes through one kernel,
-_int_product, which packs both operands into big integers by Kronecker
-substitution and multiplies them with one big-int multiply; small or
-sparse products keep the schoolbook loop.
+Every sum, difference, negation, product and power runs on cleared
+integers, over either ring: each operand is scaled by the lcm of its
+denominators (clear_denominators; over a Modulus, or for integer
+coefficients, the lcm is 1 and the terms are used as they are), the
+integer polynomials are added or multiplied, and the result leaves
+through one exit, Polynomial._from_sums: over RATIONALS each output term
+is divided back once through coefficients.rational (from_cleared), over
+a Modulus the constructor reduces every term.  A sum adds only the
+monomials both operands carry; every other term keeps its coefficient,
+so it is not divided back.  A large integer product
+goes through one kernel, _int_product, which packs both operands into
+big integers by Kronecker substitution and multiplies them with one
+big-int multiply; small or sparse products keep the schoolbook loop.
+
 Variables are positional; they are only named at the text boundary,
 rendered as x, y by default or s, t for the iterate family.
 
 The text format is bit-exact and round-trips through parse():
 terms in graded-lexicographic order (first variable dominant, descending),
-each printed as c*x^i*y^j with unit coefficients and zero exponents
-omitted, e.g. "x^4 - 4*x^2*y + 2*y^2".
+each monomial once, printed as c*x^i*y^j with unit coefficients and zero
+exponents omitted, e.g. "x^4 - 4*x^2*y + 2*y^2".
 """
 
 from __future__ import annotations
@@ -294,49 +300,67 @@ class Polynomial:
 
     # ---- arithmetic ----
 
-    def _from_sums(self, terms: dict) -> "Polynomial":
-        """Polynomial from zero-free sums or products of self.ring's coefficients:
-        kept as they are over RATIONALS, reduced by the constructor otherwise."""
-        if self.ring is not RATIONALS:
-            return Polynomial(self.ring, terms)
-        return from_cleared(terms, 1)
+    def _from_sums(self, terms: dict, d: int = 1) -> "Polynomial":
+        """The polynomial terms / d over self.ring, from zero-free terms.
+        Over RATIONALS each term, a cleared integer, is divided back once
+        through from_cleared (with d = 1 the terms are kept as they are);
+        over a Modulus, whose coefficients are ints and so always have
+        d = 1, the constructor reduces every term."""
+        if self.ring is RATIONALS:
+            return from_cleared(terms, d)
+        return Polynomial(self.ring, terms)
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "Polynomial":
+        """self + sign*other.  Only the monomials both operands carry are
+        added: as cleared integers over the lcm of their denominators,
+        divided back once.  Every other term keeps its coefficient (other's
+        times sign, by the scalar multiply), so it is never divided back."""
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.ring, other)
         self._check_ring(other)
         out = dict(self.terms)
+        mine, theirs = {}, {}
         for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
+            if key in out:
+                mine[key] = out.pop(key)
+                theirs[key] = c
             else:
-                out.pop(key, None)
+                out[key] = c if sign == 1 else c * sign
+        if mine:
+            a, da = clear_denominators(mine)
+            b, db = clear_denominators(theirs)
+            d = math.lcm(da, db)
+            ua, ub = d // da, sign * (d // db)
+            sums = {}
+            for key, c in b.items():
+                s = a[key] * ua + c * ub
+                if s:
+                    sums[key] = s
+            out.update(self._from_sums(sums, d).terms)
         return self._from_sums(out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return self._from_sums({k: -c for k, c in self.terms.items()})
-
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.ring, other)
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return Polynomial.constant(self.ring, other)._combine(self, -1)
+
+    def __neg__(self):
+        terms, d = clear_denominators(self.terms)
+        return self._from_sums({k: -c for k, c in terms.items()}, d)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_ring(other)
-        if self.ring is not RATIONALS:
-            return self._from_sums(_schoolbook(self.terms, other.terms))
         a, da = clear_denominators(self.terms)
         b, db = clear_denominators(other.terms)
-        return from_cleared(_product(a, b), da * db)
+        return self._from_sums(_product(a, b), da * db)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -347,31 +371,22 @@ class Polynomial:
         return Polynomial(self.ring, {k: v * c for k, v in self.terms.items()})
 
     def __pow__(self, exponent: int):
-        """Square-and-multiply; over RATIONALS on the cleared integer
-        polynomial, divided by d^exponent once at the end."""
+        """Square-and-multiply on the cleared integer polynomial, divided
+        by d^exponent once at the end.  Each step leaves through
+        _from_sums with d = 1, which keeps the integers over RATIONALS and
+        reduces them mod p^m over a Modulus, so they stay small there."""
         if exponent < 0:
             raise ValueError("negative powers are not defined")
-        ring = self.ring
-        if ring is RATIONALS:
-            base, d = clear_denominators(self.terms)
-            multiply = _product
-        else:
-            base, d = self.terms, 1
-
-            def multiply(a, b):
-                return Polynomial(ring, _schoolbook(a, b)).terms
-
+        base, d = clear_denominators(self.terms)
         result = {(0, 0): 1}
         e = exponent
         while e:
             if e & 1:
-                result = multiply(result, base)
+                result = self._from_sums(_product(result, base)).terms
             if e > 1:
-                base = multiply(base, base)
+                base = self._from_sums(_product(base, base)).terms
             e >>= 1
-        if ring is RATIONALS:
-            return from_cleared(result, d**exponent)
-        return Polynomial(ring, result)
+        return self._from_sums(result, d**exponent)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -439,8 +454,8 @@ class Polynomial:
     def parse(cls, text: str, ring, names=("x", "y")) -> "Polynomial":
         """Inverse of to_text; accepts any term order and spacing.
 
-        Malformed text, such as a stray sign or a zero denominator, raises
-        ValueError.
+        Malformed text, such as a stray sign, a zero denominator or a
+        monomial written twice, raises ValueError.
         """
         compact = text.replace(" ", "")
         if not compact:
@@ -476,9 +491,9 @@ class Polynomial:
                         j += k
                     continue
                 raise ValueError(f"cannot parse factor {factor!r} in {text!r}")
-            value = sign if coefficient is None else sign * coefficient
-            existing = terms.get((i, j))
-            terms[(i, j)] = value if existing is None else existing + value
+            if (i, j) in terms:
+                raise ValueError(f"repeated monomial in {text!r}")
+            terms[(i, j)] = sign if coefficient is None else sign * coefficient
         return cls(ring, terms)
 
     def __str__(self):

@@ -306,19 +306,19 @@ def random_polynomial(
     p: int,
     max_degree: int = SAMPLE_DEGREE,
     max_terms: int = 6,
-    allow_fractions: bool = True,
 ) -> Polynomial:
     """Seeded sampler for the randomized checks.
 
     Numerators are drawn from [-9, 9]; denominators are 1 or one small
-    prime q coprime to p, so every sample is p-integral.
+    prime q coprime to p, so every sample is p-integral.  The draws are
+    summed as numerators over q and divided by q once per term.
     """
     q = next(c for c in (3, 5, 7) if c != p)
-    terms = {}
+    numerators = {}
     for _ in range(rng.randint(1, max_terms)):
         i = rng.randint(0, max_degree)
         j = rng.randint(0, max_degree - i)
-        numerator = rng.randint(-9, 9)
-        denominator = rng.choice([1, q]) if allow_fractions else 1
-        terms[(i, j)] = terms.get((i, j), 0) + rational(numerator, denominator)
-    return Polynomial(RATIONALS, terms)
+        # a draw n / 1 or n / q, as a numerator over q
+        numerator = rng.randint(-9, 9) * q // rng.choice([1, q])
+        numerators[(i, j)] = numerators.get((i, j), 0) + numerator
+    return Polynomial(RATIONALS, {k: rational(c, q) for k, c in numerators.items()})

@@ -205,6 +205,18 @@ def test_verify_fails_when_a_certificate_check_fails(monkeypatch, capsys):
         assert verdicts[name] == "fail"
 
 
+def test_nilpotence_verdicts_check_their_certificates(monkeypatch, capsys):
+    # without --out-certs the nilpotence certificates are checked in memory
+    import nilcert.cli as cli
+
+    monkeypatch.setattr(cli, "verify_certificate", lambda certificate: False)
+    code, out, _ = run(["verify", "--p", "2", "--e", "1", "--format", "machine"], capsys)
+    assert code == 1
+    verdicts = json.loads(out)["records"][0]["verdicts"]
+    assert verdicts["nilpotence_m2"] == "fail"
+    assert verdicts["nilpotence_m3"] == "fail"
+
+
 def test_verify_records_sorted(capsys):
     code, out, _ = run(
         ["verify", "--p", "3", "--p", "2", "--e", "1", "--format", "machine"], capsys

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -74,9 +77,24 @@ def test_rational_normalization():
         LocalizedRational(1, 0)
 
 
+def _constant(q) -> Polynomial:
+    return Polynomial.constant(RATIONALS, q)
+
+
+def _value(f: Polynomial) -> Fraction:
+    """The constant term of f as a Fraction, the oracle's type."""
+    c = f.coefficient(0, 0)
+    return Fraction(c.numerator, c.denominator)
+
+
+# LocalizedRational defines no sum or power of its own: every identity
+# below is stated on constant polynomials, which add and multiply on
+# cleared integers, and checked against fractions.Fraction.
+
+
 def test_rational_arithmetic():
-    a = LocalizedRational(1, 2)
-    b = LocalizedRational(1, 3)
+    a = _constant(LocalizedRational(1, 2))
+    b = _constant(LocalizedRational(1, 3))
     assert a + b == LocalizedRational(5, 6)
     assert a - b == LocalizedRational(1, 6)
     assert a * b == LocalizedRational(1, 6)
@@ -84,10 +102,15 @@ def test_rational_arithmetic():
     assert 1 + a == LocalizedRational(3, 2)
     assert 1 - a == a
     assert 2 * a == 1
+    assert LocalizedRational(1, 2) * LocalizedRational(1, 3) == LocalizedRational(1, 6)
+    with pytest.raises(TypeError):
+        LocalizedRational(1, 2) + LocalizedRational(1, 3)
+    assert _value(a + b) == Fraction(1, 2) + Fraction(1, 3)
     assert str(a) == "1/2"
+    assert str(LocalizedRational(1, 2)) == "1/2"
     assert str(LocalizedRational(-7)) == "-7"
     assert not LocalizedRational(0)
-    assert bool(a)
+    assert bool(LocalizedRational(1, 2))
 
 
 def test_integer_valued_rational_hashes_like_int():
@@ -103,15 +126,20 @@ def test_rational_values_are_integer_native():
     assert type(rational(4, 2)) is int and rational(4, 2) == 2
     assert type(rational(-3)) is int
     assert rational(2, -6) == LocalizedRational(-1, 3)
-    half = LocalizedRational(1, 2)
-    third = LocalizedRational(1, 3)
-    assert type(half + half) is int and half + half == 1
-    assert type(half * 4) is int and 4 * half == 2
+    half = _constant(LocalizedRational(1, 2))
+    third = _constant(LocalizedRational(1, 3))
+
+    def constant_type(f):
+        return type(f.terms[(0, 0)])
+
+    assert constant_type(half + half) is int and half + half == 1
+    assert constant_type(half * 4) is int and 4 * half == 2
     assert type(LocalizedRational(2, 3) * 3) is int
-    assert type(half - half) is int and half - half == 0
-    assert type(-LocalizedRational(5)) is int
-    assert type(third**0) is int
-    assert type(half + third) is LocalizedRational
+    assert constant_type(_constant(LocalizedRational(2, 3)) * 3) is int
+    assert (half - half).is_zero() and half - half == 0
+    assert constant_type(-_constant(LocalizedRational(5))) is int
+    assert constant_type(third**0) is int
+    assert constant_type(half + third) is LocalizedRational
     # theta's one division by p (times d^p) is canonical too
     assert type(_theta_of_constant(2, 3)) is int
     assert type(_theta_of_constant(LocalizedRational(2, 1), 3)) is int
@@ -125,16 +153,19 @@ def test_rational_values_are_integer_native():
     st.integers(min_value=1, max_value=30),
 )
 def test_rational_field_laws(an, ad, bn, bd):
-    a = LocalizedRational(an, ad)
-    b = LocalizedRational(bn, bd)
+    a = _constant(LocalizedRational(an, ad))
+    b = _constant(LocalizedRational(bn, bd))
+    fa, fb = Fraction(an, ad), Fraction(bn, bd)
     assert a + b == b + a
     assert a * b == b * a
     assert (a + b) * b == a * b + b * b
     assert a + (-a) == 0
+    assert _value(a + b) == fa + fb
+    assert _value(a - b) == fa - fb
+    assert _value((a + b) * b) == (fa + fb) * fb
     # normalization invariants survive arithmetic
-    c = a * b + a
-    from math import gcd
-
+    c = (a * b + a).coefficient(0, 0)
+    assert _value(a * b + a) == fa * fb + fa
     assert c.denominator > 0
     assert gcd(c.numerator, c.denominator) == 1 or c.numerator == 0
 
@@ -178,7 +209,9 @@ def test_divide_exact_multiplies_back(num, den, p):
     while den % p == 0:
         den += 1
     q = LocalizedRational(num, den)
-    assert _theta_of_constant(q, p) * p == q**p - q
+    theta = _constant(_theta_of_constant(q, p))
+    assert theta * p == _constant(q) ** p - _constant(q)
+    assert _value(theta) * p == Fraction(num, den) ** p - Fraction(num, den)
 
 
 def test_reduce_mod_examples():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,13 @@ def test_power_matches_repeated_multiplication():
     for _ in range(5):
         by_mult = by_mult * f
     assert f**5 == by_mult
+    # over Z/p^m every squaring is reduced; the integer power, reduced
+    # once at the end, is the reference
+    g = Polynomial.parse("1 + 3*x + 5*y + 7*x^2*y", Modulus(2, 8))
+    by_mult = Polynomial.one(g.ring)
+    for _ in range(40):
+        by_mult = by_mult * g
+    assert g**40 == by_mult == (g.lift() ** 40).reduce_mod(2, 8)
 
 
 @settings(max_examples=60)
@@ -237,6 +245,15 @@ def test_parse_rejects_zero_denominators_and_stray_signs(text):
         Polynomial.parse(text, RATIONALS)
 
 
+@pytest.mark.parametrize("text", ["x + x", "x*y + y*x", "1/3*x + 2/3*x"])
+def test_parse_rejects_repeated_monomials(text):
+    # to_text writes each monomial once, so a repeat is malformed input,
+    # never two coefficients to add
+    for ring in (RATIONALS, Modulus(3, 2)):
+        with pytest.raises(ValueError, match="repeated monomial"):
+            Polynomial.parse(text, ring)
+
+
 @settings(max_examples=300)
 @given(st.text(alphabet="0123456789xy^*/+- ", max_size=24))
 def test_parse_raises_only_value_error(text):
@@ -371,3 +388,33 @@ def test_rational_products_divide_back_once():
         assert cube == _schoolbook_product(_schoolbook_product(f, f), f)
         for c in list(product.terms.values()) + list(cube.terms.values()):
             assert c and (type(c) is int or c.denominator > 1)
+
+
+def test_rational_sums_match_fractions():
+    # sums and differences add only the monomials both operands carry, as
+    # cleared integers; fractions.Fraction is the oracle, and the result's
+    # coefficients stay canonical, cancelled terms dropped
+    rng = random.Random(12)
+
+    def sample():
+        return {
+            (rng.randint(0, 4), rng.randint(0, 4)): Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 9]))
+            for _ in range(rng.randint(0, 12))
+        }
+
+    def polynomial(fractions):
+        return Polynomial(
+            RATIONALS, {k: LocalizedRational(q.numerator, q.denominator) for k, q in fractions.items()}
+        )
+
+    for _ in range(60):
+        f, g = sample(), sample()
+        for sign in (1, -1):
+            total = polynomial(f) + polynomial(g) if sign == 1 else polynomial(f) - polynomial(g)
+            expected = dict(f)
+            for key, q in g.items():
+                expected[key] = expected.get(key, 0) + sign * q
+            assert total == polynomial({k: q for k, q in expected.items() if q})
+            assert all(type(c) is int or c.denominator > 1 for c in total.terms.values())
+        assert polynomial(f) - polynomial(f) == 0
+        assert -polynomial(f) == polynomial({k: -q for k, q in f.items()})

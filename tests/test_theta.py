@@ -146,7 +146,8 @@ def test_operator_layer_is_integer_native():
     rng = random.Random(3)
     for p, top in ((2, 6), (3, 3), (5, 2)):
         ctx = ThetaContext(p)
-        samples = [X, Y] + [random_polynomial(rng, p, allow_fractions=False) for _ in range(4)]
+        # every sample denominator divides 3 * 5 * 7
+        samples = [X, Y] + [random_polynomial(rng, p).scale(105) for _ in range(4)]
         samples += [ctx.iterate_polynomial(n) for n in range(top + 1)]
         for f in samples:
             for g in (f, ctx.psi(f), ctx.theta(f)):
