@@ -24,7 +24,7 @@ x, y = Polynomial.generators(RATIONALS)
 print("== the smallest interesting instance: p = 2, e = 1, mod 4 ==")
 module = build_membership_module(2, 1, 2)
 print("ideal generators:")
-for index, g in enumerate(module.ideal.generators):
+for index, g in enumerate(module.generators):
     print(f"  g_{index} = {g.to_text()}")
 
 result = module.verify_nilpotence()

@@ -26,7 +26,6 @@ from .coefficients import (
 from .howell import HowellBasis, howell_complete, howell_form, howell_spanning_subset
 from .polynomials import RATIONALS, Polynomial
 from .quotient import (
-    IdealSpec,
     MembershipModule,
     MembershipResult,
     ResidueWitness,
@@ -42,7 +41,6 @@ __all__ = [
     "AxiomReport",
     "Certificate",
     "HowellBasis",
-    "IdealSpec",
     "LocalizedRational",
     "MembershipModule",
     "MembershipResult",

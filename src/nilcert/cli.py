@@ -192,7 +192,7 @@ def _axioms_skip_reason(p: int, degree_cap: int) -> str | None:
 
 def run_axioms(config: RunConfig) -> Report:
     report = Report("axioms", config)
-    for p in sorted(set(config.primes)):
+    for p in config.primes:
         started = time.perf_counter()
         reason = _axioms_skip_reason(p, config.degree_cap)
         if reason is not None:
@@ -229,7 +229,7 @@ def run_axioms(config: RunConfig) -> Report:
 
 def run_iterates(config: RunConfig) -> Report:
     report = Report("iterates", config)
-    for p in sorted(set(config.primes)):
+    for p in config.primes:
         started = time.perf_counter()
         ctx = ThetaContext(p)
         depths = []
@@ -341,14 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
             "--e", action="append", type=int, default=None, metavar="DEPTH",
             help="torsion depth to include (repeatable; default grid)",
         )
-        sub.add_argument("--extra-precision", type=int, default=1, metavar="OFFSET")
-        sub.add_argument("--trials", type=int, default=25)
-        sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--span-limit", type=int, default=4096)
-        sub.add_argument("--degree-cap", type=int, default=1024)
+        sub.add_argument(
+            "--extra-precision", type=int, default=RunConfig.extra_precision, metavar="OFFSET"
+        )
+        sub.add_argument("--trials", type=int, default=RunConfig.trials)
+        sub.add_argument("--seed", type=int, default=RunConfig.seed)
+        sub.add_argument("--span-limit", type=int, default=RunConfig.span_limit)
+        sub.add_argument("--degree-cap", type=int, default=RunConfig.degree_cap)
         sub.add_argument("--out-report", default=None, metavar="PATH")
         sub.add_argument("--out-certs", default=None, metavar="DIR")
-        sub.add_argument("--format", choices=("table", "machine"), default="table")
+        sub.add_argument("--format", choices=("table", "machine"), default=RunConfig.format)
 
     for name, text in (
         ("axioms", "check operator axioms on random samples"),
@@ -357,6 +359,20 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         add_common(commands.add_parser(name, help=text))
     return parser
+
+
+def _output_path_error(path: str, directory: bool) -> str | None:
+    """Why an output path cannot be written, or None: --out-certs names a
+    directory, made with any missing parents, and --out-report a file in
+    an existing directory."""
+    if os.path.exists(path):
+        if os.path.isdir(path) == directory:
+            return None
+        return "not a directory" if directory else "a directory"
+    parent = os.path.dirname(os.path.abspath(path))
+    while directory and not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    return None if os.path.isdir(parent) else f"under {parent}, which is not a directory"
 
 
 def config_from_args(parser, args) -> RunConfig:
@@ -382,6 +398,13 @@ def config_from_args(parser, args) -> RunConfig:
         parser.error(f"extra precision must be at most {MAX_PRECISION}")
     if args.degree_cap > MAX_DEGREE_CAP:
         parser.error(f"degree cap must be at most {MAX_DEGREE_CAP}")
+    for flag, path, directory in (
+        ("--out-report", args.out_report, False),
+        ("--out-certs", args.out_certs, True),
+    ):
+        problem = path and _output_path_error(path, directory)
+        if problem:
+            parser.error(f"{flag} {path} is {problem}")
     return RunConfig(
         primes=sorted(set(primes)),
         depths=sorted(set(depths)),
@@ -410,8 +433,11 @@ def main(argv=None) -> int:
         return 0
     config = config_from_args(parser, args)
     runner = {"axioms": run_axioms, "iterates": run_iterates, "verify": run_verify}
-    report = runner[args.command](config)
-    report.emit()
+    try:
+        report = runner[args.command](config)
+        report.emit()
+    except OSError as error:
+        parser.error(f"cannot write output: {error}")
     return report.exit_code()
 
 

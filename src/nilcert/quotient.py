@@ -63,25 +63,6 @@ from .polynomials import RATIONALS, Polynomial
 from .theta import ThetaContext
 
 
-@dataclass(frozen=True)
-class IdealSpec:
-    """The generator family for one (p, e)."""
-
-    p: int
-    e: int
-    generators: tuple
-
-    @classmethod
-    def build(cls, p: int, e: int) -> "IdealSpec":
-        members = standard_generators(p, e)
-        top = members[e]
-        if top.coefficient(p**e, 0) != 1 or top.degree_first() != p**e:
-            raise AssertionError("top generator must be monic of degree p^e in x")
-        if members[e + 1] != Polynomial.monomial(RATIONALS, 0, p**e):
-            raise AssertionError("last generator must be y^(p^e)")
-        return cls(p=p, e=e, generators=members)
-
-
 class RewriteSystem:
     """The linear normal-form map onto the monomial span, mod p^m.
 
@@ -91,8 +72,10 @@ class RewriteSystem:
     the x-degree, so the loop terminates; confluence makes the order
     irrelevant to the result, which the tests exercise separately.
 
-    ideal is the generator family for (p, e), generator_terms the same mod
-    p^m as {(i, j): int} dicts; its g_e gives the rewrite tail.
+    generators is the family g_0 .. g_(e+1) of (p, e), generator_terms
+    the same mod p^m as {(i, j): int} dicts.  The constructor checks that
+    g_e is monic of degree p^e in x, that the last generator is y^(p^e)
+    and that the rewrite tail g_e gives stays inside the span block.
     """
 
     def __init__(self, p: int, e: int, m: int):
@@ -101,9 +84,14 @@ class RewriteSystem:
         self.modulus = Modulus(p, m)
         self.p, self.e, self.m = p, e, m
         self.block = p**e
-        self.ideal = IdealSpec.build(p, e)
-        self.generator_terms = tuple(g.reduce_mod(p, m).terms for g in self.ideal.generators)
-        tail = Polynomial.monomial(RATIONALS, self.block, 0) - self.ideal.generators[e]
+        self.generators = standard_generators(p, e)
+        top = self.generators[e]
+        if top.coefficient(self.block, 0) != 1 or top.degree_first() != self.block:
+            raise AssertionError("top generator must be monic of degree p^e in x")
+        if self.generators[e + 1] != Polynomial.monomial(RATIONALS, 0, self.block):
+            raise AssertionError("last generator must be y^(p^e)")
+        self.generator_terms = tuple(g.reduce_mod(p, m).terms for g in self.generators)
+        tail = Polynomial.monomial(RATIONALS, self.block, 0) - top
         self.tail = tail.reduce_mod(p, m).terms
         if any(i >= self.block or j >= self.block for i, j in self.tail):
             raise AssertionError("rewrite tail escapes the span block")
@@ -188,32 +176,19 @@ class MembershipResult:
     witness: ResidueWitness | None = None
 
 
-@dataclass(eq=False)
-class _Atom:
-    """One closure element: the reduction of x^a y^b * g_n.
-
-    key is (n, a, b) and weight is a + p*b + p^n, the weight class the
-    reduction lies in; vector holds it over that class's columns
-    (RewriteSystem.weight_class(weight)).
-    """
-
-    key: tuple
-    weight: int
-    vector: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class _WeightClass:
     """The part of T in one weight class.
 
     low is the smallest y-degree in the class, so column k holds the
-    monomial of y-degree low + k; basis is the Howell form of the class's
-    atoms over those columns, with
-    basis.matrix = transform @ (atom vectors) mod p^m.
+    monomial of y-degree low + k.  keys are the atoms (n, a, b), each the
+    reduction of x^a y^b * g_n; basis is the Howell form of their vectors
+    over those columns, which are not kept, with
+    basis.matrix = transform @ (the keys' class vectors) mod p^m.
     """
 
     low: int
-    atoms: list
+    keys: tuple
     basis: HowellBasis
     transform: np.ndarray
 
@@ -240,7 +215,7 @@ def _build_class(rewrite: RewriteSystem, weight: int):
     """
     p = rewrite.p
     low, width = rewrite.weight_class(weight)
-    atoms = []
+    keys, vectors = [], []
     for gen_index in range(rewrite.e):
         generator = rewrite.generator_terms[gen_index]
         # a = rest - p*b lies in [0, p^e) for exactly the b of the class
@@ -255,27 +230,28 @@ def _build_class(rewrite: RewriteSystem, weight: int):
                 continue
             if any(i + p * j != weight for i, j in terms):
                 raise AssertionError(f"atom {(gen_index, a, b)} is not weighted homogeneous")
-            atoms.append(_Atom((gen_index, a, b), weight, _class_vector(terms, low, width)))
-    if not atoms:
+            keys.append((gen_index, a, b))
+            vectors.append(_class_vector(terms, low, width))
+    if not keys:
         return None
-    class_basis, transform = howell_complete(
-        np.vstack([atom.vector for atom in atoms]), rewrite.modulus
-    )
-    return _WeightClass(low=low, atoms=atoms, basis=class_basis, transform=transform)
+    class_basis, transform = howell_complete(np.vstack(vectors), rewrite.modulus)
+    return _WeightClass(low=low, keys=tuple(keys), basis=class_basis, transform=transform)
 
 
 class MembershipModule:
     """Queryable description of T = reductions of the ideal, mod p^m.
 
     Weight classes are built on first touch.  basis is the GradedBasis of
-    T and atoms lists every nonzero closure atom, class by class; reading
-    either builds every class not yet built.  Queries reduce each weight
-    part of a target against its own class.
+    T and atoms lists the key (n, a, b) of every nonzero closure atom,
+    class by class; reading either builds every class not yet built.
+    Queries reduce each weight part of a target against its own class.
+    generators, p, e, m and modulus are the rewrite system's.
     """
 
     def __init__(self, rewrite):
-        self.ideal = rewrite.ideal
         self.rewrite = rewrite
+        self.generators = rewrite.generators
+        self.p, self.e, self.m = rewrite.p, rewrite.e, rewrite.m
         self.modulus = rewrite.modulus
         self.theta_context = ThetaContext(rewrite.p)
         # weight -> _WeightClass, or None for a weight without atoms
@@ -299,19 +275,7 @@ class MembershipModule:
 
     @property
     def atoms(self) -> list:
-        return [atom for weight_class in self.basis.values() for atom in weight_class.atoms]
-
-    @property
-    def p(self) -> int:
-        return self.ideal.p
-
-    @property
-    def e(self) -> int:
-        return self.ideal.e
-
-    @property
-    def m(self) -> int:
-        return self.modulus.m
+        return [key for weight_class in self.basis.values() for key in weight_class.keys]
 
     # ---- queries ----
 
@@ -344,9 +308,8 @@ class MembershipModule:
         # g_index; the rest of the span part must rewrite to credits only
         for weight_class, coefficients in solved:
             atom_weights = (coefficients @ weight_class.transform) % n
-            for atom, weight in zip(weight_class.atoms, atom_weights):
+            for (index, a, b), weight in zip(weight_class.keys, atom_weights):
                 if weight:
-                    index, a, b = atom.key
                     combined.setdefault(index, {})[(a, b)] = int(weight)
                     _add_into(terms, self.rewrite.generator_terms[index], -int(weight), n, a, b)
         left, credits = self.rewrite._reduce_terms(terms)
@@ -394,7 +357,7 @@ class MembershipModule:
         p, e = self.p, self.e
         iterates = [ctx.iterate_polynomial(k) for k in range(e + 2)]
         ok = True
-        for index, g in enumerate(self.ideal.generators):
+        for index, g in enumerate(self.generators):
             theta_g = ctx.theta(g)
             psi_g = ctx.psi(g)
             ok = ok and self._proved(theta_g)

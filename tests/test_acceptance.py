@@ -135,7 +135,7 @@ def test_criterion_8_coset_well_definedness():
     mismatches = 0
     for p, e in GRID:
         module = module_for(p, e, e + 1)
-        generators = module.ideal.generators
+        generators = module.generators
         rng = random.Random(80 + 10 * p + e)
         for _ in range(200):
             f = random_polynomial(rng, p, max_degree=3, max_terms=4)

@@ -346,3 +346,53 @@ def test_table_format_default(capsys):
     assert "summary:" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+def unusable_output_paths(tmp_path):
+    """(argv, path) pairs whose output path cannot be written."""
+    plain = tmp_path / "F"
+    plain.write_text("kept\n", encoding="ascii")
+    under_plain = str(plain / "sub")
+    report = str(tmp_path / "missing" / "r.json")
+    cell = ["verify", "--p", "2", "--e", "1"]
+    return [
+        (cell + ["--out-certs", str(plain)], str(plain)),
+        (cell + ["--out-certs", under_plain], under_plain),
+        (cell + ["--out-report", report], report),
+        (["iterates", "--p", "2", "--degree-cap", "4", "--out-report", report], report),
+        (cell + ["--out-report", str(tmp_path)], str(tmp_path)),
+    ]
+
+
+def test_unusable_output_paths_are_usage_errors(tmp_path, capsys):
+    # refused before any cell runs, so nothing reaches stdout
+    for argv, path in unusable_output_paths(tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert path in captured.err
+        assert "Traceback" not in captured.err
+    assert (tmp_path / "F").read_text(encoding="ascii") == "kept\n"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_missing_certificate_directories_are_made(tmp_path, capsys):
+    certs = tmp_path / "a" / "b"
+    code, _, _ = run(["verify", "--p", "2", "--e", "1", "--out-certs", str(certs)], capsys)
+    assert code == 0
+    assert sorted(os.listdir(certs)) == ["nilpotence_p2_e1_m2.cert", "nilpotence_p2_e1_m3.cert"]
+
+
+def test_write_failure_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    import nilcert.cli as cli
+
+    def refuse(certificate, path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "write_certificate", refuse)
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--p", "2", "--e", "1", "--out-certs", str(tmp_path)])
+    assert info.value.code == 2
+    assert "Permission denied" in capsys.readouterr().err

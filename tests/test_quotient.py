@@ -24,7 +24,6 @@ from nilcert import quotient
 from nilcert.howell import HowellBasis, howell_form
 from nilcert.polynomials import RATIONALS, Polynomial
 from nilcert.quotient import (
-    IdealSpec,
     RewriteSystem,
     brute_force_membership_oracle,
     build_membership_module,
@@ -59,9 +58,17 @@ def terms_vector(module, terms):
     return vector
 
 
-def span_vector(module, atom):
-    """An atom's class-local vector scattered back onto the whole span."""
-    return terms_vector(module, class_terms(module, atom.weight, atom.vector))
+def key_terms(module, key):
+    """The span terms of the atom (n, a, b): the rewrite of x^a y^b * g_n."""
+    n, a, b = key
+    multiple = Polynomial.monomial(RATIONALS, a, b) * module.generators[n]
+    terms, _ = module.rewrite.reduce(multiple)
+    return terms
+
+
+def span_vector(module, key):
+    """The rewrite of an atom key as one vector over the whole span."""
+    return terms_vector(module, key_terms(module, key))
 
 
 def span_basis(module):
@@ -95,14 +102,14 @@ def global_basis(p, e, m):
     route the graded build replaces, kept here as a reference."""
     module = module_for(p, e, m)
     return howell_form(
-        np.vstack([span_vector(module, atom) for atom in module.atoms]), module.modulus
+        np.vstack([span_vector(module, key) for key in module.atoms]), module.modulus
     )
 
 
 def expand(module, fragments):
     total = Polynomial.zero(RATIONALS)
     for g, terms in fragments.items():
-        total = total + Polynomial(RATIONALS, terms) * module.ideal.generators[g]
+        total = total + Polynomial(RATIONALS, terms) * module.generators[g]
     return total
 
 
@@ -117,8 +124,26 @@ small_polys = st.dictionaries(
 
 
 def test_ideal_spec_frozen():
-    ideal = IdealSpec.build(2, 1)
-    assert ideal.generators == (X.scale(2), X**2 - Y.scale(2), Y**2)
+    generators = RewriteSystem(2, 1, 2).generators
+    assert generators == (X.scale(2), X**2 - Y.scale(2), Y**2)
+
+
+@pytest.mark.parametrize(
+    "break_family,message",
+    [
+        # g_e no longer monic in x
+        (lambda g: g[:2] + (g[2].scale(3),) + g[3:], "top generator must be monic"),
+        # a last generator other than y^(p^e)
+        (lambda g: g[:3] + (Y**5,), "last generator must be y"),
+        # g_e monic of degree p^e, but its tail reaches y^(p^e)
+        (lambda g: g[:2] + (g[2] + Y**4,) + g[3:], "rewrite tail escapes the span block"),
+    ],
+)
+def test_rewrite_system_refuses_a_broken_family(monkeypatch, break_family, message):
+    family = standard_generators(2, 2)
+    monkeypatch.setattr(quotient, "standard_generators", lambda p, e: break_family(family))
+    with pytest.raises(AssertionError, match=message):
+        RewriteSystem(2, 2, 3)
 
 
 def test_reduce_drops_high_powers():
@@ -198,7 +223,7 @@ def test_confluence_monomial_multiples_vanish(a, b):
     # cover every x^i y^j with i, j < max(p^e, 4) on each cell
     for p, e, m in [(2, 1, 2), (2, 2, 3), (3, 1, 2), (5, 2, 3), (3, 3, 4), (2, 4, 5)]:
         rewrite = RewriteSystem(p, e, m)
-        generators = rewrite.ideal.generators
+        generators = rewrite.generators
         top = max(p**e, 4)
         for i in range(a, top, 4):
             for j in range(b, top, 4):
@@ -230,15 +255,20 @@ def test_extra_precision_separates_cosets():
 
 
 def test_atom_vectors_are_rewrites_of_their_keys():
-    # an atom stores its key and its class vector only; certificates are
-    # derived from the key, so the vector must be the key's rewrite
+    # a class keeps only its atom keys; certificates are derived from the
+    # keys, so the transform must carry the keys' rewrites onto the basis
     for p, e, m in [(2, 1, 3), (2, 2, 3), (3, 2, 3)]:
         module = module_for(p, e, m)
-        for atom in module.atoms:
-            n, a, b = atom.key
-            multiple = Polynomial.monomial(RATIONALS, a, b) * module.ideal.generators[n]
-            terms, _ = module.rewrite.reduce(multiple)
-            assert class_terms(module, atom.weight, atom.vector) == terms
+        for weight, weight_class in module.basis.items():
+            low, width = module.rewrite.weight_class(weight)
+            assert low == weight_class.low
+            vectors = np.zeros((len(weight_class.keys), width), dtype=np.int64)
+            for row, key in enumerate(weight_class.keys):
+                for (i, j), value in key_terms(module, key).items():
+                    assert i + p * j == weight
+                    vectors[row, j - low] = value
+            combined = (weight_class.transform @ vectors) % module.modulus.value
+            assert np.array_equal(combined, weight_class.basis.matrix)
 
 
 def test_corrupted_transform_breaks_the_certificate():
@@ -262,7 +292,7 @@ def test_corrupted_transform_breaks_the_certificate():
 
 def test_basis_stable_under_atom_shuffling():
     module = module_for(2, 2, 3)
-    vectors = [span_vector(module, atom) for atom in module.atoms]
+    vectors = [span_vector(module, key) for key in module.atoms]
     random.Random(7).shuffle(vectors)
     shuffled = howell_form(np.vstack(vectors), module.modulus)
     assert np.array_equal(shuffled.matrix, span_basis(module).matrix)
@@ -281,10 +311,8 @@ GRADED_CELLS = [(p, e, m) for p, e in ACCEPTANCE_GRID for m in (e + 1, e + 2)] +
 @pytest.mark.parametrize("p,e,m", GRADED_CELLS)
 def test_weight_graded_basis_matches_global_elimination(p, e, m):
     module = module_for(p, e, m)
-    for atom in module.atoms:
-        n, a, b = atom.key
-        assert atom.weight == a + p * b + p**n
-        assert weights_of(module, span_vector(module, atom)) == {atom.weight}
+    for n, a, b in module.atoms:
+        assert weights_of(module, span_vector(module, (n, a, b))) == {a + p * b + p**n}
     graded = span_basis(module)
     for row in graded.matrix:
         assert len(weights_of(module, row)) == 1
@@ -365,7 +393,7 @@ def class_digest(module):
             basis.pivot_columns,
             basis.pivot_values,
             weight_class.transform.tolist(),
-            [atom.key for atom in weight_class.atoms],
+            list(weight_class.keys),
         )
         digest.update(repr(fields).encode("ascii"))
     return digest.hexdigest()
@@ -398,7 +426,7 @@ def test_certificate_bytes_pinned():
     for cell in [(3, 2, 3), (5, 2, 3)]:
         module = module_for(*cell)
         context = module.theta_context
-        for g in module.ideal.generators:
+        for g in module.generators:
             results += [module.is_member(context.theta(g)), module.is_member(context.psi(g))]
     for result in results:
         assert result.member
@@ -451,7 +479,7 @@ def default_queries(module):
     context = module.theta_context
     bound = p**e + p ** (e - 1)
     queries = [X**bound, X ** (bound - 1)]
-    for g in module.ideal.generators:
+    for g in module.generators:
         queries += [context.theta(g), context.psi(g)]
     for k in range(e + 1):
         queries.append(context.psi_iterate(X, k).scale(p ** (e - k)))
@@ -480,7 +508,7 @@ def test_class_build_order_does_not_matter(p, e, m):
 def test_generators_are_members():
     for p, e, m in [(2, 1, 2), (3, 1, 2), (2, 2, 3)]:
         module = module_for(p, e, m)
-        for g in module.ideal.generators:
+        for g in module.generators:
             result = module.is_member(g)
             assert result.member
             assert verify_certificate(result.certificate)
