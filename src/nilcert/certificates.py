@@ -114,7 +114,7 @@ def verify_certificate(certificate: Certificate) -> bool:
             raise ValueError(f"cofactor index {index} out of range")
         if cofactor.ring is not RATIONALS:
             raise ValueError("cofactors must have integer coefficients")
-        products += len(cofactor.terms) * len(generators[index].terms)
+        products += len(cofactor.numerators) * len(generators[index].numerators)
     if products > MAX_TERM_PRODUCTS:
         raise ValueError(
             f"certificate expansion needs {products} term products, above {MAX_TERM_PRODUCTS}"

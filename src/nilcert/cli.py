@@ -36,9 +36,9 @@ from .theta import SAMPLE_DEGREE, ThetaContext, nilpotence_bound, random_polynom
 
 PASS, FAIL = "pass", "fail"
 
-# Largest accepted --degree-cap: the p = 2 iterate checks up to p^n = 4096
-# take about 9 s on a 2-core x86 host with CPython 3.11 (1.3 s up to 2048),
-# and their cost grows about sevenfold per doubling at the top.
+# Largest accepted --degree-cap: `iterates --p 2 --degree-cap 4096` takes
+# about 13 s as a subprocess on a 2-core x86 host with CPython 3.11 (2.2 s
+# at 2048), and its cost grows about sixfold per doubling at the top.
 MAX_DEGREE_CAP = 4096
 
 # Largest accepted --p: a larger prime admits no iterate depth under the
@@ -46,12 +46,12 @@ MAX_DEGREE_CAP = 4096
 # would be the only work done.
 MAX_PRIME = MAX_DEGREE_CAP
 
-# Largest accepted --span-limit: the largest cells it admits, (2, 7) and
-# (5, 3), build in about 25 s and 2 s at their sharpness precision.
+# Largest accepted --span-limit: `verify` on the largest cells it admits,
+# (2, 7) and (5, 3), takes about 1.1 s and 0.4 s on the same host.
 MAX_SPAN_LIMIT = 2**14
 
 # Largest accepted --trials: one trial of axioms at p = 7 takes about
-# 0.03 s on the same host, so 1000 trials there take about 27 s.
+# 0.024 s on the same host, so 1000 trials there take about 24 s.
 MAX_TRIALS = 1000
 
 # Largest accepted |N| for `bound N`, whose trial division runs to sqrt(N).

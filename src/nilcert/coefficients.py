@@ -5,15 +5,13 @@ localized at a prime p (fractions whose denominator is coprime to p), and
 the finite rings Z/p^m.  Everything here is exact big-integer arithmetic;
 no floats are involved anywhere.
 
-LocalizedRational is the only coefficient class, and a stored value: it
-holds a fraction in lowest terms, compares, hashes and prints, and
-multiplies by a scalar, but it does not add.  Polynomial arithmetic runs
-on cleared integers (see the polynomials module) and divides back once
-per term through rational(), the one constructor of rational values.
-Rational values are integer-native: rational() returns a plain int when
-the reduced denominator is 1 and a LocalizedRational only otherwise, so
-integer-valued work (the iterate family, psi and theta on integer input)
-stays in the interpreter's built-in int arithmetic.
+LocalizedRational is the only coefficient class: a fraction in lowest
+terms that compares, hashes, prints and multiplies by a scalar, but does
+not add.  A polynomial computes on integer numerators over one
+denominator (see the polynomials module), so fractions appear only where
+coefficients come in (parsing, scalars) or are read out (the terms view).
+rational(), the one constructor of rational values, returns a plain int
+when the reduced denominator is 1 and a LocalizedRational otherwise.
 
 An element of Z/p^m is a plain int, its representative in [0, p^m).
 Modulus describes the ring, and Modulus.residue is the one map from an
@@ -78,12 +76,11 @@ class LocalizedRational:
     always stored as 0/1.
 
     Sums and powers are not defined here: polynomials add and multiply
-    their coefficients as cleared integers.  The one arithmetic operation
-    is the product with an int or another fraction, which Polynomial.scale
-    and Polynomial.parse use; it returns through rational(), so an
-    integer-valued result is a plain int.  The constructor always builds
-    an instance, and an integer-valued instance equals, and hashes like,
-    the same int.
+    their integer numerators.  The one arithmetic operation is the
+    product with an int or another fraction, which Polynomial.parse uses;
+    it returns through rational(), so an integer-valued result is a plain
+    int.  The constructor always builds an instance, and an
+    integer-valued instance equals, and hashes like, the same int.
     """
 
     __slots__ = ("numerator", "denominator")

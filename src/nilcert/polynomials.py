@@ -1,27 +1,19 @@
 """Sparse bivariate polynomials over the package's exact coefficient rings.
 
-A polynomial is a dict from exponent pairs (i, j) to nonzero coefficients,
-tagged with the ring the coefficients live in: either RATIONALS (integers
-and p-integral fractions) or a Modulus(p, m) (residues in Z/p^m).  RATIONALS
-coefficients are integer-native: an integer value is always stored as a
-plain int and a LocalizedRational only when its reduced denominator is
-greater than 1, so equal polynomials have equal terms and equal hashes.
-A Modulus(p, m) coefficient is a plain int, its representative in
-[0, p^m).
+A polynomial is tagged with the ring its coefficients live in: RATIONALS
+(integers and p-integral fractions) or a Modulus(p, m) (Z/p^m).  It
+stores numerators, a zero-free dict {(i, j): int}, over one denominator,
+the least positive d that makes every coefficient times d an integer, so
+equal polynomials have equal numerators, denominators and hashes.  Over
+a Modulus, d is 1 and the numerators are residues in [0, p^m).  The
+terms view reads the coefficients back as ints and LocalizedRationals.
 
-Every sum, difference, negation, product and power runs on cleared
-integers, over either ring: each operand is scaled by the lcm of its
-denominators (clear_denominators; over a Modulus, or for integer
-coefficients, the lcm is 1 and the terms are used as they are), the
-integer polynomials are added or multiplied, and the result leaves
-through one exit, Polynomial._from_sums: over RATIONALS each output term
-is divided back once through coefficients.rational (from_cleared), over
-a Modulus the constructor reduces every term.  A sum adds only the
-monomials both operands carry; every other term keeps its coefficient,
-so it is not divided back.  A large integer product
-goes through one kernel, _int_product, which packs both operands into
-big integers by Kronecker substitution and multiplies them with one
-big-int multiply; small or sparse products keep the schoolbook loop.
+Arithmetic runs on the numerators: a sum over the lcm of the two
+denominators, a product over da*db and a power over d^k, each leaving
+through from_numerators.  A large integer product goes through one
+kernel, _int_product, which packs both operands into big integers by
+Kronecker substitution and multiplies them with one big-int multiply;
+small or sparse products keep the schoolbook loop.
 
 Variables are positional; they are only named at the text boundary,
 rendered as x, y by default or s, t for the iterate family.
@@ -75,19 +67,6 @@ def coerce_coefficient(ring, value):
     if isinstance(ring, Modulus):
         return ring.residue(value)
     raise TypeError(f"unknown coefficient ring {ring!r}")
-
-
-def clear_denominators(terms: dict):
-    """(cleared, d): d is the lcm of the denominators of the coefficients
-    in terms, and cleared maps each key to the integer d * coefficient.
-
-    With d = 1 (every coefficient an int) terms itself comes back, so the
-    caller must not mutate it.
-    """
-    if LocalizedRational not in set(map(type, terms.values())):
-        return terms, 1
-    d = math.lcm(*[c.denominator for c in terms.values()])
-    return {k: c.numerator * (d // c.denominator) for k, c in terms.items()}, d
 
 
 def _schoolbook(a: dict, b: dict) -> dict:
@@ -208,14 +187,24 @@ def _product(a: dict, b: dict) -> dict:
     return _int_product(a, b, layout)
 
 
-def from_cleared(terms: dict, d: int) -> "Polynomial":
-    """The RATIONALS polynomial terms / d, from zero-free integer terms:
-    each term divided once through coefficients.rational."""
-    if d != 1:
-        terms = {k: rational(c, d) for k, c in terms.items()}
-    result = Polynomial.__new__(Polynomial)
-    object.__setattr__(result, "ring", RATIONALS)
-    object.__setattr__(result, "terms", terms)
+def from_numerators(ring, numerators: dict, denominator: int = 1) -> "Polynomial":
+    """The polynomial numerators / denominator over ring; every Polynomial
+    is built here.  Over RATIONALS the numerators are zero-free and both
+    are divided by their gcd, so the stored denominator is the least one.
+    Over a Modulus the denominator is 1 and the numerators are reduced
+    into [0, p^m), those that vanish dropped."""
+    if ring is not RATIONALS:
+        n = ring.value
+        numerators = {k: r for k, c in numerators.items() if (r := c % n)}
+    elif denominator != 1:
+        g = math.gcd(denominator, *numerators.values())
+        if g != 1:
+            denominator //= g
+            numerators = {k: c // g for k, c in numerators.items()}
+    result = _new(Polynomial)
+    _set_ring(result, ring)
+    _set_numerators(result, numerators)
+    _set_denominator(result, denominator)
     return result
 
 
@@ -227,11 +216,11 @@ def _term_sort_key(exponents):
 class Polynomial:
     """Immutable sparse polynomial in two variables."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "numerators", "denominator")
 
-    def __init__(self, ring, terms=None):
+    def __new__(cls, ring, terms=None):
         """Build from a mapping {(i, j): coefficient}; zeros are dropped."""
-        clean = {}
+        clean, d = {}, 1
         for key, value in (terms or {}).items():
             i, j = key
             if i < 0 or j < 0:
@@ -239,11 +228,24 @@ class Polynomial:
             c = coerce_coefficient(ring, value)
             if c:
                 clean[(int(i), int(j))] = c
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
+                if type(c) is not int:
+                    # the lcm of reduced denominators is the least d
+                    d = math.lcm(d, c.denominator)
+        if d != 1:
+            clean = {k: c.numerator * (d // c.denominator) for k, c in clean.items()}
+        return from_numerators(ring, clean, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def terms(self) -> dict:
+        """{(i, j): coefficient}, read only: the stored numerators when d is
+        1, otherwise each numerator over d as an int or a LocalizedRational."""
+        d = self.denominator
+        if d == 1:
+            return self.numerators
+        return {k: rational(c, d) for k, c in self.numerators.items()}
 
     # ---- constructors ----
 
@@ -271,16 +273,16 @@ class Polynomial:
     # ---- structure ----
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.numerators)
 
     def degree_first(self) -> int:
         """Degree in the first variable; -1 for zero."""
-        if not self.terms:
+        if not self.numerators:
             return -1
-        return max(i for i, _ in self.terms)
+        return max(i for i, _ in self.numerators)
 
     def coefficient(self, i, j):
         """Coefficient of the (i, j) monomial, 0 if absent.
@@ -288,7 +290,7 @@ class Polynomial:
         Over RATIONALS an int or a LocalizedRational; over a Modulus(p, m)
         an int in [0, p^m).
         """
-        return self.terms.get((i, j), 0)
+        return rational(self.numerators.get((i, j), 0), self.denominator)
 
     def sorted_terms(self):
         """Terms in descending graded-lex order, first variable dominant."""
@@ -300,44 +302,28 @@ class Polynomial:
 
     # ---- arithmetic ----
 
-    def _from_sums(self, terms: dict, d: int = 1) -> "Polynomial":
-        """The polynomial terms / d over self.ring, from zero-free terms.
-        Over RATIONALS each term, a cleared integer, is divided back once
-        through from_cleared (with d = 1 the terms are kept as they are);
-        over a Modulus, whose coefficients are ints and so always have
-        d = 1, the constructor reduces every term."""
-        if self.ring is RATIONALS:
-            return from_cleared(terms, d)
-        return Polynomial(self.ring, terms)
-
     def _combine(self, other, sign: int) -> "Polynomial":
-        """self + sign*other.  Only the monomials both operands carry are
-        added: as cleared integers over the lcm of their denominators,
-        divided back once.  Every other term keeps its coefficient (other's
-        times sign, by the scalar multiply), so it is never divided back."""
+        """self + sign*other, in one pass over the numerators scaled to
+        the lcm of the two denominators."""
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.ring, other)
         self._check_ring(other)
-        out = dict(self.terms)
-        mine, theirs = {}, {}
-        for key, c in other.terms.items():
-            if key in out:
-                mine[key] = out.pop(key)
-                theirs[key] = c
+        da, db = self.denominator, other.denominator
+        d = math.lcm(da, db)
+        ua, ub = d // da, sign * (d // db)
+        mine = self.numerators
+        out = dict(mine) if ua == 1 else {k: c * ua for k, c in mine.items()}
+        for key, c in other.numerators.items():
+            s = out.get(key)
+            if s is None:
+                out[key] = c * ub
             else:
-                out[key] = c if sign == 1 else c * sign
-        if mine:
-            a, da = clear_denominators(mine)
-            b, db = clear_denominators(theirs)
-            d = math.lcm(da, db)
-            ua, ub = d // da, sign * (d // db)
-            sums = {}
-            for key, c in b.items():
-                s = a[key] * ua + c * ub
+                s += c * ub
                 if s:
-                    sums[key] = s
-            out.update(self._from_sums(sums, d).terms)
-        return self._from_sums(out)
+                    out[key] = s
+                else:
+                    del out[key]
+        return from_numerators(self.ring, out, d)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -351,16 +337,17 @@ class Polynomial:
         return Polynomial.constant(self.ring, other)._combine(self, -1)
 
     def __neg__(self):
-        terms, d = clear_denominators(self.terms)
-        return self._from_sums({k: -c for k, c in terms.items()}, d)
+        return self.scale(-1)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_ring(other)
-        a, da = clear_denominators(self.terms)
-        b, db = clear_denominators(other.terms)
-        return self._from_sums(_product(a, b), da * db)
+        return from_numerators(
+            self.ring,
+            _product(self.numerators, other.numerators),
+            self.denominator * other.denominator,
+        )
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -368,25 +355,31 @@ class Polynomial:
     def scale(self, c):
         """Multiply every coefficient by the scalar c."""
         c = coerce_coefficient(self.ring, c)
-        return Polynomial(self.ring, {k: v * c for k, v in self.terms.items()})
+        if not c:
+            return Polynomial.zero(self.ring)
+        return from_numerators(
+            self.ring,
+            {k: v * c.numerator for k, v in self.numerators.items()},
+            self.denominator * c.denominator,
+        )
 
     def __pow__(self, exponent: int):
-        """Square-and-multiply on the cleared integer polynomial, divided
-        by d^exponent once at the end.  Each step leaves through
-        _from_sums with d = 1, which keeps the integers over RATIONALS and
-        reduces them mod p^m over a Modulus, so they stay small there."""
+        """Square-and-multiply on the numerators, over d^exponent.  Each
+        step leaves through from_numerators with d = 1, which keeps the
+        integers over RATIONALS and reduces them mod p^m over a Modulus,
+        so they stay small there."""
         if exponent < 0:
             raise ValueError("negative powers are not defined")
-        base, d = clear_denominators(self.terms)
+        ring, base = self.ring, self.numerators
         result = {(0, 0): 1}
         e = exponent
         while e:
             if e & 1:
-                result = self._from_sums(_product(result, base)).terms
+                result = from_numerators(ring, _product(result, base)).numerators
             if e > 1:
-                base = self._from_sums(_product(base, base)).terms
+                base = from_numerators(ring, _product(base, base)).numerators
             e >>= 1
-        return self._from_sums(result, d**exponent)
+        return from_numerators(ring, result, self.denominator**exponent)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -397,10 +390,14 @@ class Polynomial:
                     return NotImplemented
             else:
                 return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (
+            self.ring == other.ring
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
+        )
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, self.denominator, frozenset(self.numerators.items())))
 
     # ---- ring maps ----
 
@@ -414,21 +411,27 @@ class Polynomial:
         return total
 
     def reduce_mod(self, p: int, m: int) -> "Polynomial":
-        """Reduce every coefficient into Z/p^m, dropping vanishing terms."""
+        """Reduce every coefficient into Z/p^m, dropping vanishing terms:
+        the numerators times the inverse of the denominator mod p^m, which
+        needs the denominator coprime to p (ValueError otherwise)."""
         if self.ring is not RATIONALS:
             raise ValueError("reduce_mod expects rational or integer coefficients")
-        return Polynomial(Modulus(p, m), self.terms)
+        ring = Modulus(p, m)
+        if self.denominator % p == 0:
+            raise ValueError("denominator is not invertible mod p")
+        inverse = pow(self.denominator, -1, ring.value)
+        return from_numerators(ring, {k: c * inverse for k, c in self.numerators.items()})
 
     def lift(self) -> "Polynomial":
         """Lift Z/p^m coefficients to integers via representatives in [0, p^m)."""
         if not isinstance(self.ring, Modulus):
             raise ValueError("lift expects residue coefficients")
-        return Polynomial(RATIONALS, self.terms)
+        return from_numerators(RATIONALS, self.numerators)
 
     # ---- text format ----
 
     def to_text(self, names=("x", "y")) -> str:
-        if not self.terms:
+        if not self.numerators:
             return "0"
         chunks = []
         for (i, j), c in self.sorted_terms():
@@ -501,3 +504,10 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.ring!r}, {self.to_text()!r})"
+
+
+# from_numerators fills the slots directly, past the immutability guard
+_new = object.__new__
+_set_ring = Polynomial.ring.__set__
+_set_numerators = Polynomial.numerators.__set__
+_set_denominator = Polynomial.denominator.__set__

@@ -4,11 +4,11 @@ Everything is relative to one prime p, carried by a ThetaContext.  On the
 polynomial ring in x, y (coefficients p-integral) the Adams operation is
 the ring map psi(x) = x^p - p*y, psi(y) = y^p.  It lifts the Frobenius:
 psi(f) is congruent to f^p mod p, so theta(f) = (f^p - psi(f)) / p is an
-exact polynomial.  theta runs on cleared integers: for f = F/d it forms
-the integer numerator F^p - d^(p-1)*psi(F), whose power goes through the
-big-int product kernel of the polynomials module, and divides it by
-p*d^p once per term.  theta and psi satisfy the usual divided-power-style
-identities, which check_theta_axioms verifies on concrete inputs.
+exact polynomial.  theta computes it as written: a polynomial stores its
+numerators over one denominator d prime to p, so p divides every
+numerator of f^p - psi(f), and theta divides the numerators by p.  theta
+and psi satisfy the usual divided-power-style identities, which
+check_theta_axioms verifies on concrete inputs.
 
 psi is graded: for wt(x) = 1, wt(y) = p it carries the weight-w part of
 a polynomial to weight p*w.  So psi is evaluated one weighted-homogeneous
@@ -35,8 +35,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .coefficients import is_prime, rational, vp
-from .polynomials import RATIONALS, Polynomial, clear_denominators, from_cleared
+from .coefficients import is_prime, vp
+from .polynomials import RATIONALS, Polynomial, from_numerators
 
 
 @dataclass
@@ -85,14 +85,13 @@ class ThetaContext:
         in X of degree top, evaluated by Horner's rule on a dense list
         indexed by the power of y: multiplying by X keeps index L on
         x^p and moves -p times it to index L+1, and a_j enters at index
-        p*(j - j0).  Index L stands for x^(p*(top-L)) y^(p*j0+L).  The
-        coefficients are cleared to integers by clear_denominators first,
-        so the expansion runs on plain ints.
+        p*(j - j0).  Index L stands for x^(p*(top-L)) y^(p*j0+L).  psi
+        is linear, so the expansion runs on the plain-int numerators of
+        f and the result keeps f's denominator.
         """
         p = self.p
-        terms, common = clear_denominators(f.terms)
         parts: dict[int, dict[int, int]] = {}
-        for (i, j), c in terms.items():
+        for (i, j), c in f.numerators.items():
             parts.setdefault(i + p * j, {})[j] = c
         out = {}
         for w, part in parts.items():
@@ -104,11 +103,10 @@ class ThetaContext:
                 if step % p == 0 and j0 + step // p in part:
                     acc[step] += part[j0 + step // p]
             for index, c in enumerate(acc):
-                y_power = p * j0 + index
-                out[(p * (w - y_power), y_power)] = c
-        if common != 1:
-            out = {k: rational(c, common) for k, c in out.items()}
-        return Polynomial(f.ring, out)
+                if c:
+                    y_power = p * j0 + index
+                    out[(p * (w - y_power), y_power)] = c
+        return from_numerators(f.ring, out, f.denominator)
 
     def psi_iterate(self, f: Polynomial, k: int) -> Polynomial:
         """k-fold application of psi; k = 0 returns f unchanged."""
@@ -121,21 +119,21 @@ class ThetaContext:
     def theta(self, f: Polynomial) -> Polynomial:
         """The exact quotient (f^p - psi(f)) / p.
 
-        Defined for p-integral coefficients.  It runs on cleared integers:
-        with f = F/d, the integer numerator N = F^p - d^(p-1)*psi(F) of
-        f^p - psi(f) = N/d^p is formed, p must divide each coefficient of
-        N because psi lifts the Frobenius, and N is divided by p*d^p once
-        per term.
+        Defined for p-integral coefficients, so a denominator divisible by
+        p is refused.  The denominator of f^p - psi(f) divides d^p and so
+        is prime to p; psi lifts the Frobenius, so p must divide every
+        numerator, and the quotient divides the numerators by p.
         """
         if f.ring is not RATIONALS:
             raise ValueError("theta expects rational or integer coefficients")
         p = self.p
-        numerator, d = self._cleared_difference(f)
-        if d % p == 0:
+        if f.denominator % p == 0:
             raise ValueError("denominator is not coprime to p")
-        if any(c % p for c in numerator.terms.values()):
+        difference = f**p - self.psi(f)
+        if any(c % p for c in difference.numerators.values()):
             raise ValueError("Frobenius congruence violated")
-        return from_cleared({k: c // p for k, c in numerator.terms.items()}, d**p)
+        quotient = {k: c // p for k, c in difference.numerators.items()}
+        return from_numerators(RATIONALS, quotient, difference.denominator)
 
     def check_frobenius_congruence(self, f: Polynomial) -> bool:
         """True iff f^p - psi(f) has every coefficient divisible by p.
@@ -144,20 +142,11 @@ class ThetaContext:
         valuation of a coefficient of f, f^p has a coefficient of valuation
         p*v, and psi(f) has none below v.
         """
-        numerator, d = self._cleared_difference(f)
-        return d % self.p != 0 and all(c % self.p == 0 for c in numerator.terms.values())
-
-    def _cleared_difference(self, f: Polynomial):
-        """(N, d) with f^p - psi(f) = N / d^p, where d is the common
-        denominator of f and N = F^p - d^(p-1)*psi(F) for the integer
-        polynomial F = d*f."""
-        terms, d = clear_denominators(f.terms)
-        cleared = Polynomial(f.ring, terms)
         p = self.p
-        image = self.psi(cleared)
-        if d != 1:
-            image = image.scale(d ** (p - 1))
-        return cleared**p - image, d
+        if f.denominator % p == 0:
+            return False
+        difference = f**p - self.psi(f)
+        return all(c % p == 0 for c in difference.numerators.values())
 
     # ---- axiom checks ----
 
@@ -311,7 +300,7 @@ def random_polynomial(
 
     Numerators are drawn from [-9, 9]; denominators are 1 or one small
     prime q coprime to p, so every sample is p-integral.  The draws are
-    summed as numerators over q and divided by q once per term.
+    summed as numerators over q.
     """
     q = next(c for c in (3, 5, 7) if c != p)
     numerators = {}
@@ -321,4 +310,4 @@ def random_polynomial(
         # a draw n / 1 or n / q, as a numerator over q
         numerator = rng.randint(-9, 9) * q // rng.choice([1, q])
         numerators[(i, j)] = numerators.get((i, j), 0) + numerator
-    return Polynomial(RATIONALS, {k: rational(c, q) for k, c in numerators.items()})
+    return from_numerators(RATIONALS, {k: c for k, c in numerators.items() if c}, q)

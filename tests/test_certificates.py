@@ -3,6 +3,8 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcert.certificates import (
     MAX_CERTIFICATE_BYTES,
@@ -272,3 +274,70 @@ def test_file_round_trip(tmp_path):
     write_certificate(hand_certificate(), path)
     assert read_certificate(path) == hand_certificate()
     assert verify_certificate(read_certificate(path))
+
+
+# ---- fuzzing the certificate grammar ----
+
+
+@st.composite
+def _polynomial_texts(draw):
+    """Mostly well-formed polynomial text in x, y, with fractions whose
+    denominators may or may not be prime to p, and now and then a stray
+    character."""
+    chunks = []
+    exponents = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    for i, j in draw(st.lists(exponents, max_size=4, unique=True)):
+        factors = []
+        if draw(st.booleans()):
+            numerator = draw(st.integers(0, 40))
+            denominator = draw(st.sampled_from([1, 1, 2, 3, 4, 5, 7]))
+            factors.append(f"{numerator}/{denominator}" if denominator != 1 else str(numerator))
+        factors += [name if k == 1 else f"{name}^{k}" for name, k in (("x", i), ("y", j)) if k]
+        sign = draw(st.sampled_from(["+ ", "- "])) if chunks else draw(st.sampled_from(["", "-"]))
+        chunks.append(sign + ("*".join(factors) or "1"))
+    text = " ".join(chunks) or "0"
+    if draw(st.integers(0, 29)) == 0:
+        position = draw(st.integers(0, len(text)))
+        text = text[:position] + draw(st.sampled_from("+-*/^xyz0")) + text[position:]
+    return text
+
+
+@st.composite
+def _certificate_texts(draw):
+    """Certificate text close to the grammar: headers that are usually
+    valid, fraction cofactors, and now and then a line dropped, repeated
+    or replaced by noise."""
+    p = draw(st.sampled_from([2, 2, 3, 3, 5, 4]))
+    e = draw(st.sampled_from([1, 1, 1, 2, 2, 0]))
+    m = draw(st.sampled_from([1, 2, 2, 3, 3, 65]))
+    lines = [f"p = {p}", f"e = {e}", f"m = {m}", f"target = {draw(_polynomial_texts())}"]
+    for index in draw(st.lists(st.integers(0, 4), max_size=4, unique=True)):
+        lines.append(f"cofactor {index} = {draw(_polynomial_texts())}")
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        position = draw(st.integers(0, len(lines)))
+        action = draw(st.sampled_from(["drop", "repeat", "noise"]))
+        if action == "drop" and position < len(lines):
+            del lines[position]
+        elif action == "repeat" and position < len(lines):
+            lines.insert(position, lines[position])
+        elif action == "noise":
+            lines.insert(position, draw(st.text(max_size=12)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_certificate_texts(), st.text(max_size=200)))
+def test_certificate_grammar_fuzz(text):
+    # outside input may be refused with ValueError, and with nothing else;
+    # the fraction cofactors reach Polynomial.parse and reduce_mod
+    try:
+        certificate = certificate_from_text(text)
+    except ValueError:
+        return
+    assert isinstance(certificate, Certificate)
+    assert certificate_from_text(certificate_to_text(certificate)) == certificate
+    try:
+        verdict = verify_certificate(certificate)
+    except ValueError:
+        return
+    assert isinstance(verdict, bool)

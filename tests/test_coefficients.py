@@ -88,8 +88,8 @@ def _value(f: Polynomial) -> Fraction:
 
 
 # LocalizedRational defines no sum or power of its own: every identity
-# below is stated on constant polynomials, which add and multiply on
-# cleared integers, and checked against fractions.Fraction.
+# below is stated on constant polynomials, which add and multiply their
+# integer numerators, and checked against fractions.Fraction.
 
 
 def test_rational_arithmetic():
@@ -175,8 +175,8 @@ def _theta_of_constant(q, p: int):
     return ThetaContext(p).theta(Polynomial.constant(RATIONALS, q)).coefficient(0, 0)
 
 
-# Exact division by p happens once per term on theta's cleared integer
-# numerator; these tests check it through theta on constants.
+# Exact division by p happens on the numerators of f^p - psi(f) inside
+# theta; these tests check it through theta on constants.
 
 
 def test_divide_exact_examples():

@@ -230,6 +230,64 @@ def test_integer_coefficients_are_plain_ints():
         assert all(type(c) is int for c in g.terms.values())
 
 
+def test_stored_denominator_is_the_least_one():
+    half = LocalizedRational(1, 2)
+    total = (X.scale(half) + Y.scale(half)) + (X.scale(half) - Y.scale(half))
+    assert total == X
+    assert (total.numerators, total.denominator) == ({(1, 0): 1}, 1)
+    assert hash(total) == hash(X)
+    sixth = Polynomial.constant(RATIONALS, LocalizedRational(1, 6))
+    assert (sixth * 3 + sixth).denominator == 3
+    assert (sixth * 6).denominator == 1
+
+
+def test_every_route_stores_the_same_numerators():
+    # 1/6*x + 2/3*y^2 - 5 is (x + 4*y^2 - 30) / 6
+    sixth, two_thirds = LocalizedRational(1, 6), LocalizedRational(2, 3)
+    routes = [
+        Polynomial.parse("1/6*x + 2/3*y^2 - 5", RATIONALS),
+        Polynomial(RATIONALS, {(1, 0): sixth, (0, 2): two_thirds, (0, 0): -5}),
+        Polynomial.monomial(RATIONALS, 1, 0, sixth)
+        + Polynomial.monomial(RATIONALS, 0, 2, two_thirds)
+        - 5,
+        Polynomial(RATIONALS, {(1, 0): 1, (0, 2): 4, (0, 0): -30}).scale(sixth),
+    ]
+    for f in routes:
+        assert f.numerators == {(1, 0): 1, (0, 2): 4, (0, 0): -30}
+        assert f.denominator == 6
+        assert f == routes[0] and hash(f) == hash(routes[0])
+
+
+def test_terms_view():
+    f = Polynomial.parse("1/6*x + 2/3*y^2 - 5", RATIONALS)
+    assert f.terms == {(1, 0): LocalizedRational(1, 6), (0, 2): LocalizedRational(2, 3), (0, 0): -5}
+    assert type(f.terms[(0, 0)]) is int
+    assert f.coefficient(0, 2) == LocalizedRational(2, 3) and f.coefficient(3, 3) == 0
+    g = X**2 - Y.scale(2)
+    assert g.terms is g.numerators
+    residues = g.reduce_mod(3, 2)
+    assert residues.terms is residues.numerators
+    assert residues.terms == {(2, 0): 1, (0, 1): 7}
+
+
+@given(_p_integral_polynomials(), st.integers(1, 4))
+def test_reduce_mod_matches_termwise_residues(pf, m):
+    p, f = pf
+    ring = Modulus(p, m)
+    expected = {k: ring.residue(c) for k, c in f.terms.items()}
+    assert f.reduce_mod(p, m).terms == {k: r for k, r in expected.items() if r}
+
+
+def test_reduce_mod_refuses_a_denominator_divisible_by_p():
+    half_x = X.scale(LocalizedRational(1, 2))
+    with pytest.raises(ValueError, match="denominator is not invertible mod p"):
+        half_x.reduce_mod(2, 3)
+    with pytest.raises(ValueError, match="denominator is not invertible mod p"):
+        (half_x + Y).reduce_mod(2, 1)
+    assert (half_x + half_x).reduce_mod(2, 3) == X.reduce_mod(2, 3)
+    assert half_x.reduce_mod(3, 2).terms == {(1, 0): 5}
+
+
 def test_parse_errors():
     with pytest.raises(ValueError):
         Polynomial.parse("", RATIONALS)
@@ -370,8 +428,9 @@ def test_iterate_products_match_schoolbook(p, top):
 
 
 def test_rational_products_divide_back_once():
-    # products and powers over RATIONALS clear denominators, multiply
-    # integers, and divide back: same values, canonical coefficients
+    # products and powers over RATIONALS multiply the integer numerators
+    # over the product of the denominators: same values, canonical
+    # coefficients
     rng = random.Random(11)
 
     def sample(denominators):
@@ -391,8 +450,8 @@ def test_rational_products_divide_back_once():
 
 
 def test_rational_sums_match_fractions():
-    # sums and differences add only the monomials both operands carry, as
-    # cleared integers; fractions.Fraction is the oracle, and the result's
+    # sums and differences add the numerators scaled to a common
+    # denominator; fractions.Fraction is the oracle, and the result's
     # coefficients stay canonical, cancelled terms dropped
     rng = random.Random(12)
 

@@ -331,7 +331,7 @@ def test_sampler_is_seeded_and_p_integral():
             assert all(c.denominator % p != 0 for c in f.terms.values())
 
 
-# ---- theta on cleared integers against a termwise Fraction computation ----
+# ---- theta on numerators over one denominator against a termwise Fraction computation ----
 
 
 def _fraction_product(a: dict, b: dict) -> dict:
