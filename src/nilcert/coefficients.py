@@ -14,8 +14,8 @@ rational(), the one constructor of rational values, returns a plain int
 when the reduced denominator is 1 and a LocalizedRational otherwise.
 
 An element of Z/p^m is a plain int, its representative in [0, p^m).
-Modulus describes the ring, and Modulus.residue is the one map from an
-int or a LocalizedRational to that representative.
+Modulus only describes the ring; polynomials.from_numerators is the one
+map of a value into it.
 """
 
 from __future__ import annotations
@@ -39,16 +39,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def vp(n, p: int) -> int:
-    """p-adic valuation: the exponent of p in n.
+def vp(n: int, p: int) -> int:
+    """p-adic valuation: the exponent of p in the integer n.
 
-    Accepts integers and LocalizedRational values.  The valuation of zero
-    is undefined and raises ValueError.
+    The valuation of zero is undefined and raises ValueError.
     """
-    if isinstance(n, LocalizedRational):
-        if n.numerator == 0:
-            raise ValueError("valuation of zero is undefined")
-        return vp(n.numerator, p) - vp(n.denominator, p)
     if n == 0:
         raise ValueError("valuation of zero is undefined")
     n = abs(int(n))
@@ -71,9 +66,8 @@ class LocalizedRational:
     """A fraction a/b kept in lowest terms with b > 0.
 
     A coefficient in the localization of Z at a prime p.  The value itself
-    does not know p; operations that need p-locality (exact division by p,
-    reduction mod p^m) check the denominator at the point of use.  Zero is
-    always stored as 0/1.
+    does not know p; a polynomial entering Z/p^m checks its denominator
+    there, in polynomials.from_numerators.  Zero is always stored as 0/1.
 
     Sums and powers are not defined here: polynomials add and multiply
     their integer numerators.  The one arithmetic operation is the
@@ -167,19 +161,3 @@ class Modulus:
 
     def __repr__(self):
         return f"Modulus({self.p}, {self.m})"
-
-    def residue(self, q) -> int:
-        """The representative in [0, p^m) of an int or a LocalizedRational.
-
-        A fraction maps to its numerator times the inverse of its
-        denominator mod p^m; this needs the denominator coprime to p and
-        raises ValueError otherwise.
-        """
-        if isinstance(q, int):
-            return q % self.value
-        if isinstance(q, LocalizedRational):
-            if q.denominator % self.p == 0:
-                raise ValueError("denominator is not invertible mod p")
-            return q.numerator * pow(q.denominator, -1, self.value) % self.value
-        raise TypeError(f"cannot reduce {type(q).__name__} mod p^m")
-

@@ -8,6 +8,11 @@ equal polynomials have equal numerators, denominators and hashes.  Over
 a Modulus, d is 1 and the numerators are residues in [0, p^m).  The
 terms view reads the coefficients back as ints and LocalizedRationals.
 
+Every value enters a ring through from_numerators: the constructor, a
+scalar multiple and reduce_mod each hand it integer numerators over a
+denominator, and over a Modulus it multiplies them by the inverse of the
+denominator mod p^m.
+
 Arithmetic runs on the numerators: a sum over the lcm of the two
 denominators, a product over da*db and a power over d^k, each leaving
 through from_numerators.  A large integer product goes through one
@@ -47,26 +52,6 @@ class _RationalRing:
 
 
 RATIONALS = _RationalRing()
-
-
-def coerce_coefficient(ring, value):
-    """Map an int / LocalizedRational into the given ring.
-
-    Into RATIONALS the value comes back in canonical form: a plain int for
-    an integer value, a LocalizedRational only for a proper fraction.
-    Into a Modulus it comes back as its int representative in [0, p^m).
-    """
-    if ring is RATIONALS:
-        if type(value) is int:
-            return value
-        if isinstance(value, LocalizedRational):
-            return value.numerator if value.denominator == 1 else value
-        if isinstance(value, int):
-            return int(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} into RATIONALS")
-    if isinstance(ring, Modulus):
-        return ring.residue(value)
-    raise TypeError(f"unknown coefficient ring {ring!r}")
 
 
 def _schoolbook(a: dict, b: dict) -> dict:
@@ -189,12 +174,20 @@ def _product(a: dict, b: dict) -> dict:
 
 def from_numerators(ring, numerators: dict, denominator: int = 1) -> "Polynomial":
     """The polynomial numerators / denominator over ring; every Polynomial
-    is built here.  Over RATIONALS the numerators are zero-free and both
-    are divided by their gcd, so the stored denominator is the least one.
-    Over a Modulus the denominator is 1 and the numerators are reduced
-    into [0, p^m), those that vanish dropped."""
+    is built here, so this is the one map of a value into a ring.  Over
+    RATIONALS the numerators are zero-free and both are divided by their
+    gcd, so the stored denominator is the least one.  Over a Modulus the
+    denominator must be coprime to p (ValueError otherwise): the
+    numerators are multiplied by its inverse mod p^m and reduced into
+    [0, p^m), those that vanish dropped, over the denominator 1."""
     if ring is not RATIONALS:
         n = ring.value
+        if denominator != 1:
+            if denominator % ring.p == 0:
+                raise ValueError("denominator is not invertible mod p")
+            inverse = pow(denominator, -1, n)
+            numerators = {k: c * inverse for k, c in numerators.items()}
+            denominator = 1
         numerators = {k: r for k, c in numerators.items() if (r := c % n)}
     elif denominator != 1:
         g = math.gcd(denominator, *numerators.values())
@@ -219,19 +212,28 @@ class Polynomial:
     __slots__ = ("ring", "numerators", "denominator")
 
     def __new__(cls, ring, terms=None):
-        """Build from a mapping {(i, j): coefficient}; zeros are dropped."""
+        """Build from a mapping {(i, j): coefficient}, each coefficient an
+        int or a LocalizedRational (TypeError otherwise); zeros are dropped."""
         clean, d = {}, 1
         for key, value in (terms or {}).items():
             i, j = key
             if i < 0 or j < 0:
                 raise ValueError("exponents must be nonnegative")
-            c = coerce_coefficient(ring, value)
-            if c:
-                clean[(int(i), int(j))] = c
-                if type(c) is not int:
-                    # the lcm of reduced denominators is the least d
-                    d = math.lcm(d, c.denominator)
+            if type(value) is not int:
+                if isinstance(value, LocalizedRational):
+                    if value.denominator == 1:
+                        value = value.numerator
+                    else:
+                        # the lcm of reduced denominators is the least d
+                        d = math.lcm(d, value.denominator)
+                elif isinstance(value, int):
+                    value = int(value)
+                else:
+                    raise TypeError(f"cannot take a {type(value).__name__} coefficient")
+            if value:
+                clean[(int(i), int(j))] = value
         if d != 1:
+            # an int carries numerator and denominator (n/1) itself
             clean = {k: c.numerator * (d // c.denominator) for k, c in clean.items()}
         return from_numerators(ring, clean, d)
 
@@ -354,7 +356,8 @@ class Polynomial:
 
     def scale(self, c):
         """Multiply every coefficient by the scalar c."""
-        c = coerce_coefficient(self.ring, c)
+        if not isinstance(c, (int, LocalizedRational)):
+            raise TypeError(f"cannot take a {type(c).__name__} coefficient")
         if not c:
             return Polynomial.zero(self.ring)
         return from_numerators(
@@ -411,16 +414,11 @@ class Polynomial:
         return total
 
     def reduce_mod(self, p: int, m: int) -> "Polynomial":
-        """Reduce every coefficient into Z/p^m, dropping vanishing terms:
-        the numerators times the inverse of the denominator mod p^m, which
-        needs the denominator coprime to p (ValueError otherwise)."""
+        """Reduce every coefficient into Z/p^m, dropping vanishing terms;
+        the denominator must be coprime to p (ValueError otherwise)."""
         if self.ring is not RATIONALS:
             raise ValueError("reduce_mod expects rational or integer coefficients")
-        ring = Modulus(p, m)
-        if self.denominator % p == 0:
-            raise ValueError("denominator is not invertible mod p")
-        inverse = pow(self.denominator, -1, ring.value)
-        return from_numerators(ring, {k: c * inverse for k, c in self.numerators.items()})
+        return from_numerators(Modulus(p, m), self.numerators, self.denominator)
 
     def lift(self) -> "Polynomial":
         """Lift Z/p^m coefficients to integers via representatives in [0, p^m)."""

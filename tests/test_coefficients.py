@@ -47,14 +47,6 @@ def test_vp_examples():
 def test_vp_zero_rejected():
     with pytest.raises(ValueError, match="zero"):
         vp(0, 2)
-    with pytest.raises(ValueError, match="zero"):
-        vp(LocalizedRational(0), 3)
-
-
-def test_vp_rational():
-    assert vp(LocalizedRational(4, 3), 2) == 2
-    assert vp(LocalizedRational(1, 3), 3) == -1
-    assert vp(LocalizedRational(9, 5), 3) == 2
 
 
 @given(
@@ -214,21 +206,27 @@ def test_divide_exact_multiplies_back(num, den, p):
     assert _value(theta) * p == Fraction(num, den) ** p - Fraction(num, den)
 
 
+def _residue(modulus, q):
+    """The representative in [0, p^m) of the int or fraction q, read off
+    the constant polynomial q over the Modulus ring."""
+    return Polynomial.constant(modulus, q).coefficient(0, 0)
+
+
 def test_reduce_mod_examples():
-    assert Modulus(2, 2).residue(5) == 1
-    assert Modulus(3, 2).residue(0) == 0
-    r = Modulus(2, 3).residue(LocalizedRational(1, 3))
+    assert _residue(Modulus(2, 2), 5) == 1
+    assert _residue(Modulus(3, 2), 0) == 0
+    r = _residue(Modulus(2, 3), LocalizedRational(1, 3))
     assert r == 3 and type(r) is int
     assert (3 * 3) % 8 == 1  # inverse check for the frozen value above
-    assert Modulus(5, 1).residue(-1) == 4
-    assert Modulus(2, 3).residue(-3) == 5
+    assert _residue(Modulus(5, 1), -1) == 4
+    assert _residue(Modulus(2, 3), -3) == 5
     with pytest.raises(TypeError):
-        Modulus(2, 3).residue(0.5)
+        _residue(Modulus(2, 3), 0.5)
 
 
 def test_reduce_mod_rejects_bad_denominator():
     with pytest.raises(ValueError, match="invertible"):
-        Modulus(2, 3).residue(LocalizedRational(1, 2))
+        _residue(Modulus(2, 3), LocalizedRational(1, 2))
 
 
 @given(
@@ -240,11 +238,11 @@ def test_reduce_mod_rejects_bad_denominator():
 def test_reduce_mod_is_ring_hom(a, b, p, m):
     modulus = Modulus(p, m)
     n = modulus.value
-    ra, rb = modulus.residue(a), modulus.residue(b)
+    ra, rb = _residue(modulus, a), _residue(modulus, b)
     assert 0 <= ra < n and 0 <= rb < n
-    assert modulus.residue(a + b) == (ra + rb) % n
-    assert modulus.residue(a * b) == (ra * rb) % n
-    assert modulus.residue(-a) == -ra % n
+    assert _residue(modulus, a + b) == (ra + rb) % n
+    assert _residue(modulus, a * b) == (ra * rb) % n
+    assert _residue(modulus, -a) == -ra % n
 
 
 @given(
@@ -258,9 +256,9 @@ def test_reduce_mod_respects_fractions(num, den, p, m):
         den += 1
     q = LocalizedRational(num, den)
     modulus = Modulus(p, m)
-    r = modulus.residue(q)
+    r = _residue(modulus, q)
     # multiplying back by the denominator recovers the numerator's class
-    assert r * den % p**m == modulus.residue(num)
+    assert r * den % p**m == _residue(modulus, num)
 
 
 def test_residue_arithmetic():
@@ -276,8 +274,8 @@ def test_residue_arithmetic():
     assert (a**2).coefficient(0, 0) == 1
     assert a + 3 == Polynomial.zero(mod)
     assert str(b) == "6"
-    assert mod.residue(-3) == 5
-    assert mod.residue(rational(1, 3)) == 3
+    assert _residue(mod, -3) == 5
+    assert _residue(mod, rational(1, 3)) == 3
     assert all(type(c) is int for c in (a * b + a).terms.values())
     with pytest.raises(ValueError, match="mixed coefficient rings"):
         a + Polynomial.constant(Modulus(2, 2), 1)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -273,8 +274,9 @@ def test_terms_view():
 @given(_p_integral_polynomials(), st.integers(1, 4))
 def test_reduce_mod_matches_termwise_residues(pf, m):
     p, f = pf
-    ring = Modulus(p, m)
-    expected = {k: ring.residue(c) for k, c in f.terms.items()}
+    n = p**m
+    # plain-int oracle: numerator times the inverse of the denominator mod p^m
+    expected = {k: c.numerator * pow(c.denominator, -1, n) % n for k, c in f.terms.items()}
     assert f.reduce_mod(p, m).terms == {k: r for k, r in expected.items() if r}
 
 
@@ -286,6 +288,55 @@ def test_reduce_mod_refuses_a_denominator_divisible_by_p():
         (half_x + Y).reduce_mod(2, 1)
     assert (half_x + half_x).reduce_mod(2, 3) == X.reduce_mod(2, 3)
     assert half_x.reduce_mod(3, 2).terms == {(1, 0): 5}
+
+
+@st.composite
+def _p_integral_mixed_terms(draw):
+    """A prime p, a precision m and a p-integral coefficient dict that mixes
+    plain ints with LocalizedRationals, some of them integer-valued."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(1, 4))
+    denominators = st.sampled_from([d for d in (1, 2, 3, 5, 7, 9, 49) if d % p])
+    coefficients = st.one_of(
+        st.integers(-10**6, 10**6),
+        st.builds(LocalizedRational, st.integers(-500, 500), denominators),
+    )
+    keys = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    return p, m, draw(st.dictionaries(keys, coefficients, max_size=8))
+
+
+@settings(max_examples=150)
+@given(_p_integral_mixed_terms(), st.integers(-50, 50), st.integers(1, 60))
+def test_every_value_enters_a_ring_the_same_way(pmt, num, den):
+    p, m, terms = pmt
+    f = Polynomial(RATIONALS, terms)
+    residues = Polynomial(Modulus(p, m), terms)
+    assert residues == f.reduce_mod(p, m)
+    while den % p == 0:
+        den += 1
+    q = LocalizedRational(num, den)
+    assert f.scale(q).reduce_mod(p, m) == residues.scale(q)
+    bad = dict(terms)
+    bad[(7, 0)] = LocalizedRational(1 + p * num**2, p * den)
+    with pytest.raises(ValueError, match="denominator is not invertible mod p"):
+        Polynomial(Modulus(p, m), bad)
+    with pytest.raises(ValueError, match="denominator is not invertible mod p"):
+        residues.scale(LocalizedRational(1, p * den))
+    with pytest.raises(ValueError, match="denominator is not invertible mod p"):
+        Polynomial(RATIONALS, bad).reduce_mod(p, m)
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, Modulus(3, 2)], ids=["rationals", "modulus"])
+@pytest.mark.parametrize(
+    "value",
+    [0.5, 2.0, Fraction(1, 3), Fraction(4, 1), np.int64(3), "1"],
+    ids=["float", "integral-float", "fraction", "integral-fraction", "numpy-int64", "str"],
+)
+def test_other_coefficient_types_are_refused(ring, value):
+    with pytest.raises(TypeError):
+        Polynomial(ring, {(1, 0): value})
+    with pytest.raises(TypeError):
+        Polynomial.one(ring).scale(value)
 
 
 def test_parse_errors():

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcert.certificates import (
+    _checker_generators,
     certificate_to_text,
     standard_generators,
     verify_certificate,
@@ -676,12 +677,63 @@ def test_nilpotence_bound_attained(p, e, m):
     assert verify_certificate(result.certificate)
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
+DEFAULT_VERIFY_CELLS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)]
+
+
+@pytest.mark.parametrize("p,e", DEFAULT_VERIFY_CELLS)
 def test_bound_is_sharp_at_critical_precision(p, e):
     module = module_for(p, e, e + 1)
     result = module.verify_sharpness()
     assert not result.member
-    assert result.witness is not None
+    # one term, on the second monomial of the functional below
+    q = p ** (e - 1)
+    assert set(result.witness.polynomial.numerators) == {(q - 1, q)}
+
+
+def _sharpness_functional(p, e):
+    """lambda = p^e*[x^(N-1)] + p^(e-1)*[x^(q-1)*y^q] as {(i, j): weight},
+    for N = p^e + p^(e-1) and q = p^(e-1)."""
+    q = p ** (e - 1)
+    return {(p**e + q - 1, 0): p**e, (q - 1, q): q}
+
+
+def _functional_failures(p, e, functional):
+    """The multiples x^a*y^b*g_n of weight N-1 that functional does not
+    send to 0 mod p^(e+1).  The generators come from the checker's family
+    alone, and the functional is read off a multiple as coefficients of
+    g_n, with no product formed."""
+    top = p**e + p ** (e - 1) - 1
+    failures, multiples = [], 0
+    for n, g in enumerate(_checker_generators(p, e)):
+        weights = {i + p * j for i, j in g.numerators}
+        assert len(weights) == 1 and g.denominator == 1
+        (weight,) = weights
+        for b in range((top - weight) // p + 1):
+            a = top - weight - p * b
+            multiples += 1
+            value = sum(
+                c * g.numerators.get((i - a, j - b), 0) for (i, j), c in functional.items()
+            )
+            if value % p ** (e + 1):
+                failures.append((n, a, b))
+    assert multiples > 0
+    return failures
+
+
+@pytest.mark.parametrize(
+    "p,e", DEFAULT_VERIFY_CELLS + [(2, 6), (2, 8), (3, 4), (7, 3), (2, 10)]
+)
+def test_sharpness_by_an_independent_functional(p, e):
+    # The ideal is homogeneous for wt(x) = 1, wt(y) = p.  lambda vanishes
+    # mod p^(e+1) on every multiple of a generator of weight N-1, but
+    # lambda(x^(N-1)) = p^e does not, so x^(N-1) is not in I + p^(e+1):
+    # sharpness at m = e+1, checked without the engine.
+    functional = _sharpness_functional(p, e)
+    top = p**e + p ** (e - 1) - 1
+    assert functional[(top, 0)] == p**e
+    assert _functional_failures(p, e, functional) == []
+    # the second entry is needed: the first alone fails, so the check bites
+    assert _functional_failures(p, e, {(top, 0): p**e})
 
 
 def test_sharpness_requires_critical_precision():
