@@ -21,7 +21,6 @@ from .coefficients import (
     Modulus,
     is_prime,
     rational,
-    vp,
 )
 from .howell import HowellBasis, howell_complete, howell_form, howell_spanning_subset
 from .polynomials import RATIONALS, Polynomial
@@ -64,6 +63,5 @@ __all__ = [
     "read_certificate",
     "standard_generators",
     "verify_certificate",
-    "vp",
     "write_certificate",
 ]

@@ -138,8 +138,9 @@ def certificate_to_text(certificate: Certificate) -> str:
 
 
 def certificate_from_text(text: str) -> Certificate:
-    """Parse the grammar above; raises ValueError on malformed input and,
-    before parsing, on text longer than MAX_CERTIFICATE_BYTES."""
+    """Parse the grammar above; raises ValueError on malformed input, on
+    text that is not ASCII and, before parsing, on text longer than
+    MAX_CERTIFICATE_BYTES."""
     if len(text) > MAX_CERTIFICATE_BYTES:
         raise ValueError(f"certificate text exceeds {MAX_CERTIFICATE_BYTES} bytes")
     header: dict = {}
@@ -164,6 +165,10 @@ def certificate_from_text(text: str) -> Certificate:
             header[key] = Polynomial.parse(value, RATIONALS)
         else:
             raise ValueError(f"unknown or repeated certificate key {key!r}")
+    # the header, index and polynomial patterns read ASCII only; this
+    # refuses the rest: comments, and the Unicode spaces strip() drops
+    if not text.isascii():
+        raise ValueError("certificate text is not ASCII")
     missing = {"p", "e", "m", "target"} - set(header)
     if missing:
         raise ValueError(f"certificate is missing {sorted(missing)}")

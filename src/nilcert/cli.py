@@ -7,6 +7,9 @@ Four subcommands:
     nilcert iterates [options]      recursion identities of the iterate family
     nilcert verify [options]        nilpotence/sharpness membership runs over a grid
 
+Each subcommand takes only the flags it reads (see --help); a setting it
+has no flag for keeps its RunConfig default in the report's config.
+
 Reports are deterministic for a fixed configuration and seed: records are
 sorted by (p, e), the machine format is JSON with sorted keys, and wall
 clock timings go to stderr only, never into a report.  Exit status is 0
@@ -36,9 +39,10 @@ from .theta import SAMPLE_DEGREE, ThetaContext, nilpotence_bound, random_polynom
 
 PASS, FAIL = "pass", "fail"
 
-# Largest accepted --degree-cap: `iterates --p 2 --degree-cap 4096` takes
-# about 13 s as a subprocess on a 2-core x86 host with CPython 3.11 (2.2 s
-# at 2048), and its cost grows about sixfold per doubling at the top.
+# Largest accepted --degree-cap: `iterates --degree-cap 4096` takes about
+# 12 s at p = 2 and 14 s at p = 5 as a subprocess on a 2-core x86 host
+# with CPython 3.11 (2.1 s and 0.4 s at 2048).  MAX_DIAGONAL_SIZE keeps
+# other primes near that: 12.5 s at p = 47 and 13.6 s at p = 1741.
 MAX_DEGREE_CAP = 4096
 
 # Largest accepted --p: a larger prime admits no iterate depth under the
@@ -61,6 +65,13 @@ MAX_TORSION = 10**12
 # raises psi(f) to the p-th power, and the cost grows with the terms of
 # that power, not only with its degree.  p <= 7 runs, p >= 11 is skipped.
 MAX_AXIOM_TERMS = 4096
+
+# iterates skips diagonal_n{n} when p^(2n) * (bits of p) exceeds this.
+# theta(f_n) forms f_n^p, of degree p^(n+1), one power of p past the
+# degree cap: p^n + 1 terms of about p^n * log2(p) bits each.  The default
+# cells measure at most 2^21 and (2, 12) exactly 2^25; (61, 2) and
+# (2039, 1), which took 73 s and 17 s, are skipped.
+MAX_DIAGONAL_SIZE = 2**25
 
 
 def skipped(reason: str) -> str:
@@ -227,6 +238,17 @@ def run_axioms(config: RunConfig) -> Report:
     return report
 
 
+def _diagonal_skip_reason(p: int, n: int) -> str | None:
+    """Why iterates skips the diagonal check of depth n; None to run it."""
+    size = p ** (2 * n) * p.bit_length()
+    if size > MAX_DIAGONAL_SIZE:
+        return (
+            f"theta of iterate {n} raises it to the power p, of size "
+            f"p^{2 * n} * {p.bit_length()} = {size}, above the size bound {MAX_DIAGONAL_SIZE}"
+        )
+    return None
+
+
 def run_iterates(config: RunConfig) -> Report:
     report = Report("iterates", config)
     for p in config.primes:
@@ -249,24 +271,24 @@ def run_iterates(config: RunConfig) -> Report:
             verdicts[f"power_congruence_n{n}"] = (
                 PASS if ctx.check_iterate_power_congruence(n) else FAIL
             )
-            verdicts[f"diagonal_n{n}"] = PASS if ctx.check_iterate_diagonal(n) else FAIL
+            reason = _diagonal_skip_reason(p, n)
+            if reason is not None:
+                verdicts[f"diagonal_n{n}"] = skipped(reason)
+            else:
+                verdicts[f"diagonal_n{n}"] = PASS if ctx.check_iterate_diagonal(n) else FAIL
         report.records.append({"p": p, "verdicts": verdicts})
         _timing(f"iterates p={p}", started)
     return report
 
 
-def _certificate_name(kind: str, p: int, e: int, m: int) -> str:
-    return f"{kind}_p{p}_e{e}_m{m}.cert"
-
-
-def _check_certificate(config, record, kind, p, e, m, certificate) -> bool:
+def _check_certificate(config, record, kind, certificate) -> bool:
     """Check the certificate with verify_certificate.  With --out-certs it
     is written first and the file read back is checked; a file that fails
     the check stays listed."""
     if not config.out_certs:
         return verify_certificate(certificate)
     os.makedirs(config.out_certs, exist_ok=True)
-    name = _certificate_name(kind, p, e, m)
+    name = f"{kind}_p{certificate.p}_e{certificate.e}_m{certificate.m}.cert"
     path = os.path.join(config.out_certs, name)
     write_certificate(certificate, path)
     record.setdefault("certificates", []).append(name)
@@ -296,7 +318,7 @@ def run_verify(config: RunConfig) -> Report:
         for m in moduli:
             result = modules[m].verify_nilpotence()
             proved = result.member and _check_certificate(
-                config, record, "nilpotence", p, e, m, result.certificate
+                config, record, "nilpotence", result.certificate
             )
             verdicts[f"nilpotence_m{m}"] = PASS if proved else FAIL
         base = modules[e + 1]
@@ -332,32 +354,33 @@ def build_parser() -> argparse.ArgumentParser:
     bound = commands.add_parser("bound", help="print the nilpotence exponent bound")
     bound.add_argument("torsion", type=int, help="torsion order of the element")
 
-    def add_common(sub):
-        sub.add_argument(
-            "--p", action="append", type=int, default=None, metavar="PRIME",
-            help="prime to include (repeatable; default 2 3 5)",
-        )
-        sub.add_argument(
-            "--e", action="append", type=int, default=None, metavar="DEPTH",
-            help="torsion depth to include (repeatable; default grid)",
-        )
-        sub.add_argument(
-            "--extra-precision", type=int, default=RunConfig.extra_precision, metavar="OFFSET"
-        )
-        sub.add_argument("--trials", type=int, default=RunConfig.trials)
-        sub.add_argument("--seed", type=int, default=RunConfig.seed)
-        sub.add_argument("--span-limit", type=int, default=RunConfig.span_limit)
-        sub.add_argument("--degree-cap", type=int, default=RunConfig.degree_cap)
-        sub.add_argument("--out-report", default=None, metavar="PATH")
-        sub.add_argument("--out-certs", default=None, metavar="DIR")
-        sub.add_argument("--format", choices=("table", "machine"), default=RunConfig.format)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--p", action="append", type=int, default=None, metavar="PRIME",
+        help="prime to include (repeatable; default 2 3 5)",
+    )
+    common.add_argument("--seed", type=int, default=RunConfig.seed)
+    common.add_argument("--out-report", default=None, metavar="PATH")
+    common.add_argument("--format", choices=("table", "machine"), default=RunConfig.format)
 
-    for name, text in (
-        ("axioms", "check operator axioms on random samples"),
-        ("iterates", "check the iterate family recursion identities"),
-        ("verify", "run nilpotence and sharpness membership over a grid"),
-    ):
-        add_common(commands.add_parser(name, help=text))
+    def add_command(name, text):
+        return commands.add_parser(name, parents=[common], help=text)
+
+    axioms = add_command("axioms", "check operator axioms on random samples")
+    axioms.add_argument("--trials", type=int, default=RunConfig.trials)
+    axioms.add_argument("--degree-cap", type=int, default=RunConfig.degree_cap)
+    iterates = add_command("iterates", "check the iterate family recursion identities")
+    iterates.add_argument("--degree-cap", type=int, default=RunConfig.degree_cap)
+    verify = add_command("verify", "run nilpotence and sharpness membership over a grid")
+    verify.add_argument(
+        "--e", action="append", type=int, default=None, metavar="DEPTH",
+        help="torsion depth to include (repeatable; default grid)",
+    )
+    verify.add_argument(
+        "--extra-precision", type=int, default=RunConfig.extra_precision, metavar="OFFSET"
+    )
+    verify.add_argument("--span-limit", type=int, default=RunConfig.span_limit)
+    verify.add_argument("--out-certs", default=None, metavar="DIR")
     return parser
 
 
@@ -376,47 +399,43 @@ def _output_path_error(path: str, directory: bool) -> str | None:
 
 
 def config_from_args(parser, args) -> RunConfig:
+    """The RunConfig of a subcommand; a setting the subcommand has no
+    flag for keeps its RunConfig default."""
     primes = args.p if args.p else [2, 3, 5]
     for p in primes:
         if p > MAX_PRIME:
             parser.error(f"prime must be at most {MAX_PRIME}")
         if not is_prime(p):
             parser.error(f"{p} is not prime")
-    depths = args.e if args.e else []
+    depths = getattr(args, "e", None) or []
     for e in depths:
         if e < 1:
             parser.error("depth must be at least 1")
-    if args.trials < 1:
+    config = RunConfig(
+        primes=sorted(set(primes)),
+        depths=sorted(set(depths)),
+        **{k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__},
+    )
+    if config.trials < 1:
         parser.error("trials must be at least 1")
-    if args.trials > MAX_TRIALS:
+    if config.trials > MAX_TRIALS:
         parser.error(f"trials must be at most {MAX_TRIALS}")
-    if args.span_limit > MAX_SPAN_LIMIT:
+    if config.span_limit > MAX_SPAN_LIMIT:
         parser.error(f"span limit must be at most {MAX_SPAN_LIMIT}")
-    if args.extra_precision < 0:
+    if config.extra_precision < 0:
         parser.error("extra precision must be nonnegative")
-    if args.extra_precision > MAX_PRECISION:
+    if config.extra_precision > MAX_PRECISION:
         parser.error(f"extra precision must be at most {MAX_PRECISION}")
-    if args.degree_cap > MAX_DEGREE_CAP:
+    if config.degree_cap > MAX_DEGREE_CAP:
         parser.error(f"degree cap must be at most {MAX_DEGREE_CAP}")
     for flag, path, directory in (
-        ("--out-report", args.out_report, False),
-        ("--out-certs", args.out_certs, True),
+        ("--out-report", config.out_report, False),
+        ("--out-certs", config.out_certs, True),
     ):
         problem = path and _output_path_error(path, directory)
         if problem:
             parser.error(f"{flag} {path} is {problem}")
-    return RunConfig(
-        primes=sorted(set(primes)),
-        depths=sorted(set(depths)),
-        extra_precision=args.extra_precision,
-        trials=args.trials,
-        seed=args.seed,
-        span_limit=args.span_limit,
-        degree_cap=args.degree_cap,
-        out_report=args.out_report,
-        out_certs=args.out_certs,
-        format=args.format,
-    )
+    return config
 
 
 def main(argv=None) -> int:

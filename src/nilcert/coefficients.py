@@ -39,21 +39,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def vp(n: int, p: int) -> int:
-    """p-adic valuation: the exponent of p in the integer n.
-
-    The valuation of zero is undefined and raises ValueError.
-    """
-    if n == 0:
-        raise ValueError("valuation of zero is undefined")
-    n = abs(int(n))
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k
-
-
 def rational(numerator: int, denominator: int = 1):
     """The value numerator/denominator in canonical form: an int when the
     reduced denominator is 1, otherwise a LocalizedRational."""

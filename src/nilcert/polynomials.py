@@ -474,7 +474,7 @@ class Polynomial:
             i = j = 0
             coefficient = None
             for factor in chunk.split("*"):
-                match = re.fullmatch(r"(\d+)(?:/(\d+))?", factor)
+                match = re.fullmatch(r"([0-9]+)(?:/([0-9]+))?", factor)
                 if match:
                     num = int(match.group(1))
                     den = int(match.group(2)) if match.group(2) else 1
@@ -483,7 +483,7 @@ class Polynomial:
                     value = LocalizedRational(num, den) if den != 1 else num
                     coefficient = value if coefficient is None else coefficient * value
                     continue
-                match = re.fullmatch(r"([A-Za-z]+)(?:\^(\d+))?", factor)
+                match = re.fullmatch(r"([A-Za-z]+)(?:\^([0-9]+))?", factor)
                 if match and match.group(1) in names:
                     k = int(match.group(2)) if match.group(2) else 1
                     if match.group(1) == names[0]:

@@ -35,7 +35,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .coefficients import is_prime, vp
+from .coefficients import is_prime
 from .polynomials import RATIONALS, Polynomial, from_numerators
 
 
@@ -236,7 +236,7 @@ class ThetaContext:
             RATIONALS, {(p * i, p * j): c for (i, j), c in previous.terms.items()}
         )
         difference = self.iterate_polynomial(n) - stretched
-        return all(vp(c, p) >= n for c in difference.terms.values())
+        return all(c % p**n == 0 for c in difference.numerators.values())
 
     def check_iterate_diagonal(self, e: int) -> bool:
         """Two facts used by theta-stability of the quotient construction:

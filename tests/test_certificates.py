@@ -341,3 +341,18 @@ def test_certificate_grammar_fuzz(text):
     except ValueError:
         return
     assert isinstance(verdict, bool)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # Arabic-Indic 3 and 2, and a fullwidth 3, once read as digits
+        ("p = 2\ne = 1\nm = 2\ntarget = x^\u0663\ncofactor 0 = x^\u0662\n", "cannot parse"),
+        ("p = 2\ne = 1\nm = 2\ntarget = \uff13*x\n", "cannot parse"),
+        ("p = 2\ne = 1\nm = 2\ntarget = x  # caf\u00e9\n", "not ASCII"),
+        ("p = 2\ne = 1\nm\u00a0= 2\ntarget = x\n", "not ASCII"),
+    ],
+)
+def test_non_ascii_certificate_text_refused(text, message):
+    with pytest.raises(ValueError, match=message):
+        certificate_from_text(text)

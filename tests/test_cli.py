@@ -11,10 +11,15 @@ from nilcert.certificates import read_certificate, verify_certificate
 from nilcert.certificates import MAX_PRECISION
 from nilcert.cli import (
     MAX_DEGREE_CAP,
+    MAX_DIAGONAL_SIZE,
     MAX_PRIME,
     MAX_SPAN_LIMIT,
     MAX_TORSION,
     MAX_TRIALS,
+    RunConfig,
+    _diagonal_skip_reason,
+    build_parser,
+    config_from_args,
     main,
 )
 from nilcert import quotient
@@ -151,6 +156,32 @@ def test_axioms_skip_primes_beyond_the_degree_cap(capsys):
     assert code == 0 and "skipped:" not in out
     code, out, _ = run(["axioms", "--p", "3", "--trials", "1", "--degree-cap", "35"], capsys)
     assert code == 0 and "skipped: theta of psi" in out
+
+
+def test_iterates_skip_diagonals_beyond_the_size_bound(capsys):
+    # theta(f_n) forms f_n^p, measured as p^(2n) * (bits of p); (2, 12),
+    # the deepest check at cap 4096, measures 2^24 * 2, exactly the bound
+    assert MAX_DIAGONAL_SIZE == 2**25
+    assert _diagonal_skip_reason(2, 12) is None
+    assert _diagonal_skip_reason(1741, 1) is None
+    for p, n in ((2, 13), (61, 2), (2039, 1), (4093, 1)):
+        assert str(p ** (2 * n) * p.bit_length()) in _diagonal_skip_reason(p, n)
+    started = time.perf_counter()
+    code, out, _ = run(
+        ["iterates", "--p", "61", "--p", "4093", "--degree-cap", "4096", "--format", "machine"],
+        capsys,
+    )
+    assert time.perf_counter() - started < 5
+    assert code == 0
+    verdicts = {
+        (record["p"], name): verdict
+        for record in json.loads(out)["records"]
+        for name, verdict in record["verdicts"].items()
+    }
+    skips = {key for key, verdict in verdicts.items() if verdict.startswith("skipped:")}
+    assert skips == {(61, "diagonal_n2"), (4093, "diagonal_n1")}
+    assert all(verdicts[key] == "pass" for key in verdicts.keys() - skips)
+    assert len(verdicts) == 9
 
 
 def test_iterates_small_cap(capsys):
@@ -396,3 +427,75 @@ def test_write_failure_is_a_usage_error(tmp_path, monkeypatch, capsys):
         main(["verify", "--p", "2", "--e", "1", "--out-certs", str(tmp_path)])
     assert info.value.code == 2
     assert "Permission denied" in capsys.readouterr().err
+
+
+# flag -> (its argument, the RunConfig field it sets, the value set there);
+# the output paths are relative to the test's working directory
+FLAGS = {
+    "--p": ("3", "primes", [3]),
+    "--e": ("2", "depths", [2]),
+    "--extra-precision": ("2", "extra_precision", 2),
+    "--trials": ("3", "trials", 3),
+    "--seed": ("4", "seed", 4),
+    "--span-limit": ("64", "span_limit", 64),
+    "--degree-cap": ("8", "degree_cap", 8),
+    "--out-report": ("report.json", "out_report", "report.json"),
+    "--out-certs": ("certs", "out_certs", "certs"),
+    "--format": ("machine", "format", "machine"),
+}
+COMMAND_FLAGS = {
+    "axioms": {"--p", "--trials", "--seed", "--degree-cap", "--out-report", "--format"},
+    "iterates": {"--p", "--seed", "--degree-cap", "--out-report", "--format"},
+    "verify": {
+        "--p", "--e", "--extra-precision", "--seed", "--span-limit",
+        "--out-report", "--out-certs", "--format",
+    },
+}
+
+
+# the benchmark's rounds, then the CI runs
+SCRIPTED_COMMAND_LINES = [
+    ["verify", "--format", "machine", "--seed", "5", "--out-certs", "certs"],
+    ["iterates", "--format", "machine", "--seed", "5"],
+    ["axioms", "--format", "machine", "--seed", "5"],
+    ["iterates", "--p", "2", "--degree-cap", "4096", "--format", "machine"],
+    ["iterates", "--p", "61", "--p", "4093", "--degree-cap", "4096", "--format", "machine"],
+    ["axioms", "--p", "7", "--trials", "60", "--format", "machine"],
+    ["verify", "--p", "2", "--e", "6", "--format", "machine", "--out-certs", "deep"],
+    [
+        "verify", "--p", "2", "--e", "7", "--span-limit", "16384",
+        "--format", "machine", "--out-certs", "large",
+    ],
+    [
+        "verify", "--p", "7", "--p", "11", "--p", "13", "--e", "1", "--e", "2",
+        "--format", "machine", "--out-certs", "primes",
+    ],
+    ["verify", "--out-certs", "certs"],
+]
+
+
+def parsed_config(argv):
+    parser = build_parser()
+    return config_from_args(parser, parser.parse_args(argv))
+
+
+def test_each_command_accepts_only_the_flags_it_reads(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    defaults = RunConfig(primes=[2, 3, 5], depths=[])
+    for command, kept in COMMAND_FLAGS.items():
+        # a setting the command has no flag for keeps its RunConfig default
+        assert parsed_config([command]) == defaults
+        for flag in kept:
+            argument, name, value = FLAGS[flag]
+            assert getattr(parsed_config([command, flag, argument]), name) == value
+        for flag in FLAGS.keys() - kept:
+            started = time.perf_counter()
+            with pytest.raises(SystemExit) as info:
+                main([command, flag, FLAGS[flag][0]])
+            assert time.perf_counter() - started < 1
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments" in err and flag in err
+    for argv in SCRIPTED_COMMAND_LINES:
+        assert parsed_config(argv).format == ("machine" if "--format" in argv else "table")
+    assert not os.listdir(tmp_path)

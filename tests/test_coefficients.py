@@ -12,7 +12,6 @@ from nilcert.coefficients import (
     Modulus,
     is_prime,
     rational,
-    vp,
 )
 from nilcert.polynomials import RATIONALS, Polynomial
 from nilcert.theta import ThetaContext
@@ -20,43 +19,11 @@ from nilcert.theta import ThetaContext
 PRIMES = [2, 3, 5]
 
 
-def _valuation_oracle(n: int, p: int) -> int:
-    # largest k with p^k | n, found by direct divisibility probes
-    n = abs(n)
-    k = 0
-    while n % p**(k + 1) == 0:
-        k += 1
-    return k
-
-
 def test_is_prime_small():
     assert [q for q in range(2, 30) if is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
     assert not is_prime(0)
     assert not is_prime(-7)
-
-
-def test_vp_examples():
-    assert vp(12, 2) == 2
-    assert vp(1, 5) == 0
-    assert vp(250, 5) == 3
-    assert vp(250, 5) == _valuation_oracle(250, 5)
-    assert vp(-8, 2) == 3
-
-
-def test_vp_zero_rejected():
-    with pytest.raises(ValueError, match="zero"):
-        vp(0, 2)
-
-
-@given(
-    st.integers(min_value=-(10**9), max_value=10**9).filter(lambda n: n != 0),
-    st.integers(min_value=-(10**9), max_value=10**9).filter(lambda n: n != 0),
-    st.sampled_from(PRIMES),
-)
-def test_vp_multiplicative(a, b, p):
-    assert vp(a * b, p) == vp(a, p) + vp(b, p)
-    assert vp(a, p) == _valuation_oracle(a, p)
 
 
 def test_rational_normalization():
