@@ -40,9 +40,10 @@ from .theta import SAMPLE_DEGREE, ThetaContext, nilpotence_bound, random_polynom
 PASS, FAIL = "pass", "fail"
 
 # Largest accepted --degree-cap: `iterates --degree-cap 4096` takes about
-# 12 s at p = 2 and 14 s at p = 5 as a subprocess on a 2-core x86 host
-# with CPython 3.11 (2.1 s and 0.4 s at 2048).  MAX_DIAGONAL_SIZE keeps
-# other primes near that: 12.5 s at p = 47 and 13.6 s at p = 1741.
+# 10 s at p = 2 and 15 s at p = 5 as a subprocess on a 2-core x86 host
+# with CPython 3.11 (1.9 s and 0.4 s at 2048; medians of five to nine
+# runs, which spread by about 20%).  MAX_DIAGONAL_SIZE keeps other primes
+# near that: 16 s at p = 47 and 14 s at p = 1741.
 MAX_DEGREE_CAP = 4096
 
 # Largest accepted --p: a larger prime admits no iterate depth under the
@@ -55,7 +56,7 @@ MAX_PRIME = MAX_DEGREE_CAP
 MAX_SPAN_LIMIT = 2**14
 
 # Largest accepted --trials: one trial of axioms at p = 7 takes about
-# 0.024 s on the same host, so 1000 trials there take about 24 s.
+# 0.018 s on the same host, so 1000 trials there take about 18 s.
 MAX_TRIALS = 1000
 
 # Largest accepted |N| for `bound N`, whose trial division runs to sqrt(N).

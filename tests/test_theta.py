@@ -295,6 +295,91 @@ def test_check_iterate_diagonal():
     assert ThetaContext(5).check_iterate_diagonal(1)
 
 
+class _PerturbedImage(ThetaContext):
+    """psi off by p*y^(p^(n+1)) on iterate n only: a term of the right
+    weight, so only a comparison with an independently formed side sees it."""
+
+    def __init__(self, p, n):
+        super().__init__(p)
+        self.n = n
+
+    def psi(self, f):
+        image = super().psi(f)
+        if f == self.iterate_polynomial(self.n):
+            image = image + Polynomial.monomial(RATIONALS, 0, self.p ** (self.n + 1)).scale(self.p)
+        return image
+
+
+def test_a_perturbed_iterate_image_fails_substitution_and_diagonal():
+    for p, n in ((2, 3), (3, 2)):
+        assert not _PerturbedImage(p, n).check_iterate_substitution(n + 1)
+        assert not _PerturbedImage(p, n).check_iterate_diagonal(n)
+        # one context in the order iterates runs them, sharing the image
+        ctx = _PerturbedImage(p, n)
+        assert ctx.check_iterate_substitution(n)
+        assert ctx.check_iterate_diagonal(n - 1)
+        assert not ctx.check_iterate_diagonal(n)
+        assert not ctx.check_iterate_substitution(n + 1)
+        assert ctx.check_iterate_diagonal(n + 1)
+
+
+def test_a_skewed_theta_fails_the_identities_that_read_it():
+    rng = random.Random(19)
+    error = Polynomial.constant(RATIONALS, LocalizedRational(1, 7))
+    for p in (2, 3):
+        f, g = random_polynomial(rng, p), random_polynomial(rng, p)
+
+        class Skewed(ThetaContext):
+            def theta(self, h):
+                # a p-integral error on theta(f) alone
+                return super().theta(h) + error if h == f else super().theta(h)
+
+        report = Skewed(p).check_theta_axioms(f, g)
+        assert [name for name, _, _ in report.failures] == [
+            "theta_sum",
+            "theta_product",
+            "theta_psi_commute",
+        ]
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends its (self, argument) pair."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(self, argument):
+        calls.append((self, argument))
+        return original(self, argument)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_iterate_checks_form_each_power_and_image_once(monkeypatch):
+    images = _count_calls(monkeypatch, ThetaContext, "psi")
+    powers = _count_calls(monkeypatch, Polynomial, "__pow__")
+    ctx = ThetaContext(2)
+    for n in range(1, 7):
+        assert ctx.check_iterate_substitution(n)
+        assert ctx.check_iterate_power_congruence(n)
+        assert ctx.check_iterate_diagonal(n)
+    assert len(images) == len(powers) == 7
+    assert all(f is ctx.iterate_polynomial(n) for n, (_, f) in enumerate(images))
+    assert all(f is ctx.iterate_polynomial(n) and k == 2 for n, (f, k) in enumerate(powers))
+
+
+def test_axiom_check_operator_call_counts(monkeypatch):
+    images = _count_calls(monkeypatch, ThetaContext, "psi")
+    quotients = _count_calls(monkeypatch, ThetaContext, "theta")
+    rng = random.Random(4)
+    f, g = random_polynomial(rng, 3), random_polynomial(rng, 3)
+    assert ThetaContext(3).check_theta_axioms(f, g)
+    # theta of 1, f, g, f + g, f*g and psi(f); psi inside each of them,
+    # then of f, g, theta(f), f + g and f*g
+    assert len(quotients) == 6
+    assert len(images) == 11
+
+
 def test_nilpotence_bound_values():
     assert nilpotence_bound(12) == 6
     assert nilpotence_bound(2) == 3
