@@ -9,7 +9,8 @@ LocalizedRational is the only coefficient class: a fraction in lowest
 terms that compares, hashes, prints and multiplies by a scalar, but does
 not add.  A polynomial computes on integer numerators over one
 denominator (see the polynomials module), so fractions appear only where
-coefficients come in (parsing, scalars) or are read out (the terms view).
+coefficients come in (parsing, the scalar of Polynomial.scale or
+Polynomial.constant) or are read out (the terms view).
 rational(), the one constructor of rational values, returns a plain int
 when the reduced denominator is 1 and a LocalizedRational otherwise.
 

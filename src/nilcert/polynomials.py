@@ -13,6 +13,11 @@ scalar multiple and reduce_mod each hand it integer numerators over a
 denominator, and over a Modulus it multiplies them by the inverse of the
 denominator mod p^m.
 
+The operators +, -, * and == take polynomials only, both over one ring:
+a scalar enters through f.scale(c) or Polynomial.constant(ring, c), and
+mixing in an int or a LocalizedRational raises TypeError (== is False),
+so equal values always hash equal.  not f tests for zero.
+
 Arithmetic runs on the numerators: a sum over the lcm of the two
 denominators, a product over da*db and a power over d^k, each leaving
 through from_numerators.  A large integer product goes through one
@@ -274,9 +279,6 @@ class Polynomial:
 
     # ---- structure ----
 
-    def is_zero(self) -> bool:
-        return not self.numerators
-
     def __bool__(self):
         return bool(self.numerators)
 
@@ -307,8 +309,6 @@ class Polynomial:
     def _combine(self, other, sign: int) -> "Polynomial":
         """self + sign*other, in one pass over the numerators scaled to
         the lcm of the two denominators."""
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.ring, other)
         self._check_ring(other)
         da, db = self.denominator, other.denominator
         d = math.lcm(da, db)
@@ -328,31 +328,24 @@ class Polynomial:
         return from_numerators(self.ring, out, d)
 
     def __add__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return self._combine(other, 1)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return self._combine(other, -1)
-
-    def __rsub__(self, other):
-        return Polynomial.constant(self.ring, other)._combine(self, -1)
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            return self.scale(other)
+            return NotImplemented
         self._check_ring(other)
         return from_numerators(
             self.ring,
             _product(self.numerators, other.numerators),
             self.denominator * other.denominator,
         )
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def scale(self, c):
         """Multiply every coefficient by the scalar c."""
@@ -386,13 +379,7 @@ class Polynomial:
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
-            if isinstance(other, (int, LocalizedRational)):
-                try:
-                    other = Polynomial.constant(self.ring, other)
-                except (TypeError, ValueError):
-                    return NotImplemented
-            else:
-                return NotImplemented
+            return NotImplemented
         return (
             self.ring == other.ring
             and self.denominator == other.denominator
@@ -410,7 +397,7 @@ class Polynomial:
         self._check_ring(second)
         total = Polynomial.zero(self.ring)
         for (i, j), c in sorted(self.terms.items()):
-            total = total + c * first**i * second**j
+            total = total + (first**i * second**j).scale(c)
         return total
 
     def reduce_mod(self, p: int, m: int) -> "Polynomial":

@@ -371,7 +371,7 @@ class MembershipModule:
                 ok = ok and theta_g == Polynomial.monomial(RATIONALS, 0, p**e)
                 ok = ok and psi_g == iterates[e + 1]
             else:
-                ok = ok and theta_g.is_zero()
+                ok = ok and not theta_g
         return ok
 
     def verify_iterate_torsion(self, k: int) -> bool:
@@ -469,8 +469,9 @@ def brute_force_membership_oracle(p: int, e: int, m: int, f: Polynomial) -> bool
         raise ValueError("oracle guard: instance too large to enumerate")
     n = p**m
     block = p**e
-    top = ThetaContext(p).iterate_polynomial(e)
-    tail = (Polynomial.monomial(RATIONALS, block, 0) - top).reduce_mod(p, m).terms
+    generators = standard_generators(p, e)
+    # generators[e] is g_e = f_e, monic of degree p^e in x
+    tail = (Polynomial.monomial(RATIONALS, block, 0) - generators[e]).reduce_mod(p, m).terms
 
     def oracle_reduce(terms: dict) -> tuple:
         terms = {key: value % n for key, value in terms.items() if value % n}
@@ -501,7 +502,7 @@ def brute_force_membership_oracle(p: int, e: int, m: int, f: Polynomial) -> bool
         return oracle_reduce(terms)
 
     seeds = []
-    for g in standard_generators(p, e):
+    for g in generators:
         reduced = oracle_reduce(g.reduce_mod(p, m).terms)
         if any(reduced):
             seeds.append(reduced)

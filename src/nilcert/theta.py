@@ -59,12 +59,8 @@ class AxiomReport:
         if not ok:
             self.failures.append((name, lhs.to_text(), rhs.to_text()))
 
-    @property
-    def all_hold(self) -> bool:
-        return all(self.identities.values())
-
     def __bool__(self):
-        return self.all_hold
+        return all(self.identities.values())
 
 
 class ThetaContext:

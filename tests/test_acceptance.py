@@ -88,7 +88,7 @@ def test_criterion_4_operator_axioms():
             try:
                 f = random_polynomial(rng, p)
                 g = random_polynomial(rng, p)
-                ok = ok and ctx.check_theta_axioms(f, g).all_hold
+                ok = ok and bool(ctx.check_theta_axioms(f, g))
                 ok = ok and ctx.check_theta_of_p_multiple(random_polynomial(rng, p))
             except ValueError:
                 division_errors += 1

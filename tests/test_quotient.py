@@ -203,7 +203,7 @@ def test_fragments_account_for_reduction(f):
     module = module_for(2, 1, 3)
     terms, fragments = module.rewrite.reduce(f)
     rebuilt = expand(module, fragments) + Polynomial(module.modulus, terms).lift()
-    assert (f - rebuilt).reduce_mod(2, 3).is_zero()
+    assert not (f - rebuilt).reduce_mod(2, 3)
 
 
 @given(f=small_polys)
@@ -212,7 +212,7 @@ def test_fragments_account_for_reduction_odd(f):
     module = module_for(3, 1, 2)
     terms, fragments = module.rewrite.reduce(f)
     rebuilt = expand(module, fragments) + Polynomial(module.modulus, terms).lift()
-    assert (f - rebuilt).reduce_mod(3, 2).is_zero()
+    assert not (f - rebuilt).reduce_mod(3, 2)
 
 
 @pytest.mark.parametrize("a", range(0, 4))

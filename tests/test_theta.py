@@ -21,11 +21,12 @@ def test_context_requires_prime():
 
 def test_psi_on_generators():
     ctx = ThetaContext(2)
-    assert ctx.psi(X) == X**2 - 2 * Y
+    five = Polynomial.constant(RATIONALS, 5)
+    assert ctx.psi(X) == X**2 - Y.scale(2)
     assert ctx.psi(Y) == Y**2
-    assert ctx.psi(Polynomial.constant(RATIONALS, 5)) == 5
+    assert ctx.psi(five) == five
     ctx3 = ThetaContext(3)
-    assert ctx3.psi(X) == X**3 - 3 * Y
+    assert ctx3.psi(X) == X**3 - Y.scale(3)
 
 
 def test_psi_iterate():
@@ -94,7 +95,7 @@ def test_theta_on_generators():
     for p in (2, 3, 5):
         ctx = ThetaContext(p)
         assert ctx.theta(X) == Y
-        assert ctx.theta(Y).is_zero()
+        assert not ctx.theta(Y)
 
 
 def test_theta_of_prime_constant():
@@ -103,12 +104,14 @@ def test_theta_of_prime_constant():
         ctx = ThetaContext(p)
         expected = (p**p - p) // p  # (p^p - psi(p)) / p with psi(p) = p
         assert expected == p ** (p - 1) - 1
-        assert ctx.theta(Polynomial.constant(RATIONALS, p)) == expected
+        assert ctx.theta(Polynomial.constant(RATIONALS, p)) == Polynomial.constant(
+            RATIONALS, expected
+        )
 
 
 def test_theta_frozen_example():
     ctx = ThetaContext(2)
-    assert ctx.theta(X**2 - 2 * Y) == Y**2
+    assert ctx.theta(X**2 - Y.scale(2)) == Y**2
 
 
 def test_theta_division_multiplies_back():
@@ -175,7 +178,7 @@ def test_scaled_binomial():
 def test_axioms_on_generators():
     for p in (2, 3):
         report = ThetaContext(p).check_theta_axioms(X, Y)
-        assert report.all_hold, report.failures
+        assert report, report.failures
         assert set(report.identities) == {
             "theta_one",
             "theta_sum",
@@ -194,21 +197,20 @@ def test_axioms_on_random_pairs():
             f = random_polynomial(rng, p)
             g = random_polynomial(rng, p)
             report = ctx.check_theta_axioms(f, g)
-            assert report.all_hold, (p, report.failures)
+            assert report, (p, report.failures)
 
 
 def test_axiom_report_records_failures():
     report = ThetaContext(2).check_theta_axioms(X, Y)
     report.record("broken", X, Y)
-    assert not report.all_hold
+    assert not report
     assert report.failures == [("broken", "x", "y")]
-    assert not bool(report)
 
 
 def test_theta_of_p_multiple():
     ctx = ThetaContext(2)
     # frozen instance: both sides equal x^2 + 2*y for b = x at p = 2
-    assert ctx.theta((2 * X)) == Polynomial.parse("x^2 + 2*y", RATIONALS)
+    assert ctx.theta(X.scale(2)) == Polynomial.parse("x^2 + 2*y", RATIONALS)
     assert ctx.check_theta_of_p_multiple(X)
     assert ctx.check_theta_of_p_multiple(Polynomial.zero(RATIONALS))
     rng = random.Random(5)
@@ -223,11 +225,11 @@ def test_iterate_polynomial_first_members():
     s = Polynomial.monomial(RATIONALS, 1, 0)
     t = Polynomial.monomial(RATIONALS, 0, 1)
     assert ctx.iterate_polynomial(0) == s
-    assert ctx.iterate_polynomial(1) == s**2 - 2 * t
+    assert ctx.iterate_polynomial(1) == s**2 - t.scale(2)
     f2 = ctx.iterate_polynomial(2)
     assert f2.to_text(names=("s", "t")) == "s^4 - 4*s^2*t + 2*t^2"
     ctx3 = ThetaContext(3)
-    assert ctx3.iterate_polynomial(1) == s**3 - 3 * t
+    assert ctx3.iterate_polynomial(1) == s**3 - t.scale(3)
     # (s^3 - 3t)^3 - 3t^3, expanded by hand
     assert ctx3.iterate_polynomial(2) == Polynomial.parse(
         "s^9 - 9*s^6*t + 27*s^3*t^2 - 30*t^3", RATIONALS, names=("s", "t")
