@@ -56,8 +56,8 @@ from .certificates import Certificate, standard_generators, verify_certificate
 from .coefficients import Modulus
 from .howell import HowellBasis, _check_modulus, howell_complete
 
-# not called here any more; kept importable by this name, which
-# perfbench/tracing.py wraps
+# never called by the build, which takes its origins from howell_complete;
+# importable here because perfbench/tracing.py wraps it by this name
 from .howell import howell_spanning_subset  # noqa: F401
 from .polynomials import RATIONALS, Polynomial
 from .theta import ThetaContext
@@ -151,9 +151,9 @@ def _add_into(bucket: dict, terms: dict, scale: int, n: int, di: int = 0, dj: in
             bucket.pop(key, None)
 
 
-def _class_vector(terms: dict, low: int, width: int) -> np.ndarray:
+def _class_vector(terms: dict, low: int, width: int) -> list:
     """Span terms {(i, j): c}, all of one weight, as a class-local vector."""
-    vector = np.zeros(width, dtype=np.int64)
+    vector = [0] * width
     for (_, j), value in terms.items():
         vector[j - low] = value
     return vector
@@ -183,14 +183,17 @@ class _WeightClass:
     low is the smallest y-degree in the class, so column k holds the
     monomial of y-degree low + k.  keys are the atoms (n, a, b), each the
     reduction of x^a y^b * g_n; basis is the Howell form of their vectors
-    over those columns, which are not kept, with
-    basis.matrix = transform @ (the keys' class vectors) mod p^m.
+    over those columns, which are not kept.  origins are the ascending
+    indices into keys of the atoms the basis is built from, and
+    basis.matrix[i] = sum over k of transform[i][k] times the class vector
+    of keys[origins[k]], mod p^m; every other atom has weight zero.
     """
 
     low: int
     keys: tuple
     basis: HowellBasis
-    transform: np.ndarray
+    origins: tuple
+    transform: tuple
 
 
 class GradedBasis(dict):
@@ -234,8 +237,14 @@ def _build_class(rewrite: RewriteSystem, weight: int):
             vectors.append(_class_vector(terms, low, width))
     if not keys:
         return None
-    class_basis, transform = howell_complete(np.vstack(vectors), rewrite.modulus)
-    return _WeightClass(low=low, keys=tuple(keys), basis=class_basis, transform=transform)
+    # the one numpy call left in this module: perfbench/tracing.py's hook
+    # on howell_complete reads rows.shape and rows.ndim of this argument
+    class_basis, origins, transform = howell_complete(
+        np.array(vectors, dtype=np.int64), rewrite.modulus
+    )
+    return _WeightClass(
+        low=low, keys=tuple(keys), basis=class_basis, origins=origins, transform=transform
+    )
 
 
 class MembershipModule:
@@ -298,20 +307,27 @@ class MembershipModule:
             residue, coefficients = weight_class.basis.reduce(
                 _class_vector(part, low, weight_class.basis.ncols)
             )
-            for k in np.flatnonzero(residue):
-                remainder[(weight - p * (low + int(k)), low + int(k))] = int(residue[k])
+            for k, value in enumerate(residue):
+                if value:
+                    remainder[(weight - p * (low + k), low + k)] = value
             solved.append((weight_class, coefficients))
         if remainder:
             witness = ResidueWitness(polynomial=Polynomial(self.modulus, remainder))
             return MembershipResult(member=False, witness=witness)
         # an atom (index, a, b) of weight w is the cofactor w * x^a y^b on
-        # g_index; the rest of the span part must rewrite to credits only
+        # g_index; the rest of the span part must rewrite to credits only.
+        # Only the origins carry weight, and they are taken in key order
         for weight_class, coefficients in solved:
-            atom_weights = (coefficients @ weight_class.transform) % n
-            for (index, a, b), weight in zip(weight_class.keys, atom_weights):
+            atom_weights = [0] * len(weight_class.origins)
+            for coefficient, row in zip(coefficients, weight_class.transform):
+                if coefficient:
+                    atom_weights = [w + coefficient * t for w, t in zip(atom_weights, row)]
+            for origin, weight in zip(weight_class.origins, atom_weights):
+                weight %= n
                 if weight:
-                    combined.setdefault(index, {})[(a, b)] = int(weight)
-                    _add_into(terms, self.rewrite.generator_terms[index], -int(weight), n, a, b)
+                    index, a, b = weight_class.keys[origin]
+                    combined.setdefault(index, {})[(a, b)] = weight
+                    _add_into(terms, self.rewrite.generator_terms[index], -weight, n, a, b)
         left, credits = self.rewrite._reduce_terms(terms)
         if left:
             raise AssertionError("atom multiples do not account for the span part")
@@ -429,17 +445,19 @@ def build_membership_module(
 
     span_limit bounds the monomial span p^(2e); exceeding it raises
     ValueError before any other work, so callers can turn resource
-    overruns into skip verdicts.  A precision the int64 arithmetic cannot
-    hold is refused the same way: p^m must stay below
-    howell.INT64_MODULUS_LIMIT, and p^(e-1) * (p^m)^2 below 2^63.  Past
-    these checks and the rewrite system's own, no atom is built here.
+    overruns into skip verdicts.  Two precision bounds are refused the
+    same way: p^m must stay below howell.INT64_MODULUS_LIMIT, and
+    p^(e-1) * (p^m)^2 below 2^63.  Past these checks and the rewrite
+    system's own, no atom is built here.
 
     One elimination per weight class, on the class's first touch: the
     atoms of weight w are reduced over that class's at most p^(e-1)
     columns by howell_complete, whose transforms later weight the atoms
-    of a certificate.  A Howell basis has at most one row per column, and
-    combining a certificate sums one product of two residues below p^m
-    per class basis row, which is what the second bound keeps below 2^63.
+    of a certificate.  The elimination and the weighting run on Python
+    ints and cannot overflow; the second bound is the int64 one for
+    summing, per class basis row, one product of two residues below p^m.
+    Both bounds stay, so the same cells are refused with the same
+    messages, until numpy leaves the package.
     """
     if span_limit is not None:
         # p^(2e) >= 2^e > span_limit once e reaches its bit length, so an
@@ -456,9 +474,16 @@ def build_membership_module(
     return MembershipModule(RewriteSystem(p, e, m))
 
 
+# the most elements the oracle's closure may hold; the admitted cells
+# other than (2, 2, 3) and (2, 2, 4) stay at or below 729
+ORACLE_CLOSURE_LIMIT = 4096
+
+
 def brute_force_membership_oracle(p: int, e: int, m: int, f: Polynomial) -> bool:
     """Decide membership by enumerating T outright.  Desk-scale guard:
-    refuses unless p^(2e) <= 16 and p^m <= 16.
+    refuses unless p^(2e) <= 16 and p^m <= 16, and raises ValueError as
+    soon as the closure holds more than ORACLE_CLOSURE_LIMIT elements
+    (|T| is 2^22 at (2, 2, 3) and 2^37 at (2, 2, 4)).
 
     This is a deliberately independent second route: the reduction loop
     and the closure are rewritten here against the definition (breadth
@@ -521,6 +546,10 @@ def brute_force_membership_oracle(p: int, e: int, m: int, f: Polynomial) -> bool
                     tuple((a + scalar * b) % n for a, b in zip(existing, candidate))
                 )
         elements |= additions
+        if len(elements) > ORACLE_CLOSURE_LIMIT:
+            raise ValueError(
+                f"oracle guard: the closure passed {ORACLE_CLOSURE_LIMIT} elements"
+            )
         worklist.append(shift(candidate, 1, 0))
         worklist.append(shift(candidate, 0, 1))
 

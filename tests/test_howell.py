@@ -2,19 +2,21 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilcert import quotient
 from nilcert.coefficients import Modulus
 from nilcert.howell import (
-    HowellBasis,
     howell_complete,
     howell_form,
     howell_spanning_subset,
 )
+from nilcert.quotient import build_membership_module
 
 
 def _span_set(rows, n):
@@ -30,84 +32,222 @@ def _span_set(rows, n):
     return out
 
 
+def _combine(coefficients, rows, n):
+    """sum of coefficients[k] * rows[k] mod n, as a list."""
+    total = [0] * len(rows[0])
+    for c, row in zip(coefficients, rows):
+        total = [(t + c * x) % n for t, x in zip(total, row)]
+    return total
+
+
+def _transform_image(transform, origins, rows, n):
+    """The rows the transform makes of the origin rows, as int tuples."""
+    origin_rows = [rows[k] for k in origins]
+    return tuple(tuple(_combine(coefficients, origin_rows, n)) for coefficients in transform)
+
+
+def _single_pass_elimination(rows, n, ncols):
+    """One tracked elimination over every row, the reference for the two
+    passes.
+
+    An identity block as wide as the input rides to the right of every row
+    through one elimination over all rows, zero rows and annihilator rows
+    included.  Returns (matrix, pivots as (column, p^k), transform), the
+    transform dense over every input row.
+    """
+    nrows = len(rows)
+    work = [
+        [x % n for x in row] + [int(k == index) for k in range(nrows)]
+        for index, row in enumerate(rows)
+    ]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(work):
+            break
+        gcds = [gcd(row[c], n) for row in work[r:]]
+        pk = min(gcds)
+        if pk == n:
+            continue
+        best = r + gcds.index(pk)
+        work[r], work[best] = work[best], work[r]
+        unit = work[r][c] // pk
+        if unit != 1:
+            inverse = pow(unit, -1, n)
+            work[r] = [x * inverse % n for x in work[r]]
+        # every row is zero left of c from r down, and the pivot row too
+        tail = work[r][c:]
+        for index, row in enumerate(work):
+            factor = row[c] // pk
+            if index != r and factor:
+                row[c:] = [(x - factor * y) % n for x, y in zip(row[c:], tail)]
+        if pk > 1:
+            annihilator = [x * (n // pk) % n for x in tail]
+            if any(annihilator[: ncols - c]):
+                work.append([0] * c + annihilator)
+        pivots.append((c, pk))
+        r += 1
+    return (
+        [row[:ncols] for row in work[:r]],
+        pivots,
+        [row[ncols:] for row in work[:r]],
+    )
+
+
+def _assert_matches_single_pass(rows, modulus, ncols, complete=None):
+    """howell_complete, or its result complete, equals the one-pass
+    elimination entry for entry: matrix, pivots, and the transform
+    densified over every input row."""
+    n = modulus.value
+    matrix, pivots, dense = _single_pass_elimination(rows, n, ncols)
+    basis, origins, transform = complete or howell_complete(rows, modulus)
+    assert [list(row) for row in basis.matrix] == matrix
+    assert list(zip(basis.pivot_columns, basis.pivot_values)) == pivots
+    densified = []
+    for row in transform:
+        full = [0] * len(rows)
+        for origin, value in zip(origins, row):
+            full[origin] = value
+        densified.append(full)
+    assert densified == dense
+    if complete is None:
+        assert howell_form(rows, modulus) == basis
+        assert howell_spanning_subset(rows, modulus) == (basis, list(origins))
+
+
+def _random_rows(rng, p, m, nrows, ncols):
+    """Rows mixing random residues with zero rows, zero columns and rows
+    of multiples of p, which make annihilator rows."""
+    n = p**m
+    zero_columns = {k for k in range(ncols) if rng.random() < 0.2}
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([0] * ncols)
+            continue
+        scale = p ** rng.randrange(1, m) if kind < 0.6 and m > 1 else 1
+        density = rng.choice((0.3, 0.7, 1.0))
+        rows.append(
+            [
+                0 if k in zero_columns or rng.random() > density else scale * rng.randrange(n) % n
+                for k in range(ncols)
+            ]
+        )
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_two_passes_match_the_single_pass_elimination(p):
+    rng = random.Random(f"two-pass:{p}")
+    for _ in range(150):
+        m = rng.randint(1, 4)
+        nrows, ncols = rng.randint(0, 12), rng.randint(1, 8)
+        rows = _random_rows(rng, p, m, nrows, ncols)
+        _assert_matches_single_pass(rows, Modulus(p, m), ncols)
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 5, 6), (5, 3, 4)])
+def test_two_passes_match_on_every_class(monkeypatch, p, e, m):
+    # the class matrices of a fully built module: wide, redundant, and
+    # rich in rows that fall to zero
+    seen = []
+    inner = quotient.howell_complete
+
+    def recorded(rows, modulus):
+        result = inner(rows, modulus)
+        seen.append((rows.tolist(), result))
+        return result
+
+    monkeypatch.setattr(quotient, "howell_complete", recorded)
+    module = build_membership_module(p, e, m)
+    classes = module.basis
+    assert len(seen) == len(classes)
+    for rows, result in seen:
+        _assert_matches_single_pass(rows, module.modulus, len(rows[0]), result)
+
+
 def test_annihilator_row_is_found():
     # span of (2, 1) over Z/4 contains (0, 2); naive echelon misses it
     mod = Modulus(2, 2)
-    basis = howell_form(np.array([[2, 1]]), mod)
-    assert basis.matrix.tolist() == [[2, 1], [0, 2]]
+    basis = howell_form([[2, 1]], mod)
+    assert basis.matrix == ((2, 1), (0, 2))
     assert basis.pivot_columns == (0, 1)
     assert basis.pivot_values == (2, 2)
-    assert not basis.reduce(np.array([0, 2]))[0].any()
-    assert basis.reduce(np.array([1, 0]))[0].any()
-    assert basis.reduce(np.array([0, 1]))[0].any()
+    assert not any(basis.reduce([0, 2])[0])
+    assert any(basis.reduce([1, 0])[0])
+    assert any(basis.reduce([0, 1])[0])
 
 
 def test_identity_like_input():
     mod = Modulus(2, 3)
-    basis = howell_form(np.array([[1, 2], [0, 4]]), mod)
-    assert basis.matrix.tolist() == [[1, 2], [0, 4]]
+    basis = howell_form([[1, 2], [0, 4]], mod)
+    assert basis.matrix == ((1, 2), (0, 4))
     assert basis.rank == 2
 
 
 def test_unit_normalization():
     # 3 is a unit mod 4; the canonical form rescales it away
     mod = Modulus(2, 2)
-    basis = howell_form(np.array([[3, 1]]), mod)
-    assert basis.matrix.tolist() == [[1, 3]]
+    basis = howell_form([[3, 1]], mod)
+    assert basis.matrix == ((1, 3),)
 
 
 def test_zero_rows_dropped():
     mod = Modulus(3, 2)
-    basis = howell_form(np.array([[0, 0, 0], [3, 0, 6]]), mod)
+    basis = howell_form([[0, 0, 0], [3, 0, 6]], mod)
     # 3 * (3, 0, 6) vanishes mod 9, so no annihilator row survives
     assert basis.rank == 1
-    assert basis.matrix.tolist() == [[3, 0, 6]]
+    assert basis.matrix == ((3, 0, 6),)
 
 
 def test_reduce_coefficients_reconstruct():
     mod = Modulus(2, 3)
-    rows = np.array([[2, 1, 0], [0, 4, 2]])
-    basis, transform = howell_complete(rows, mod)
-    assert np.array_equal(basis.matrix, transform @ rows % 8)
+    rows = [[2, 1, 0], [0, 4, 2]]
+    basis, origins, transform = howell_complete(rows, mod)
+    assert basis.matrix == _transform_image(transform, origins, rows, 8)
     rng = random.Random(3)
     for _ in range(20):
-        coeffs = np.array([rng.randrange(8) for _ in range(2)])
-        vector = coeffs @ rows % 8
+        vector = _combine([rng.randrange(8) for _ in range(2)], rows, 8)
         residue, reduced_coeffs = basis.reduce(vector)
-        assert not residue.any()
-        assert np.array_equal(reduced_coeffs @ basis.matrix % 8, vector)
+        assert residue == [0, 0, 0]
+        assert _combine(reduced_coeffs, basis.matrix, 8) == vector
 
 
 def test_residue_is_canonical_on_cosets():
     mod = Modulus(2, 2)
-    basis = howell_form(np.array([[2, 1, 3]]), mod)
-    v = np.array([1, 1, 0])
-    member = np.array([2, 1, 3])
+    basis = howell_form([[2, 1, 3]], mod)
+    v = [1, 1, 0]
+    member = [2, 1, 3]
     r1, _ = basis.reduce(v)
-    r2, _ = basis.reduce((v + member) % 4)
-    assert np.array_equal(r1, r2)
-    assert r1.any()
+    r2, _ = basis.reduce([(a + b) % 4 for a, b in zip(v, member)])
+    assert r1 == r2
+    assert any(r1)
 
 
 def test_vector_length_checked():
     mod = Modulus(2, 2)
-    basis = howell_form(np.array([[2, 1]]), mod)
+    basis = howell_form([[2, 1]], mod)
     with pytest.raises(ValueError, match="length"):
-        basis.reduce(np.array([1, 2, 3]))
+        basis.reduce([1, 2, 3])
+    with pytest.raises(ValueError, match="differ in length"):
+        howell_form([[2, 1], [1]], mod)
 
 
 def test_modulus_size_guard():
     with pytest.raises(ValueError, match="too large"):
-        howell_form(np.array([[1]]), Modulus(2, 31))
+        howell_form([[1]], Modulus(2, 31))
 
 
 def test_empty_input():
+    # an array keeps its width without rows
     mod = Modulus(2, 2)
     basis = howell_form(np.zeros((0, 4), dtype=np.int64), mod)
     assert basis.rank == 0
-    residue, coeffs = basis.reduce(np.array([1, 0, 0, 0]))
-    assert residue.any()
-    assert coeffs.size == 0
+    assert basis.ncols == 4
+    residue, coeffs = basis.reduce([1, 0, 0, 0])
+    assert residue == [1, 0, 0, 0]
+    assert coeffs == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,10 +262,10 @@ def test_membership_matches_enumeration(pm, nrows, seed):
     width = 3
     rng = random.Random(seed)
     rows = [[rng.randrange(n) for _ in range(width)] for _ in range(nrows)]
-    basis = howell_form(np.array(rows), Modulus(p, m))
+    basis = howell_form(rows, Modulus(p, m))
     expected = _span_set(rows, n)
     for vec in product(range(n), repeat=width):
-        member = not basis.reduce(np.array(vec))[0].any()
+        member = not any(basis.reduce(vec)[0])
         assert member == (vec in expected), (rows, vec)
 
 
@@ -141,19 +281,18 @@ def test_canonical_under_regeneration(pm, nrows, seed):
     n = p**m
     width = 4
     rng = random.Random(seed)
-    rows = np.array([[rng.randrange(n) for _ in range(width)] for _ in range(nrows)])
+    rows = [[rng.randrange(n) for _ in range(width)] for _ in range(nrows)]
     basis = howell_form(rows, Modulus(p, m))
     regenerated = []
     for _ in range(nrows + 2):
-        coeffs = [rng.randrange(n) for _ in range(nrows)]
-        regenerated.append([int(x) for x in (np.array(coeffs) @ rows) % n])
+        regenerated.append(_combine([rng.randrange(n) for _ in range(nrows)], rows, n))
     # keep the original span reachable: include unit multiples of each row
     for row in rows:
         unit = rng.choice([u for u in range(1, n) if u % p != 0])
-        regenerated.append([int(x) for x in (unit * row) % n])
+        regenerated.append([unit * x % n for x in row])
     rng.shuffle(regenerated)
-    other = howell_form(np.array(regenerated), Modulus(p, m))
-    assert np.array_equal(basis.matrix, other.matrix)
+    other = howell_form(regenerated, Modulus(p, m))
+    assert basis.matrix == other.matrix
     assert basis.pivot_columns == other.pivot_columns
     assert basis.pivot_values == other.pivot_values
 
@@ -168,12 +307,20 @@ def test_transform_identity(pm, nrows, seed):
     p, m = pm
     n = p**m
     rng = random.Random(seed)
-    rows = np.array([[rng.randrange(n) for _ in range(5)] for _ in range(nrows)])
-    basis, transform = howell_complete(rows, Modulus(p, m))
-    assert transform.shape == (basis.rank, nrows)
-    assert np.array_equal(basis.matrix, transform @ rows % n)
-    # and the transform route agrees with the plain route
-    assert np.array_equal(basis.matrix, howell_form(rows, Modulus(p, m)).matrix)
+    rows = [[rng.randrange(n) for _ in range(5)] for _ in range(nrows)]
+    basis, origins, transform = howell_complete(rows, Modulus(p, m))
+    assert list(origins) == sorted(set(origins))
+    assert all(0 <= k < nrows for k in origins)
+    assert [len(row) for row in transform] == [len(origins)] * basis.rank
+    assert basis.matrix == _transform_image(transform, origins, rows, n)
+    # and the transform route agrees with the plain route, also when the
+    # rows come in as an array
+    assert basis.matrix == howell_form(rows, Modulus(p, m)).matrix
+    assert howell_complete(np.array(rows, dtype=np.int64), Modulus(p, m)) == (
+        basis,
+        origins,
+        transform,
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,12 +346,12 @@ def test_spanning_subset_spans(pm, nrows, ncols, seed):
             rows.append(row)
         else:
             rows.append([rng.randrange(n) if rng.random() < 0.6 else 0 for _ in range(ncols)])
-    rows = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
     basis, indices = howell_spanning_subset(rows, Modulus(p, m))
     assert list(indices) == sorted(set(indices))
     assert all(0 <= k < nrows for k in indices)
     assert len(indices) <= basis.rank
-    again = howell_form(rows[list(indices)], Modulus(p, m))
-    assert np.array_equal(again.matrix, basis.matrix)
+    assert list(indices) == list(howell_complete(rows, Modulus(p, m))[1])
+    again = howell_form([rows[k] for k in indices], Modulus(p, m))
+    assert again.matrix == basis.matrix
     assert again.pivot_columns == basis.pivot_columns
     assert again.pivot_values == basis.pivot_values

@@ -5,12 +5,12 @@ before the engine existed; the brute-force oracle re-derives them by
 exhaustive enumeration along a second, independent code path.
 """
 
+import dataclasses
 import functools
 import hashlib
 import random
 import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,7 +53,7 @@ def class_terms(module, weight, local):
 def terms_vector(module, terms):
     """Span terms as one vector over the whole span, x^i y^j at j * p^e + i."""
     block = module.rewrite.block
-    vector = np.zeros(block**2, dtype=np.int64)
+    vector = [0] * block**2
     for (i, j), value in terms.items():
         vector[j * block + i] = value
     return vector
@@ -86,14 +86,15 @@ def span_basis(module):
             j = weight_class.low + column
             rows.append((j * block + weight - p * j, pivot, row, weight))
     rows.sort(key=lambda entry: entry[0])
-    matrix = np.zeros((len(rows), block**2), dtype=np.int64)
-    for index, (_, _, row, weight) in enumerate(rows):
-        matrix[index] = terms_vector(module, class_terms(module, weight, row))
     return HowellBasis(
         modulus=module.modulus,
-        matrix=matrix,
+        matrix=tuple(
+            tuple(terms_vector(module, class_terms(module, weight, row)))
+            for _, _, row, weight in rows
+        ),
         pivot_columns=tuple(entry[0] for entry in rows),
         pivot_values=tuple(entry[1] for entry in rows),
+        ncols=block**2,
     )
 
 
@@ -102,9 +103,7 @@ def global_basis(p, e, m):
     """One Howell form of all atom span vectors together: the single-basis
     route the graded build replaces, kept here as a reference."""
     module = module_for(p, e, m)
-    return howell_form(
-        np.vstack([span_vector(module, key) for key in module.atoms]), module.modulus
-    )
+    return howell_form([span_vector(module, key) for key in module.atoms], module.modulus)
 
 
 def expand(module, fragments):
@@ -238,15 +237,15 @@ def test_confluence_monomial_multiples_vanish(a, b):
 
 
 def test_basis_frozen_depth_one():
-    assert span_basis(module_for(2, 1, 2)).matrix.tolist() == [
-        [0, 2, 0, 0],  # 2x
-        [0, 0, 0, 2],  # 2xy
-    ]
-    assert span_basis(module_for(2, 1, 3)).matrix.tolist() == [
-        [0, 2, 0, 0],  # 2x
-        [0, 0, 4, 0],  # 4y
-        [0, 0, 0, 2],  # 2xy
-    ]
+    assert span_basis(module_for(2, 1, 2)).matrix == (
+        (0, 2, 0, 0),  # 2x
+        (0, 0, 0, 2),  # 2xy
+    )
+    assert span_basis(module_for(2, 1, 3)).matrix == (
+        (0, 2, 0, 0),  # 2x
+        (0, 0, 4, 0),  # 4y
+        (0, 0, 0, 2),  # 2xy
+    )
 
 
 def test_extra_precision_separates_cosets():
@@ -257,19 +256,30 @@ def test_extra_precision_separates_cosets():
 
 def test_atom_vectors_are_rewrites_of_their_keys():
     # a class keeps only its atom keys; certificates are derived from the
-    # keys, so the transform must carry the keys' rewrites onto the basis
+    # keys, so the transform must carry the origin keys' rewrites onto the
+    # basis
     for p, e, m in [(2, 1, 3), (2, 2, 3), (3, 2, 3)]:
         module = module_for(p, e, m)
+        n = module.modulus.value
         for weight, weight_class in module.basis.items():
             low, width = module.rewrite.weight_class(weight)
             assert low == weight_class.low
-            vectors = np.zeros((len(weight_class.keys), width), dtype=np.int64)
+            vectors = [[0] * width for _ in weight_class.keys]
             for row, key in enumerate(weight_class.keys):
                 for (i, j), value in key_terms(module, key).items():
                     assert i + p * j == weight
-                    vectors[row, j - low] = value
-            combined = (weight_class.transform @ vectors) % module.modulus.value
-            assert np.array_equal(combined, weight_class.basis.matrix)
+                    vectors[row][j - low] = value
+            origins = weight_class.origins
+            assert list(origins) == sorted(set(origins))
+            assert all(0 <= k < len(weight_class.keys) for k in origins)
+            combined = []
+            for coefficients in weight_class.transform:
+                assert len(coefficients) == len(origins)
+                total = [0] * width
+                for c, k in zip(coefficients, origins):
+                    total = [(t + c * x) % n for t, x in zip(total, vectors[k])]
+                combined.append(tuple(total))
+            assert tuple(combined) == weight_class.basis.matrix
 
 
 def test_corrupted_transform_breaks_the_certificate():
@@ -281,12 +291,13 @@ def test_corrupted_transform_breaks_the_certificate():
     row = weight_class.basis.matrix[0]
     target = Polynomial(module.modulus, class_terms(module, weight, row)).lift()
     _, coefficients = weight_class.basis.reduce(row)
-    assert coefficients.tolist() == [1] + [0] * (weight_class.basis.rank - 1)
+    assert coefficients == [1] + [0] * (weight_class.basis.rank - 1)
     result = module.is_member(target)
     assert result.member
     assert verify_certificate(result.certificate)
-    transform = weight_class.transform
-    transform[0, -1] = (transform[0, -1] + 1) % module.modulus.value
+    first, *rest = weight_class.transform
+    first = first[:-1] + ((first[-1] + 1) % module.modulus.value,)
+    module._classes[weight] = dataclasses.replace(weight_class, transform=(first, *rest))
     with pytest.raises(AssertionError, match="do not account"):
         module.is_member(target)
 
@@ -295,13 +306,13 @@ def test_basis_stable_under_atom_shuffling():
     module = module_for(2, 2, 3)
     vectors = [span_vector(module, key) for key in module.atoms]
     random.Random(7).shuffle(vectors)
-    shuffled = howell_form(np.vstack(vectors), module.modulus)
-    assert np.array_equal(shuffled.matrix, span_basis(module).matrix)
+    shuffled = howell_form(vectors, module.modulus)
+    assert shuffled.matrix == span_basis(module).matrix
 
 
 def weights_of(module, vector):
     block, p = module.rewrite.block, module.p
-    return {int(index) % block + p * (int(index) // block) for index in np.flatnonzero(vector)}
+    return {index % block + p * (index // block) for index, value in enumerate(vector) if value}
 
 
 # the acceptance grid at both of its precisions, plus the (5, 2) cell of
@@ -318,7 +329,7 @@ def test_weight_graded_basis_matches_global_elimination(p, e, m):
     for row in graded.matrix:
         assert len(weights_of(module, row)) == 1
     whole = global_basis(p, e, m)
-    assert np.array_equal(whole.matrix, graded.matrix)
+    assert whole.matrix == graded.matrix
     assert whole.pivot_columns == graded.pivot_columns
     assert whole.pivot_values == graded.pivot_values
     assert module.basis.rank == whole.rank
@@ -359,12 +370,12 @@ def test_graded_queries_match_single_basis_route(p, e, m, data):
     terms, _ = module.rewrite.reduce(target)
     residue, _ = global_basis(p, e, m).reduce(terms_vector(module, terms))
     result = module.is_member(target)
-    assert result.member == (not residue.any())
+    assert result.member == (not any(residue))
     if result.member:
         assert verify_certificate(result.certificate)
     else:
         remainder = {
-            (index % module.rewrite.block, index // module.rewrite.block): int(value)
+            (index % module.rewrite.block, index // module.rewrite.block): value
             for index, value in enumerate(residue)
             if value
         }
@@ -381,19 +392,31 @@ def test_deep_cells_build_and_certify(p, e):
 
 
 
+def dense_transform(weight_class):
+    """The class transform over every atom key, zero off the origins."""
+    rows = []
+    for coefficients in weight_class.transform:
+        row = [0] * len(weight_class.keys)
+        for origin, value in zip(weight_class.origins, coefficients):
+            row[origin] = value
+        rows.append(row)
+    return rows
+
+
 def class_digest(module):
     """sha256 over every weight class: low, Howell matrix, pivot columns
-    and values, transform and atom keys, in weight order."""
+    and values, transform over every atom key and atom keys, in weight
+    order."""
     digest = hashlib.sha256()
     for weight, weight_class in sorted(module.basis.items()):
         basis = weight_class.basis
         fields = (
             weight,
             weight_class.low,
-            basis.matrix.tolist(),
+            [list(row) for row in basis.matrix],
             basis.pivot_columns,
             basis.pivot_values,
-            weight_class.transform.tolist(),
+            dense_transform(weight_class),
             list(weight_class.keys),
         )
         digest.update(repr(fields).encode("ascii"))
@@ -624,6 +647,26 @@ def test_oracle_guard():
         brute_force_membership_oracle(2, 1, 5, X)
     with pytest.raises(ValueError):
         brute_force_membership_oracle(3, 2, 1, X)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_oracle_refuses_a_closure_past_its_limit(m):
+    # span 16 and modulus at most 16 pass the first guard, but |T| is 2^22
+    # at m = 3 and 2^37 at m = 4
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="closure passed 4096"):
+        brute_force_membership_oracle(2, 2, m, X**6)
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 1, 4), (2, 2, 2)])
+def test_oracle_answers_below_its_closure_limit(p, e, m):
+    # every cell the tests hand the oracle, and the largest admitted ones
+    # whose closure fits: |T| is 729 at (3, 1, 2) and 256 at the last two
+    module = module_for(p, e, m)
+    bound = p**e + p ** (e - 1)
+    for f in (X ** (bound - 1), X**bound, Y.scale(p), X * Y):
+        assert brute_force_membership_oracle(p, e, m, f) == module.is_member(f).member
 
 
 def test_oracle_agrees_on_hand_cases():
