@@ -22,7 +22,7 @@ from .coefficients import (
     is_prime,
     rational,
 )
-from .howell import HowellBasis, howell_complete, howell_form, howell_spanning_subset
+from .howell import HowellBasis, howell_complete, howell_spanning_subset
 from .polynomials import RATIONALS, Polynomial
 from .quotient import (
     MembershipModule,
@@ -54,7 +54,6 @@ __all__ = [
     "certificate_from_text",
     "certificate_to_text",
     "howell_complete",
-    "howell_form",
     "howell_spanning_subset",
     "is_prime",
     "nilpotence_bound",

@@ -20,9 +20,9 @@ everything the row module contains.
 
 The elimination runs in two passes.  The first eliminates the rows alone.
 It labels each row by its input index, or the k-th annihilator row by
-nrows + k, and records each pivot as a (column, label) pair; howell_form
-and howell_spanning_subset are this pass alone.  A basis row is the row
-first promoted into its slot plus multiples of earlier basis rows, and an
+nrows + k, and records each pivot as a (column, label) pair;
+howell_spanning_subset is this pass alone.  A basis row is the row first
+promoted into its slot plus multiples of earlier basis rows, and an
 annihilator row is a multiple of a basis row, so only the origins, the
 input rows among the pivot labels, ever reach the basis.  The second pass,
 in howell_complete, replays the recorded pivots on the origin rows alone,
@@ -30,10 +30,9 @@ with an identity block as wide as the number of origins to their right:
 the same steps on the same rows give the same basis, and the block becomes
 the transform over the origins.
 
-Rows are lists of Python ints in [0, p^m).  A 2-D integer array is accepted
-as input and read once into lists; nothing else here uses numpy.  Moduli
-must stay below 2^31, the bound of the int64 arithmetic this code used to
-run on, so every modulus refused before is still refused.
+Rows are lists of Python ints in [0, p^m), so any modulus is exact.  A 2-D
+array is accepted as input and read once into lists; nothing else here
+uses numpy.
 """
 
 from __future__ import annotations
@@ -43,14 +42,6 @@ from itertools import chain
 from math import gcd
 
 from .coefficients import Modulus
-
-INT64_MODULUS_LIMIT = 2**31
-
-
-def _check_modulus(modulus: Modulus) -> None:
-    if modulus.value >= INT64_MODULUS_LIMIT:
-        raise ValueError("modulus too large for int64 matrix arithmetic")
-
 
 @dataclass(frozen=True)
 class HowellBasis:
@@ -163,11 +154,10 @@ def _eliminate(pending: list, n: int, ncols: int, next_label: int, plan=None):
 def _first_pass(rows, modulus: Modulus):
     """(basis, input rows as reduced int lists, pivots as (column, label),
     ascending origins)."""
-    _check_modulus(modulus)
     n = modulus.value
     shape = getattr(rows, "shape", None)
     if shape is not None:
-        # a 2-D integer array: its width holds even without rows
+        # a 2-D array: its width holds even without rows
         ncols, rows = shape[1], rows.tolist()
     else:
         ncols = len(rows[0]) if len(rows) else 0
@@ -185,11 +175,6 @@ def _first_pass(rows, modulus: Modulus):
     )
     origins = sorted(label for _, label in pivots if label < len(work))
     return basis, work, pivots, origins
-
-
-def howell_form(rows, modulus: Modulus) -> HowellBasis:
-    """Canonical Howell basis of the row module spanned by rows."""
-    return _first_pass(rows, modulus)[0]
 
 
 def howell_spanning_subset(rows, modulus: Modulus):

@@ -52,9 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import Certificate, standard_generators, verify_certificate
+from .certificates import MAX_PRECISION, Certificate, standard_generators, verify_certificate
 from .coefficients import Modulus
-from .howell import HowellBasis, _check_modulus, howell_complete
+from .howell import HowellBasis, howell_complete
 
 # never called by the build, which takes its origins from howell_complete;
 # importable here because perfbench/tracing.py wraps it by this name
@@ -237,10 +237,10 @@ def _build_class(rewrite: RewriteSystem, weight: int):
             vectors.append(_class_vector(terms, low, width))
     if not keys:
         return None
-    # the one numpy call left in this module: perfbench/tracing.py's hook
-    # on howell_complete reads rows.shape and rows.ndim of this argument
+    # an ndarray of Python ints only because perfbench/tracing.py's hook on
+    # howell_complete reads rows.shape and rows.ndim of this argument
     class_basis, origins, transform = howell_complete(
-        np.array(vectors, dtype=np.int64), rewrite.modulus
+        np.array(vectors, dtype=object), rewrite.modulus
     )
     return _WeightClass(
         low=low, keys=tuple(keys), basis=class_basis, origins=origins, transform=transform
@@ -445,19 +445,15 @@ def build_membership_module(
 
     span_limit bounds the monomial span p^(2e); exceeding it raises
     ValueError before any other work, so callers can turn resource
-    overruns into skip verdicts.  Two precision bounds are refused the
-    same way: p^m must stay below howell.INT64_MODULUS_LIMIT, and
-    p^(e-1) * (p^m)^2 below 2^63.  Past these checks and the rewrite
-    system's own, no atom is built here.
+    overruns into skip verdicts.  The precision is refused the same way
+    when m exceeds certificates.MAX_PRECISION, so no certificate the
+    module writes fails the grammar's precision bound.  Past these checks
+    and the rewrite system's own, no atom is built here.
 
     One elimination per weight class, on the class's first touch: the
     atoms of weight w are reduced over that class's at most p^(e-1)
     columns by howell_complete, whose transforms later weight the atoms
-    of a certificate.  The elimination and the weighting run on Python
-    ints and cannot overflow; the second bound is the int64 one for
-    summing, per class basis row, one product of two residues below p^m.
-    Both bounds stay, so the same cells are refused with the same
-    messages, until numpy leaves the package.
+    of a certificate.  Both run on Python ints, exact at any precision.
     """
     if span_limit is not None:
         # p^(2e) >= 2^e > span_limit once e reaches its bit length, so an
@@ -466,11 +462,8 @@ def build_membership_module(
             raise ValueError(f"span size {p}^{2 * e} exceeds the limit {span_limit}")
         if p ** (2 * e) > span_limit:
             raise ValueError(f"span size {p ** (2 * e)} exceeds the limit {span_limit}")
-    modulus = Modulus(p, m)
-    _check_modulus(modulus)
-    n = modulus.value
-    if p ** (e - 1) * n * n >= 2**63:
-        raise ValueError("precision too large for int64 transform arithmetic")
+    if m > MAX_PRECISION:
+        raise ValueError(f"precision {m} exceeds {MAX_PRECISION}")
     return MembershipModule(RewriteSystem(p, e, m))
 
 

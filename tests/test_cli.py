@@ -316,14 +316,27 @@ def test_verify_span_limit_skips(capsys):
     assert json.loads(out)["summary"]["skipped"] == 1
 
 
-def test_verify_int64_precision_skips(capsys):
-    # residues mod 5^29 do not fit int64: the build refuses the precision
-    # before making any atom, where one would not fit its class vector
+def test_verify_precision_past_max_skips(tmp_path, capsys):
+    # residues mod 5^29 pass 2^63 and still every verdict passes, with
+    # certificates that verify when read back
+    certs = tmp_path / "certs"
     argv = ["verify", "--p", "5", "--e", "2", "--extra-precision", "26", "--format", "machine"]
-    code, out, _ = run(argv, capsys)
+    code, out, _ = run(argv + ["--out-certs", str(certs)], capsys)
     assert code == 0
     verdicts = json.loads(out)["records"][0]["verdicts"]
-    assert verdicts == {"cell": "skipped: modulus too large for int64 matrix arithmetic"}
+    assert {"nilpotence_m3", "nilpotence_m29"} <= set(verdicts)
+    assert set(verdicts.values()) == {"pass"}
+    names = sorted(os.listdir(certs))
+    assert names == ["nilpotence_p5_e2_m29.cert", "nilpotence_p5_e2_m3.cert"]
+    for name in names:
+        assert verify_certificate(read_certificate(certs / name))
+    # a cell whose second precision passes MAX_PRECISION is skipped whole
+    argv = ["verify", "--p", "2", "--e", "2", "--extra-precision", str(MAX_PRECISION)]
+    code, out, _ = run(argv + ["--format", "machine"], capsys)
+    assert code == 0
+    verdicts = json.loads(out)["records"][0]["verdicts"]
+    m = 2 + 1 + MAX_PRECISION
+    assert verdicts == {"cell": f"skipped: precision {m} exceeds {MAX_PRECISION}"}
 
 
 def test_verify_absurd_depth_skips_promptly(capsys):

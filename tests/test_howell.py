@@ -10,12 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcert import quotient
+from nilcert.certificates import MAX_PRECISION
 from nilcert.coefficients import Modulus
-from nilcert.howell import (
-    howell_complete,
-    howell_form,
-    howell_spanning_subset,
-)
+from nilcert.howell import howell_complete, howell_spanning_subset
 from nilcert.quotient import build_membership_module
 
 
@@ -111,7 +108,6 @@ def _assert_matches_single_pass(rows, modulus, ncols, complete=None):
         densified.append(full)
     assert densified == dense
     if complete is None:
-        assert howell_form(rows, modulus) == basis
         assert howell_spanning_subset(rows, modulus) == (basis, list(origins))
 
 
@@ -145,6 +141,11 @@ def test_two_passes_match_the_single_pass_elimination(p):
         nrows, ncols = rng.randint(0, 12), rng.randint(1, 8)
         rows = _random_rows(rng, p, m, nrows, ncols)
         _assert_matches_single_pass(rows, Modulus(p, m), ncols)
+    # p^m past 2^63: residues no fixed-width integer holds
+    for _ in range(30):
+        nrows, ncols = rng.randint(0, 12), rng.randint(1, 8)
+        rows = _random_rows(rng, p, MAX_PRECISION, nrows, ncols)
+        _assert_matches_single_pass(rows, Modulus(p, MAX_PRECISION), ncols)
 
 
 @pytest.mark.parametrize("p,e,m", [(2, 5, 6), (5, 3, 4)])
@@ -170,7 +171,7 @@ def test_two_passes_match_on_every_class(monkeypatch, p, e, m):
 def test_annihilator_row_is_found():
     # span of (2, 1) over Z/4 contains (0, 2); naive echelon misses it
     mod = Modulus(2, 2)
-    basis = howell_form([[2, 1]], mod)
+    basis = howell_complete([[2, 1]], mod)[0]
     assert basis.matrix == ((2, 1), (0, 2))
     assert basis.pivot_columns == (0, 1)
     assert basis.pivot_values == (2, 2)
@@ -181,7 +182,7 @@ def test_annihilator_row_is_found():
 
 def test_identity_like_input():
     mod = Modulus(2, 3)
-    basis = howell_form([[1, 2], [0, 4]], mod)
+    basis = howell_complete([[1, 2], [0, 4]], mod)[0]
     assert basis.matrix == ((1, 2), (0, 4))
     assert basis.rank == 2
 
@@ -189,13 +190,13 @@ def test_identity_like_input():
 def test_unit_normalization():
     # 3 is a unit mod 4; the canonical form rescales it away
     mod = Modulus(2, 2)
-    basis = howell_form([[3, 1]], mod)
+    basis = howell_complete([[3, 1]], mod)[0]
     assert basis.matrix == ((1, 3),)
 
 
 def test_zero_rows_dropped():
     mod = Modulus(3, 2)
-    basis = howell_form([[0, 0, 0], [3, 0, 6]], mod)
+    basis = howell_complete([[0, 0, 0], [3, 0, 6]], mod)[0]
     # 3 * (3, 0, 6) vanishes mod 9, so no annihilator row survives
     assert basis.rank == 1
     assert basis.matrix == ((3, 0, 6),)
@@ -216,7 +217,7 @@ def test_reduce_coefficients_reconstruct():
 
 def test_residue_is_canonical_on_cosets():
     mod = Modulus(2, 2)
-    basis = howell_form([[2, 1, 3]], mod)
+    basis = howell_complete([[2, 1, 3]], mod)[0]
     v = [1, 1, 0]
     member = [2, 1, 3]
     r1, _ = basis.reduce(v)
@@ -227,22 +228,30 @@ def test_residue_is_canonical_on_cosets():
 
 def test_vector_length_checked():
     mod = Modulus(2, 2)
-    basis = howell_form([[2, 1]], mod)
+    basis = howell_complete([[2, 1]], mod)[0]
     with pytest.raises(ValueError, match="length"):
         basis.reduce([1, 2, 3])
     with pytest.raises(ValueError, match="differ in length"):
-        howell_form([[2, 1], [1]], mod)
+        howell_complete([[2, 1], [1]], mod)
 
 
 def test_modulus_size_guard():
-    with pytest.raises(ValueError, match="too large"):
-        howell_form([[1]], Modulus(2, 31))
+    # the elimination runs on Python ints and bounds no modulus: 2^31, the
+    # old int64 limit, and moduli past 2^63 answer exactly
+    assert howell_complete([[1]], Modulus(2, 31))[0].matrix == ((1,),)
+    for p in (2, 3):
+        modulus = Modulus(p, MAX_PRECISION)
+        basis = howell_complete([[p, 1]], modulus)[0]
+        assert basis.matrix == ((p, 1), (0, modulus.value // p))
+    # the one precision bound is build_membership_module's
+    with pytest.raises(ValueError, match=f"precision {MAX_PRECISION + 1} exceeds"):
+        build_membership_module(2, 1, MAX_PRECISION + 1)
 
 
 def test_empty_input():
     # an array keeps its width without rows
     mod = Modulus(2, 2)
-    basis = howell_form(np.zeros((0, 4), dtype=np.int64), mod)
+    basis = howell_complete(np.zeros((0, 4), dtype=np.int64), mod)[0]
     assert basis.rank == 0
     assert basis.ncols == 4
     residue, coeffs = basis.reduce([1, 0, 0, 0])
@@ -262,7 +271,7 @@ def test_membership_matches_enumeration(pm, nrows, seed):
     width = 3
     rng = random.Random(seed)
     rows = [[rng.randrange(n) for _ in range(width)] for _ in range(nrows)]
-    basis = howell_form(rows, Modulus(p, m))
+    basis = howell_complete(rows, Modulus(p, m))[0]
     expected = _span_set(rows, n)
     for vec in product(range(n), repeat=width):
         member = not any(basis.reduce(vec)[0])
@@ -282,7 +291,7 @@ def test_canonical_under_regeneration(pm, nrows, seed):
     width = 4
     rng = random.Random(seed)
     rows = [[rng.randrange(n) for _ in range(width)] for _ in range(nrows)]
-    basis = howell_form(rows, Modulus(p, m))
+    basis = howell_complete(rows, Modulus(p, m))[0]
     regenerated = []
     for _ in range(nrows + 2):
         regenerated.append(_combine([rng.randrange(n) for _ in range(nrows)], rows, n))
@@ -291,7 +300,7 @@ def test_canonical_under_regeneration(pm, nrows, seed):
         unit = rng.choice([u for u in range(1, n) if u % p != 0])
         regenerated.append([unit * x % n for x in row])
     rng.shuffle(regenerated)
-    other = howell_form(regenerated, Modulus(p, m))
+    other = howell_complete(regenerated, Modulus(p, m))[0]
     assert basis.matrix == other.matrix
     assert basis.pivot_columns == other.pivot_columns
     assert basis.pivot_values == other.pivot_values
@@ -313,14 +322,15 @@ def test_transform_identity(pm, nrows, seed):
     assert all(0 <= k < nrows for k in origins)
     assert [len(row) for row in transform] == [len(origins)] * basis.rank
     assert basis.matrix == _transform_image(transform, origins, rows, n)
-    # and the transform route agrees with the plain route, also when the
-    # rows come in as an array
-    assert basis.matrix == howell_form(rows, Modulus(p, m)).matrix
-    assert howell_complete(np.array(rows, dtype=np.int64), Modulus(p, m)) == (
-        basis,
-        origins,
-        transform,
-    )
+    # and the replay agrees with the first pass alone, also when the rows
+    # come in as an array
+    assert basis == howell_spanning_subset(rows, Modulus(p, m))[0]
+    for dtype in (np.int64, object):
+        assert howell_complete(np.array(rows, dtype=dtype), Modulus(p, m)) == (
+            basis,
+            origins,
+            transform,
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -351,7 +361,7 @@ def test_spanning_subset_spans(pm, nrows, ncols, seed):
     assert all(0 <= k < nrows for k in indices)
     assert len(indices) <= basis.rank
     assert list(indices) == list(howell_complete(rows, Modulus(p, m))[1])
-    again = howell_form([rows[k] for k in indices], Modulus(p, m))
+    again = howell_complete([rows[k] for k in indices], Modulus(p, m))[0]
     assert again.matrix == basis.matrix
     assert again.pivot_columns == basis.pivot_columns
     assert again.pivot_values == basis.pivot_values

@@ -16,13 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcert.certificates import (
+    MAX_PRECISION,
     _checker_generators,
+    certificate_from_text,
     certificate_to_text,
     standard_generators,
     verify_certificate,
 )
 from nilcert import quotient
-from nilcert.howell import HowellBasis, howell_form
+from nilcert.howell import HowellBasis, howell_complete
 from nilcert.polynomials import RATIONALS, Polynomial
 from nilcert.quotient import (
     RewriteSystem,
@@ -103,7 +105,8 @@ def global_basis(p, e, m):
     """One Howell form of all atom span vectors together: the single-basis
     route the graded build replaces, kept here as a reference."""
     module = module_for(p, e, m)
-    return howell_form([span_vector(module, key) for key in module.atoms], module.modulus)
+    vectors = [span_vector(module, key) for key in module.atoms]
+    return howell_complete(vectors, module.modulus)[0]
 
 
 def expand(module, fragments):
@@ -306,7 +309,7 @@ def test_basis_stable_under_atom_shuffling():
     module = module_for(2, 2, 3)
     vectors = [span_vector(module, key) for key in module.atoms]
     random.Random(7).shuffle(vectors)
-    shuffled = howell_form(vectors, module.modulus)
+    shuffled = howell_complete(vectors, module.modulus)[0]
     assert shuffled.matrix == span_basis(module).matrix
 
 
@@ -813,27 +816,39 @@ def test_span_limit_permits_small_instances():
 
 
 def test_transform_guard_is_per_weight_class():
-    # span 64 times (2^30)^2 passes 2^63, but no class is wider than 4
-    module = build_membership_module(2, 3, 30)
-    result = module.verify_nilpotence()
-    assert result.member
-    assert verify_certificate(result.certificate)
-    # classes of width 8 at full rank do pass it
-    with pytest.raises(ValueError, match="precision too large"):
-        build_membership_module(2, 4, 30)
+    # the old int64 transform bound admitted (2, 3, 30), whose classes are
+    # at most 4 wide, and refused (2, 4, 30), with classes of width 8 at
+    # full rank; on Python ints both answer, and so does the last
+    # precision a certificate admits
+    for e, m in [(3, 30), (4, 30), (4, MAX_PRECISION)]:
+        result = build_membership_module(2, e, m).verify_nilpotence()
+        assert result.member
+        assert verify_certificate(result.certificate)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"precision {MAX_PRECISION + 1} exceeds"):
+        build_membership_module(2, 4, MAX_PRECISION + 1)
+    assert time.perf_counter() - started < 0.05
 
 
 @pytest.mark.parametrize(
-    "p,e,m,message",
+    "p,e,m",
     [
-        # p^m = 2^31 reaches the Howell modulus limit
-        (2, 6, 31, "modulus too large"),
+        # p^m = 2^31, the old Howell modulus limit
+        (2, 6, 31),
         # 3^19 is below it, but 3^3 * (3^19)^2 passes 2^63
-        (3, 4, 19, "precision too large"),
+        (3, 4, 19),
     ],
 )
-def test_int64_overflow_refused_before_any_work(p, e, m, message):
+def test_precision_bounded_only_by_max_precision(p, e, m):
+    # cells the old int64 bounds refused answer, and their certificates
+    # check, also after a round trip through the text format
+    result = build_membership_module(p, e, m).verify_nilpotence()
+    assert result.member
+    assert verify_certificate(result.certificate)
+    text = certificate_to_text(result.certificate)
+    assert verify_certificate(certificate_from_text(text))
+    # one past MAX_PRECISION is refused before any work
     started = time.perf_counter()
-    with pytest.raises(ValueError, match=message):
-        build_membership_module(p, e, m)
+    with pytest.raises(ValueError, match=f"precision {MAX_PRECISION + 1} exceeds"):
+        build_membership_module(p, e, MAX_PRECISION + 1)
     assert time.perf_counter() - started < 0.05
