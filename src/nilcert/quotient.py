@@ -52,7 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import MAX_PRECISION, Certificate, standard_generators, verify_certificate
+from .certificates import MAX_DEGREE, MAX_PRECISION, Certificate
+from .certificates import standard_generators, verify_certificate
 from .coefficients import Modulus
 from .howell import HowellBasis, howell_complete
 
@@ -374,10 +375,9 @@ class MembershipModule:
         iterates = [ctx.iterate_polynomial(k) for k in range(e + 2)]
         ok = True
         for index, g in enumerate(self.generators):
-            theta_g = ctx.theta(g)
             psi_g = ctx.psi(g)
-            ok = ok and self._proved(theta_g)
-            ok = ok and self._proved(psi_g)
+            theta_g = ctx.theta_from(g, g**p, psi_g)
+            ok = ok and self._proved(theta_g) and self._proved(psi_g)
             if index < e:
                 expected = (iterates[index] ** p).scale(p ** ((e - index) * p - 1))
                 expected = expected - iterates[index + 1].scale(p ** (e - index - 1))
@@ -445,10 +445,10 @@ def build_membership_module(
 
     span_limit bounds the monomial span p^(2e); exceeding it raises
     ValueError before any other work, so callers can turn resource
-    overruns into skip verdicts.  The precision is refused the same way
-    when m exceeds certificates.MAX_PRECISION, so no certificate the
-    module writes fails the grammar's precision bound.  Past these checks
-    and the rewrite system's own, no atom is built here.
+    overruns into skip verdicts.  The degree p^e and the precision m are
+    refused the same way above certificates.MAX_DEGREE and MAX_PRECISION,
+    so no certificate the module writes fails the grammar's bounds.  Past
+    these checks and the rewrite system's own, no atom is built here.
 
     One elimination per weight class, on the class's first touch: the
     atoms of weight w are reduced over that class's at most p^(e-1)
@@ -462,6 +462,9 @@ def build_membership_module(
             raise ValueError(f"span size {p}^{2 * e} exceeds the limit {span_limit}")
         if p ** (2 * e) > span_limit:
             raise ValueError(f"span size {p ** (2 * e)} exceeds the limit {span_limit}")
+    # p^e >= 2^e, so e is bounded before p**e is formed
+    if p > MAX_DEGREE or e >= MAX_DEGREE.bit_length() or p**e > MAX_DEGREE:
+        raise ValueError(f"degree p^e exceeds {MAX_DEGREE}")
     if m > MAX_PRECISION:
         raise ValueError(f"precision {m} exceeds {MAX_PRECISION}")
     return MembershipModule(RewriteSystem(p, e, m))

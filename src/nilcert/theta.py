@@ -4,11 +4,11 @@ Everything is relative to one prime p, carried by a ThetaContext.  On the
 polynomial ring in x, y (coefficients p-integral) the Adams operation is
 the ring map psi(x) = x^p - p*y, psi(y) = y^p.  It lifts the Frobenius:
 psi(f) is congruent to f^p mod p, so theta(f) = (f^p - psi(f)) / p is an
-exact polynomial.  theta computes it as written: a polynomial stores its
-numerators over one denominator d prime to p, so p divides every
-numerator of f^p - psi(f), and theta divides the numerators by p.  theta
-and psi satisfy the usual divided-power-style identities, which
-check_theta_axioms verifies on concrete inputs.
+exact polynomial.  theta_from is the one place that divides by p, taking
+f^p and psi(f) as its caller formed them: f's numerators lie over one
+denominator d prime to p, so p divides every numerator of f^p - psi(f).
+theta forms both operands itself.  check_theta_axioms verifies the usual
+divided-power-style identities of theta and psi on concrete inputs.
 
 psi is graded: for wt(x) = 1, wt(y) = p it carries the weight-w part of
 a polynomial to weight p*w.  So psi is evaluated one weighted-homogeneous
@@ -119,40 +119,35 @@ class ThetaContext:
         return f
 
     def theta(self, f: Polynomial) -> Polynomial:
-        """The exact quotient (f^p - psi(f)) / p.
+        """The exact quotient (f^p - psi(f)) / p; see theta_from."""
+        return self.theta_from(f, f**self.p, self.psi(f))
 
-        Defined for p-integral coefficients, so a denominator divisible by
-        p is refused.  The denominator of f^p - psi(f) divides d^p and so
-        is prime to p; psi lifts the Frobenius, so p must divide every
-        numerator, and the quotient divides the numerators by p.
+    def theta_from(self, f: Polynomial, power: Polynomial, image: Polynomial) -> Polynomial:
+        """theta(f) from power = f^p and image = psi(f).
+
+        f must be p-integral: else, with v < 0 the least valuation of a
+        coefficient, f^p has one of valuation p*v < v and psi(f) none
+        below v.  For p-integral f over d, f^p - psi(f) is over a divisor
+        of d^p, and psi lifts the Frobenius, so p divides every numerator.
         """
         if f.ring is not RATIONALS:
             raise ValueError("theta expects rational or integer coefficients")
         p = self.p
         if f.denominator % p == 0:
             raise ValueError("denominator is not coprime to p")
-        return self._divided_by_p(f**p - self.psi(f))
-
-    def _divided_by_p(self, difference: Polynomial) -> Polynomial:
-        """difference / p, refused unless p divides every numerator."""
-        p = self.p
+        difference = power - image
         if any(c % p for c in difference.numerators.values()):
             raise ValueError("Frobenius congruence violated")
         quotient = {k: c // p for k, c in difference.numerators.items()}
         return from_numerators(RATIONALS, quotient, difference.denominator)
 
     def check_frobenius_congruence(self, f: Polynomial) -> bool:
-        """True iff f^p - psi(f) has every coefficient divisible by p.
-
-        Never true for a denominator divisible by p: with v < 0 the least
-        valuation of a coefficient of f, f^p has a coefficient of valuation
-        p*v, and psi(f) has none below v.
-        """
-        p = self.p
-        if f.denominator % p == 0:
+        """True iff theta(f) is defined: p divides every numerator of f^p - psi(f)."""
+        try:
+            self.theta(f)
+        except ValueError:
             return False
-        difference = f**p - self.psi(f)
-        return all(c % p == 0 for c in difference.numerators.values())
+        return True
 
     # ---- axiom checks ----
 
@@ -171,25 +166,26 @@ class ThetaContext:
     def check_theta_axioms(self, f: Polynomial, g: Polynomial) -> AxiomReport:
         """Verify the six defining identities on the concrete pair (f, g).
 
-        theta(f), theta(g), psi(f), psi(g) and f*g are formed once and
-        read by every identity that names them.
+        psi of f, g, f + g and f*g, and f^p, are formed once, passed to
+        theta_from and read by every identity that names them.
         """
         p = self.p
         report = AxiomReport()
-        one = Polynomial.one(RATIONALS)
         zero = Polynomial.zero(RATIONALS)
-        report.record("theta_one", self.theta(one), zero)
-        theta_f, theta_g = self.theta(f), self.theta(g)
-        psi_f, psi_g = self.psi(f), self.psi(g)
-        product = f * g
+        report.record("theta_one", self.theta(Polynomial.one(RATIONALS)), zero)
+        total, product, power_f = f + g, f * g, f**p
+        psi_f, psi_g, psi_total, psi_product = map(self.psi, (f, g, total, product))
+        theta_f, theta_g = self.theta_from(f, power_f, psi_f), self.theta_from(g, g**p, psi_g)
         cross = zero
         for j in range(1, p):
             cross = cross + (f**j * g ** (p - j)).scale(self.scaled_binomial(j))
-        report.record("theta_sum", self.theta(f + g), theta_f + theta_g + cross)
-        report.record("theta_product", self.theta(product), theta_f * psi_g + f**p * theta_g)
+        theta_total = self.theta_from(total, total**p, psi_total)
+        report.record("theta_sum", theta_total, theta_f + theta_g + cross)
+        theta_product = self.theta_from(product, product**p, psi_product)
+        report.record("theta_product", theta_product, theta_f * psi_g + power_f * theta_g)
         report.record("theta_psi_commute", self.theta(psi_f), self.psi(theta_f))
-        report.record("psi_additive", self.psi(f + g), psi_f + psi_g)
-        report.record("psi_multiplicative", self.psi(product), psi_f * psi_g)
+        report.record("psi_additive", psi_total, psi_f + psi_g)
+        report.record("psi_multiplicative", psi_product, psi_f * psi_g)
         return report
 
     def check_theta_of_p_multiple(self, b: Polynomial) -> bool:
@@ -267,9 +263,10 @@ class ThetaContext:
         if e < 0:
             raise ValueError("needs e >= 0")
         target = Polynomial.monomial(RATIONALS, 0, self.p**e)
-        if _at_second_and_zero(self.iterate_polynomial(e)) != target:
+        member = self.iterate_polynomial(e)
+        if _at_second_and_zero(member) != target:
             return False
-        return self._divided_by_p(self._power(e) - self._image(e)) == target
+        return self.theta_from(member, self._power(e), self._image(e)) == target
 
 
 def _at_second_and_zero(f: Polynomial) -> Polynomial:

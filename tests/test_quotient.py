@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcert.certificates import (
+    MAX_DEGREE,
     MAX_PRECISION,
     _checker_generators,
     certificate_from_text,
@@ -31,7 +32,7 @@ from nilcert.quotient import (
     brute_force_membership_oracle,
     build_membership_module,
 )
-from nilcert.theta import random_polynomial
+from nilcert.theta import ThetaContext, random_polynomial
 
 X, Y = Polynomial.generators(RATIONALS)
 ACCEPTANCE_GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)]
@@ -698,6 +699,23 @@ def test_theta_stability(p, e, m):
     assert module_for(p, e, m).check_theta_stability()
 
 
+@pytest.mark.parametrize("p,e,m", [(2, 2, 3), (3, 2, 3)])
+def test_theta_stability_forms_each_psi_image_once(p, e, m, monkeypatch):
+    module = build_membership_module(p, e, m)
+    images = []
+    original = ThetaContext.psi
+
+    def counted(self, f):
+        images.append(f)
+        return original(self, f)
+
+    monkeypatch.setattr(ThetaContext, "psi", counted)
+    assert module.check_theta_stability()
+    # one image per generator g_0, ..., g_e, y^(p^e), read by theta and psi
+    assert images == list(module.generators)
+    assert len(images) == e + 2
+
+
 @pytest.mark.parametrize("p,e,m", [(2, 1, 2), (3, 1, 2), (2, 2, 3)])
 def test_iterate_torsion_all_depths(p, e, m):
     module = module_for(p, e, m)
@@ -828,6 +846,30 @@ def test_transform_guard_is_per_weight_class():
     with pytest.raises(ValueError, match=f"precision {MAX_PRECISION + 1} exceeds"):
         build_membership_module(2, 4, MAX_PRECISION + 1)
     assert time.perf_counter() - started < 0.05
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 11, 12), (1031, 1, 2)])
+def test_degree_above_max_degree_refused(p, e, m):
+    # cells whose certificates the grammar refuses are not built
+    with pytest.raises(ValueError, match=rf"degree p\^e exceeds {MAX_DEGREE}"):
+        build_membership_module(p, e, m)
+
+
+def test_absurd_depth_refused_without_forming_its_degree():
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"degree p\^e exceeds {MAX_DEGREE}"):
+        build_membership_module(2, 10**9, 3)
+    assert time.perf_counter() - started < 0.05
+
+
+def test_largest_degree_builds_and_its_certificates_parse():
+    # p^e = 1024 = MAX_DEGREE: the torsion certificate of p^e * x survives
+    # a round trip through the text format
+    module = build_membership_module(2, 10, 11)
+    x, _ = Polynomial.generators(RATIONALS)
+    result = module.is_member(x.scale(2**10))
+    assert result.member
+    assert verify_certificate(certificate_from_text(certificate_to_text(result.certificate)))
 
 
 @pytest.mark.parametrize(

@@ -332,9 +332,10 @@ def test_a_skewed_theta_fails_the_identities_that_read_it():
         f, g = random_polynomial(rng, p), random_polynomial(rng, p)
 
         class Skewed(ThetaContext):
-            def theta(self, h):
+            def theta_from(self, h, power, image):
                 # a p-integral error on theta(f) alone
-                return super().theta(h) + error if h == f else super().theta(h)
+                theta_h = super().theta_from(h, power, image)
+                return theta_h + error if h == f else theta_h
 
         report = Skewed(p).check_theta_axioms(f, g)
         assert [name for name, _, _ in report.failures] == [
@@ -345,13 +346,13 @@ def test_a_skewed_theta_fails_the_identities_that_read_it():
 
 
 def _count_calls(monkeypatch, owner, name):
-    """Wrap owner.name so that each call appends its (self, argument) pair."""
+    """Wrap owner.name so that each call appends its (self, *arguments) tuple."""
     calls = []
     original = getattr(owner, name)
 
-    def counted(self, argument):
-        calls.append((self, argument))
-        return original(self, argument)
+    def counted(self, *arguments):
+        calls.append((self, *arguments))
+        return original(self, *arguments)
 
     monkeypatch.setattr(owner, name, counted)
     return calls
@@ -372,14 +373,19 @@ def test_iterate_checks_form_each_power_and_image_once(monkeypatch):
 
 def test_axiom_check_operator_call_counts(monkeypatch):
     images = _count_calls(monkeypatch, ThetaContext, "psi")
-    quotients = _count_calls(monkeypatch, ThetaContext, "theta")
+    quotients = _count_calls(monkeypatch, ThetaContext, "theta_from")
     rng = random.Random(4)
     f, g = random_polynomial(rng, 3), random_polynomial(rng, 3)
     assert ThetaContext(3).check_theta_axioms(f, g)
-    # theta of 1, f, g, f + g, f*g and psi(f); psi inside each of them,
-    # then of f, g, theta(f), f + g and f*g
+    # theta of 1, f, g, f + g, f*g and psi(f); psi of 1 and psi(f) inside
+    # theta, and once each of f, g, f + g, f*g and theta(f)
     assert len(quotients) == 6
-    assert len(images) == 11
+    assert len(images) == 7
+    arguments = [h for _, h in images]
+    assert all(a != b for i, a in enumerate(arguments) for b in arguments[:i])
+    one = Polynomial.one(RATIONALS)
+    psi_f = ThetaContext(3).psi(f)
+    assert [h for _, h, _, _ in quotients] == [one, f, g, f + g, f * g, psi_f]
 
 
 def test_nilpotence_bound_values():
