@@ -3,11 +3,11 @@
 A certificate asserts that a target polynomial lies in the ideal generated
 by the standard family for (p, e) when working mod p^m, by exhibiting one
 cofactor per generator.  verify_certificate re-expands the combination
-with plain polynomial arithmetic, against generators it rebuilds from
-their defining recursion (not from the operator layer the engine uses);
-it deliberately shares nothing with the membership engine beyond the
-polynomial layer, so a certificate check is evidence independent of the
-machinery that produced it.
+term by term in Z/p^m, against generators it rebuilds from their defining
+recursion (not from the operator layer the engine uses); it deliberately
+shares nothing with the membership engine beyond the polynomial layer, so
+a certificate check is evidence independent of the machinery that
+produced it.  A cofactor must be p-integral to have a value mod p^m.
 
 Certificate file grammar (one item per line, '#' starts a comment; each
 header key once, numbers in plain ASCII digits):
@@ -35,8 +35,8 @@ import functools
 import re
 from dataclasses import dataclass
 
-from .coefficients import is_prime
-from .polynomials import RATIONALS, Polynomial
+from .coefficients import Modulus, is_prime
+from .polynomials import RATIONALS, Polynomial, from_numerators
 from .theta import ThetaContext
 
 # A certificate file is outside input, so its text is bounded before it is
@@ -85,6 +85,12 @@ def _checker_generators(p: int, e: int) -> tuple:
     return tuple(members)
 
 
+@functools.lru_cache(maxsize=32)
+def _checker_residues(p: int, e: int, m: int) -> tuple:
+    """_checker_generators(p, e) mod p^m as residue dicts, per (p, e, m)."""
+    return tuple(g.reduce_mod(p, m).numerators for g in _checker_generators(p, e))
+
+
 @dataclass(frozen=True)
 class Certificate:
     """A membership witness: target = sum of cofactor * generator mod p^m.
@@ -101,12 +107,12 @@ class Certificate:
 
 
 def verify_certificate(certificate: Certificate) -> bool:
-    """Expand the certificate and compare against the target mod p^m.
-
-    Returns False on an honest mismatch; raises ValueError when the
-    certificate is structurally malformed (bad index, wrong ring) or its
-    expansion needs more than MAX_TERM_PRODUCTS term products.
-    """
+    """Expand the certificate in Z/p^m, each cofactor reduced once and
+    multiplied by its generator mod p^m, and compare it with the target:
+    False on an honest mismatch.  Raises ValueError when the certificate is
+    malformed (bad index, wrong ring, a cofactor that is not p-integral) or
+    its expansion needs more than MAX_TERM_PRODUCTS term products, counted
+    on the integer generators."""
     p, e, m = certificate.p, certificate.e, certificate.m
     generators = _checker_generators(p, e)
     products = 0
@@ -115,15 +121,22 @@ def verify_certificate(certificate: Certificate) -> bool:
             raise ValueError(f"cofactor index {index} out of range")
         if cofactor.ring is not RATIONALS:
             raise ValueError("cofactors must have integer coefficients")
+        if cofactor.denominator % p == 0:
+            raise ValueError(f"cofactor {index} is not p-integral")
         products += len(cofactor.numerators) * len(generators[index].numerators)
     if products > MAX_TERM_PRODUCTS:
         raise ValueError(
             f"certificate expansion needs {products} term products, above {MAX_TERM_PRODUCTS}"
         )
-    total = Polynomial.zero(RATIONALS)
+    modulus, residues, total = Modulus(p, m), _checker_residues(p, e, m), {}
     for index, cofactor in certificate.cofactors:
-        total = total + cofactor * generators[index]
-    return total.reduce_mod(p, m) == certificate.target.reduce_mod(p, m)
+        reduced = from_numerators(modulus, cofactor.numerators, cofactor.denominator)
+        for (a, b), c in reduced.numerators.items():
+            for (i, j), g in residues[index].items():
+                total[(a + i, b + j)] = total.get((a + i, b + j), 0) + c * g
+    target = certificate.target
+    target = from_numerators(modulus, target.numerators, target.denominator)
+    return from_numerators(modulus, total) == target
 
 
 def certificate_to_text(certificate: Certificate) -> str:

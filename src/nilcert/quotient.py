@@ -48,6 +48,7 @@ reduction of a power x^N gives what reducing step by step would.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,7 @@ from .howell import HowellBasis, howell_complete
 # never called by the build, which takes its origins from howell_complete;
 # importable here because perfbench/tracing.py wraps it by this name
 from .howell import howell_spanning_subset  # noqa: F401
-from .polynomials import RATIONALS, Polynomial
+from .polynomials import RATIONALS, Polynomial, from_numerators
 from .theta import ThetaContext
 
 
@@ -98,25 +99,34 @@ class RewriteSystem:
             raise AssertionError("rewrite tail escapes the span block")
 
     def _reduce_terms(self, work: dict):
-        """Core loop on a plain {(i, j): int} dict; mutates it into the span
-        part and returns (span terms, fragments) with fragments[g] a
-        cofactor term dict."""
-        n = self.modulus.value
-        block = self.block
-        fragments: dict = {}
-        while True:
-            killed = [key for key in work if key[1] >= block]
-            if killed:
-                terms = {key: work.pop(key) for key in killed}
-                _add_into(fragments.setdefault(self.e + 1, {}), terms, 1, n, 0, -block)
-            heavy = [key for key in work if key[0] >= block]
-            if not heavy:
-                break
-            i, j = max(heavy)
-            value = work.pop((i, j))
+        """Core loop on a zero-free {(i, j): residue} dict, mutated into the
+        span part; returns (span terms, fragments), fragments[g] a cofactor
+        term dict.  One sweep down the heavy keys, sorted once: a tail term
+        of y-degree p^e or more goes straight to the y^(p^e) fragment, a
+        new heavy key is inserted in order and a cancelled one skipped."""
+        n, block = self.modulus.value, self.block
+        killed = {(i, j - block): work.pop((i, j)) for i, j in list(work) if j >= block}
+        heavy = sorted(key for key in work if key[0] >= block)
+        credits: dict = {}
+        while heavy:
+            i, j = key = heavy.pop()
+            value = work.pop(key, 0)
+            if not value:
+                continue
             # popped keys strictly decrease, so no credit here meets another
-            fragments.setdefault(self.e, {})[(i - block, j)] = value
-            _add_into(work, self.tail, value, n, i - block, j)
+            credits[(i - block, j)] = value
+            for (ti, tj), t in self.tail.items():
+                a, b = ti + i - block, tj + j
+                bucket, target = (killed, (a, b - block)) if b >= block else (work, (a, b))
+                old = bucket.get(target)
+                total = ((old or 0) + value * t) % n
+                if total:
+                    bucket[target] = total
+                    if old is None and a >= block and b < block:
+                        bisect.insort(heavy, target)
+                elif old is not None:
+                    del bucket[target]
+        fragments = {self.e: credits, self.e + 1: killed}
         return work, {g: d for g, d in fragments.items() if d}
 
     def reduce(self, f: Polynomial):
@@ -127,10 +137,11 @@ class RewriteSystem:
         f = sum over g of fragment_g * generator_g + span part, mod p^m.
         """
         if f.ring is RATIONALS:
-            f = f.reduce_mod(self.p, self.m)
-        elif f.ring != self.modulus:
+            f = from_numerators(self.modulus, f.numerators, f.denominator)
+            return self._reduce_terms(f.numerators)  # a fresh dict, taken over
+        if f.ring != self.modulus:
             raise ValueError("polynomial modulus does not match the rewrite system")
-        return self._reduce_terms(dict(f.terms))
+        return self._reduce_terms(dict(f.numerators))
 
     def weight_class(self, weight: int) -> tuple:
         """(low, width): the span monomials x^i y^j with i + p*j = weight
@@ -313,7 +324,7 @@ class MembershipModule:
                     remainder[(weight - p * (low + k), low + k)] = value
             solved.append((weight_class, coefficients))
         if remainder:
-            witness = ResidueWitness(polynomial=Polynomial(self.modulus, remainder))
+            witness = ResidueWitness(polynomial=from_numerators(self.modulus, remainder))
             return MembershipResult(member=False, witness=witness)
         # an atom (index, a, b) of weight w is the cofactor w * x^a y^b on
         # g_index; the rest of the span part must rewrite to credits only.
@@ -335,7 +346,7 @@ class MembershipModule:
         for g, cofactor in credits.items():
             _add_into(combined.setdefault(g, {}), cofactor, 1, n)
         cofactors = tuple(
-            (g, Polynomial(RATIONALS, cofactor))
+            (g, from_numerators(RATIONALS, cofactor))
             for g, cofactor in sorted(combined.items())
             if cofactor
         )

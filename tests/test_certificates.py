@@ -21,6 +21,7 @@ from nilcert.certificates import (
     write_certificate,
 )
 from nilcert.cli import RunConfig
+from nilcert.coefficients import rational
 from nilcert.polynomials import RATIONALS, Polynomial
 
 X, Y = Polynomial.generators(RATIONALS)
@@ -126,6 +127,25 @@ def test_bad_generator_index_rejected():
         verify_certificate(
             Certificate(p=2, e=1, m=2, target=X**3, cofactors=((5, X),))
         )
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cofactor_over_p_refused(p):
+    # cofactor 1/p on g_0 = p*x expands to x over the rationals, but 1/p
+    # has no value mod p^m, and x is not a member
+    text = f"p = {p}\ne = 1\nm = 2\ntarget = x\ncofactor 0 = 1/{p}\n"
+    certificate = certificate_from_text(text)
+    with pytest.raises(ValueError, match="cofactor 0 is not p-integral"):
+        verify_certificate(certificate)
+
+
+def test_cofactor_over_a_unit_judged_on_its_residue():
+    # x^3 = y * g_0 + x * g_1 at (2, 1); 7/3 is 1 mod 4 and 5/3 is 3 mod 4
+    def certificate(c):
+        return Certificate(p=2, e=1, m=2, target=X**3, cofactors=((0, Y), (1, X.scale(c))))
+
+    assert verify_certificate(certificate(rational(7, 3)))
+    assert not verify_certificate(certificate(rational(5, 3)))
 
 
 def test_text_round_trip():

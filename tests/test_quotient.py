@@ -10,6 +10,7 @@ import functools
 import hashlib
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from nilcert.certificates import (
     verify_certificate,
 )
 from nilcert import quotient
+from nilcert.coefficients import rational
 from nilcert.howell import HowellBasis, howell_complete
 from nilcert.polynomials import RATIONALS, Polynomial
 from nilcert.quotient import (
@@ -235,6 +237,70 @@ def test_confluence_monomial_multiples_vanish(a, b):
                 for g in (generators[e], generators[e + 1]):
                     terms, _ = rewrite.reduce(mono * g)
                     assert terms == {}
+
+
+
+def rescanning_reduce(rewrite, work):
+    """A plain reference for RewriteSystem._reduce_terms: after every
+    x-step it rescans the whole dict for y-killed keys and for the largest
+    heavy key."""
+    n, block = rewrite.modulus.value, rewrite.block
+
+    def add_into(bucket, terms, scale, di, dj):
+        for (i, j), value in terms.items():
+            key = (i + di, j + dj)
+            total = (bucket.get(key, 0) + scale * value) % n
+            if total:
+                bucket[key] = total
+            else:
+                bucket.pop(key, None)
+
+    fragments = {}
+    while True:
+        killed = [key for key in work if key[1] >= block]
+        if killed:
+            terms = {key: work.pop(key) for key in killed}
+            add_into(fragments.setdefault(rewrite.e + 1, {}), terms, 1, 0, -block)
+        heavy = [key for key in work if key[0] >= block]
+        if not heavy:
+            break
+        i, j = max(heavy)
+        value = work.pop((i, j))
+        fragments.setdefault(rewrite.e, {})[(i - block, j)] = value
+        add_into(work, rewrite.tail, value, i - block, j)
+    return work, {g: d for g, d in fragments.items() if d}
+
+
+@st.composite
+def residue_dicts(draw, rewrite):
+    """Zero-free residue dicts for one rewrite system: random terms, keys
+    of y-degree p^e or more among them, heavy keys up to y-degree p^e - 1,
+    whose tails cross y-degree p^e, and for a few heavy keys the negated
+    tail laid in, so that rewriting them cancels terms to zero (heavy
+    ones too, which the sweep must then skip)."""
+    block, n = rewrite.block, rewrite.modulus.value
+    keys = st.tuples(st.integers(0, 3 * block), st.integers(0, block + 2))
+    work = draw(st.dictionaries(keys, st.integers(1, n - 1), max_size=12))
+    heavy = st.tuples(st.integers(block, 3 * block), st.integers(0, block - 1))
+    for i, j in draw(st.lists(heavy, max_size=3)):
+        value = work.setdefault((i, j), draw(st.integers(1, n - 1)))
+        for (ti, tj), t in rewrite.tail.items():
+            key = (ti + i - block, tj + j)
+            total = (work.get(key, 0) - value * t) % n
+            if total:
+                work[key] = total
+            else:
+                work.pop(key, None)
+    return work
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 3, 4), (3, 2, 3), (5, 1, 2), (2, 2, 5)])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sweep_matches_rescanning_reduce(p, e, m, data):
+    rewrite = module_for(p, e, m).rewrite
+    work = data.draw(residue_dicts(rewrite))
+    assert rewrite._reduce_terms(dict(work)) == rescanning_reduce(rewrite, dict(work))
 
 
 # ---- the closure and its basis ----
@@ -463,6 +529,104 @@ def test_certificate_bytes_pinned():
         "c47092bd8b933121a50fbdeee69fbd3fad170891b6bfabf85c21d6af2d9dba97"
     )
 
+
+QUERY_BATCH_CELLS = [(2, 3, 4), (2, 4, 6), (3, 2, 4), (5, 1, 2), (7, 1, 2)]
+
+
+def query_batch(p, e, m):
+    """Seeded queries on one cell as (expected verdict, polynomial) pairs.
+
+    Eight ideal elements, each three random monomial multiples of random
+    generators, and eight non-members, each a unit times a monomial of
+    weight below p^e (wt(x) = 1, wt(y) = p) plus an ideal element; in
+    every four, one query is scaled by 1/q for a prime q other than p and
+    one is handed over already reduced into Z/p^m.
+    """
+    rng = random.Random(f"query batch {p} {e} {m}")
+    generators = standard_generators(p, e)
+    block, n = p**e, p**m
+    unit = rational(1, 5 if p == 3 else 3)
+
+    def ideal_element():
+        total = Polynomial.zero(RATIONALS)
+        for _ in range(3):
+            c = rng.randint(1, n - 1) * rng.choice((1, -1))
+            shift = Polynomial.monomial(RATIONALS, rng.randrange(4), rng.randrange(4), c)
+            total = total + shift * generators[rng.randrange(len(generators))]
+        return total
+
+    queries = []
+    for k in range(8):
+        j = rng.randrange((block - 1) // p + 1)
+        c = rng.choice([c for c in range(1, n) if c % p])
+        low = Polynomial.monomial(RATIONALS, rng.randrange(block - p * j), j, c)
+        for expected, f in ((True, ideal_element()), (False, low + ideal_element())):
+            if k % 4 == 1:
+                f = f.scale(unit)
+            elif k % 4 == 2:
+                f = f.reduce_mod(p, m)
+            queries.append((expected, f))
+    return queries
+
+
+def query_batch_results(p, e, m):
+    """(expected verdict, result) for the batch's queries, then for
+    x^N and x^(N-1) through power_membership, N = p^e + p^(e-1)."""
+    module = module_for(p, e, m)
+    results = [(expected, module.is_member(f)) for expected, f in query_batch(p, e, m)]
+    bound = p**e + p ** (e - 1)
+    results.append((True, module.power_membership(X, bound)))
+    results.append((False, module.power_membership(X, bound - 1)))
+    return results
+
+
+# sha256 over each cell's certificate and witness texts, in query order
+QUERY_BATCH_DIGESTS = {
+    (2, 3, 4): "a6a27225dd392a1ad0a72c6f70ec9c86c1a0c019be48cc5ae51d637ac109661c",
+    (2, 4, 6): "68ec77304ca0319b4fd446466150011676b0527ff9042a5c979ebd8da0a6961d",
+    (3, 2, 4): "65674932f0add7d2c8d1ffd1168c522b5299b3770bd3cc43c5cd53cfe658be47",
+    (5, 1, 2): "048ad70570442791b4bbd1048fc08b2aca9c2801e36a69e770da42deef902474",
+    (7, 1, 2): "8f3ddf56ec774c47b974903351dce3c5975973a0673807fa10c6f0417ed8ebd4",
+}
+
+
+@pytest.mark.parametrize("p,e,m", QUERY_BATCH_CELLS)
+def test_query_batch_pinned(p, e, m):
+    digest = hashlib.sha256()
+    for expected, result in query_batch_results(p, e, m):
+        assert result.member == expected
+        text = certificate_to_text(result.certificate) if expected else result.witness.to_text()
+        digest.update(text.encode("ascii") + b"\n")
+    assert digest.hexdigest() == QUERY_BATCH_DIGESTS[(p, e, m)]
+
+
+
+def test_checkers_agree_on_the_query_batch(monkeypatch):
+    # verify_certificate against perfbench/refcheck.py, which shares no
+    # code with nilcert, on the batch's certificates and on two mutations
+    # of each cofactor's leading term: + 1 changes the expansion mod p^m
+    # (every generator is nonzero mod p^m at m > e), + p^m does not
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from refcheck import certificate_problem
+
+    def verdicts(certificate):
+        text = certificate_to_text(certificate)
+        return verify_certificate(certificate), certificate_problem(text) is None
+
+    for p, e, m in QUERY_BATCH_CELLS:
+        for expected, result in query_batch_results(p, e, m):
+            if not expected:
+                continue
+            certificate = result.certificate
+            assert verdicts(certificate) == (True, True)
+            for k, (index, cofactor) in enumerate(certificate.cofactors):
+                (a, b), _ = cofactor.sorted_terms()[0]
+                for step, accepted in ((1, False), (p**m, True)):
+                    cofactors = list(certificate.cofactors)
+                    shifted = cofactor + Polynomial.monomial(RATIONALS, a, b, step)
+                    cofactors[k] = (index, shifted)
+                    mutant = dataclasses.replace(certificate, cofactors=tuple(cofactors))
+                    assert verdicts(mutant) == (accepted, accepted)
 
 def test_largest_admitted_cell_pinned():
     # (2, 7, 8), the largest cell --span-limit admits; its nilpotence and
