@@ -40,10 +40,10 @@ from .theta import SAMPLE_DEGREE, ThetaContext, nilpotence_bound, random_polynom
 PASS, FAIL = "pass", "fail"
 
 # Largest accepted --degree-cap: `iterates --degree-cap 4096` takes about
-# 10 s at p = 2 and 15 s at p = 5 as a subprocess on a 2-core x86 host
-# with CPython 3.11 (1.9 s and 0.4 s at 2048; medians of five to nine
-# runs, which spread by about 20%).  MAX_DIAGONAL_SIZE keeps other primes
-# near that: 16 s at p = 47 and 14 s at p = 1741.
+# 5 s at p = 2 and at p = 5 as a subprocess on a 2-core x86 host with
+# CPython 3.11 (1.1 s and 0.4 s at 2048; medians of three runs, which
+# spread by about 20%).  MAX_DIAGONAL_SIZE keeps other primes near that:
+# 3.7 s at p = 47 and 6 s at p = 1741.
 MAX_DEGREE_CAP = 4096
 
 # Largest accepted --p: a larger prime admits no iterate depth under the
@@ -71,7 +71,7 @@ MAX_AXIOM_TERMS = 4096
 # theta(f_n) forms f_n^p, of degree p^(n+1), one power of p past the
 # degree cap: p^n + 1 terms of about p^n * log2(p) bits each.  The default
 # cells measure at most 2^21 and (2, 12) exactly 2^25; (61, 2) and
-# (2039, 1), which took 73 s and 17 s, are skipped.
+# (2039, 1), whose checks alone take 24 s and 10 s, are skipped.
 MAX_DIAGONAL_SIZE = 2**25
 
 

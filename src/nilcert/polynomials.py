@@ -21,9 +21,10 @@ so equal values always hash equal.  not f tests for zero.
 Arithmetic runs on the numerators: a sum over the lcm of the two
 denominators, a product over da*db and a power over d^k, each leaving
 through from_numerators.  A large integer product goes through one
-kernel, _int_product, which packs both operands into big integers by
-Kronecker substitution and multiplies them with one big-int multiply;
-small or sparse products keep the schoolbook loop.
+kernel, _int_product: Kronecker substitution packs both operands into
+Decimals in base 10^w, libmpdec's number-theoretic transform multiplies
+them once in a private exact context, and the w-digit slots are read
+back; small or sparse products keep the schoolbook loop.
 
 Variables are positional; they are only named at the text boundary,
 rendered as x, y by default or s, t for the iterate family.
@@ -36,8 +37,10 @@ exponents omitted, e.g. "x^4 - 4*x^2*y + 2*y^2".
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
+import sys
 
 from .coefficients import LocalizedRational, Modulus, rational
 
@@ -57,6 +60,9 @@ class _RationalRing:
 
 
 RATIONALS = _RationalRing()
+
+# Exact for any integer; the kernel computes here, not in a thread's context
+_CONTEXT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 def _schoolbook(a: dict, b: dict) -> dict:
@@ -110,31 +116,38 @@ def _layout(a: dict, b: dict):
     return best
 
 
-def _pack(terms: dict, c: int, width: int, base, w: int) -> int:
-    """The integer sum of coefficient * 2^(8*w*slot) over terms."""
+def _pack(terms: dict, c: int, width: int, base, w: int, text) -> decimal.Decimal:
+    """The sum of coefficient * 10^(w*slot) over terms, as an exact Decimal."""
     s0, j0 = base
-    offsets = [(width * (i + c * j - s0) + j - j0) * w for i, j in terms]
-    positive = bytearray(max(offsets) + w)
-    negative = bytearray(len(positive))
-    for offset, v in zip(offsets, terms.values()):
+    slots = [width * (i + c * j - s0) + j - j0 for i, j in terms]
+    top = max(slots)
+    positive, negative = ["0" * w] * (top + 1), ["0" * w] * (top + 1)
+    for slot, v in zip(slots, terms.values()):
         if v > 0:
-            positive[offset:offset + w] = v.to_bytes(w, "little")
+            positive[top - slot] = text(v).zfill(w)
         else:
-            negative[offset:offset + w] = (-v).to_bytes(w, "little")
-    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+            negative[top - slot] = text(-v).zfill(w)
+    create = _CONTEXT.create_decimal
+    return _CONTEXT.subtract(create("".join(positive)), create("".join(negative)))
 
 
 def _int_product(a: dict, b: dict, layout=None) -> dict:
     """Product of two zero-free integer polynomials {(i, j): int}, zeros dropped, by
     Kronecker substitution (von zur Gathen and Gerhard, Modern Computer
-    Algebra, 8.4): each operand is evaluated at z = 2^(8w) under the
-    layout of _layout, the two integers are multiplied once, and the
+    Algebra, 8.4): each operand is evaluated at z = 10^w under the
+    layout of _layout, the two values are multiplied once, and the
     product is read back slot by slot.
 
-    A slot of the product holds a sum of at most min(len a, len b) terms,
-    each at most max|a| * max|b| in absolute value; w bytes per slot keep
-    that sum below 2^(8w-1), so adding 2^(8w-1) to every slot makes each
-    one a nonnegative w-byte field and the signed values come back exactly.
+    The values are Decimals in _CONTEXT, whose precision holds any
+    integer exactly, so the one multiply is libmpdec's number-theoretic
+    transform, and packing and unpacking are decimal string joins and
+    slices.  A slot of the product holds a sum of at most
+    min(len a, len b) terms, each at most max|a| * max|b| in absolute
+    value; w is one digit more than that bound has, so adding 5*10^(w-1)
+    to every slot makes each one a w-digit field and the signed values
+    come back exactly.  str and int convert a field only when w is under
+    the interpreter's integer string limit, read at call time; past it
+    they would refuse, so a field goes through a Decimal instead.
     """
     if not a or not b:
         return {}
@@ -142,22 +155,28 @@ def _int_product(a: dict, b: dict, layout=None) -> dict:
         layout = _layout(a, b)
     slots, c, width, base_a, base_b = layout
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
-    w = (bound.bit_length() + 8) // 8
-    packed = _pack(a, c, width, base_a, w)
-    # one packed object for a square, so CPython's multiply takes its squaring path
-    product = packed * (packed if b is a else _pack(b, c, width, base_b, w))
-    half = 1 << (8 * w - 1)
-    zero = half.to_bytes(w, "little")
-    data = (product + int.from_bytes(zero * slots, "little")).to_bytes(slots * w, "little")
+    create = _CONTEXT.create_decimal
+    w = create(bound).adjusted() + 2
+    # 0, or no such function (before 3.10.7), means no limit
+    if w < (getattr(sys, "get_int_max_str_digits", int)() or w + 1):
+        text, value = str, int
+    else:
+        text, value = (lambda v: _CONTEXT.to_sci_string(create(v))), (lambda s: int(create(s)))
+    packed = _pack(a, c, width, base_a, w, text)
+    # one packed value for a square, so libmpdec takes its squaring path
+    product = _CONTEXT.multiply(packed, packed if b is a else _pack(b, c, width, base_b, w, text))
+    zero = "5" + "0" * (w - 1)
+    half = value(zero)
+    data = _CONTEXT.to_sci_string(_CONTEXT.add(product, create(zero * slots)))
     s0 = base_a[0] + base_b[0]
     j0 = base_a[1] + base_b[1]
     out = {}
-    for slot, offset in enumerate(range(0, slots * w, w)):
-        field = data[offset:offset + w]
+    for slot, end in enumerate(range(slots * w, 0, -w)):
+        field = data[end - w:end]
         if field != zero:
             s, j = divmod(slot, width)
             j += j0
-            out[(s + s0 - c * j, j)] = int.from_bytes(field, "little") - half
+            out[(s + s0 - c * j, j)] = value(field) - half
     return out
 
 

@@ -14,7 +14,8 @@ psi is graded: for wt(x) = 1, wt(y) = p it carries the weight-w part of
 a polynomial to weight p*w.  So psi is evaluated one weighted-homogeneous
 part at a time, as a univariate polynomial in x^p - p*y expanded by
 Horner's rule on a dense coefficient list, rather than by the generic
-Polynomial.substitute.
+Polynomial.substitute.  The list is scaled so that each Horner step is
+one subtraction per entry, with no multiply by p.
 
 The context also builds the iterate family: integer polynomials, written
 in variables s, t, expressing the n-fold Adams iterate of the first
@@ -35,8 +36,10 @@ the image of member n, and the diagonal check of member n reads both.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .coefficients import is_prime
 from .polynomials import RATIONALS, Polynomial, from_numerators
@@ -87,9 +90,12 @@ class ThetaContext:
         in X of degree top, evaluated by Horner's rule on a dense list
         indexed by the power of y: multiplying by X keeps index L on
         x^p and moves -p times it to index L+1, and a_j enters at index
-        p*(j - j0).  Index L stands for x^(p*(top-L)) y^(p*j0+L).  psi
-        is linear, so the expansion runs on the plain-int numerators of
-        f and the result keeps f's denominator.
+        p*(j - j0).  Index L stands for x^(p*(top-L)) y^(p*j0+L).  The
+        list holds entry L times p^(top-L), so a step is t[L] - t[L-1]
+        and a_j enters times p^(top-step); each entry is divided exactly
+        by p^(top-L) at the end.  psi is linear, so the expansion runs on
+        the plain-int numerators of f and the result keeps f's
+        denominator.
         """
         p = self.p
         parts: dict[int, dict[int, int]] = {}
@@ -99,15 +105,17 @@ class ThetaContext:
         for w, part in parts.items():
             j0 = min(part)
             top = w - p * j0
-            acc = [part[j0]]
+            scale = [p**k for k in range(top + 1)]
+            acc = [part[j0] * scale[top]]
             for step in range(1, top + 1):
-                acc = [a - p * b for a, b in zip(acc + [0], [0] + acc)]
+                acc.append(0)
+                acc = list(map(operator.sub, acc, [0] + acc[:-1]))
                 if step % p == 0 and j0 + step // p in part:
-                    acc[step] += part[j0 + step // p]
-            for index, c in enumerate(acc):
-                if c:
+                    acc[step] += part[j0 + step // p] * scale[top - step]
+            for index, t in enumerate(acc):
+                if t:
                     y_power = p * j0 + index
-                    out[(p * (w - y_power), y_power)] = c
+                    out[(p * (w - y_power), y_power)] = t // scale[top - index]
         return from_numerators(f.ring, out, f.denominator)
 
     def psi_iterate(self, f: Polynomial, k: int) -> Polynomial:
@@ -167,18 +175,21 @@ class ThetaContext:
         """Verify the six defining identities on the concrete pair (f, g).
 
         psi of f, g, f + g and f*g, and f^p, are formed once, passed to
-        theta_from and read by every identity that names them.
+        theta_from and read by every identity that names them.  One ladder
+        of products gives f^1..f^p and g^1..g^p, so the cross term and
+        theta of f and g share their powers.
         """
         p = self.p
         report = AxiomReport()
         zero = Polynomial.zero(RATIONALS)
         report.record("theta_one", self.theta(Polynomial.one(RATIONALS)), zero)
-        total, product, power_f = f + g, f * g, f**p
+        powers_f, powers_g = (list(accumulate([h] * p, operator.mul)) for h in (f, g))
+        total, product, power_f, power_g = f + g, f * g, powers_f[-1], powers_g[-1]
         psi_f, psi_g, psi_total, psi_product = map(self.psi, (f, g, total, product))
-        theta_f, theta_g = self.theta_from(f, power_f, psi_f), self.theta_from(g, g**p, psi_g)
+        theta_f, theta_g = self.theta_from(f, power_f, psi_f), self.theta_from(g, power_g, psi_g)
         cross = zero
         for j in range(1, p):
-            cross = cross + (f**j * g ** (p - j)).scale(self.scaled_binomial(j))
+            cross = cross + (powers_f[j - 1] * powers_g[p - j - 1]).scale(self.scaled_binomial(j))
         theta_total = self.theta_from(total, total**p, psi_total)
         report.record("theta_sum", theta_total, theta_f + theta_g + cross)
         theta_product = self.theta_from(product, product**p, psi_product)

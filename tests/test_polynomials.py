@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import decimal
 import random
 from fractions import Fraction
 
@@ -544,6 +545,37 @@ def test_iterate_products_match_schoolbook(p, top):
         for _ in range(p - 1):
             power = _dict_product(power, f)
         assert (ctx.iterate_polynomial(n) ** p).terms == power
+
+
+@pytest.mark.parametrize("digits", [700, 2200])
+def test_int_product_past_the_digit_limit(digits):
+    from nilcert.polynomials import _int_product
+
+    # coefficients of about `digits` digits: product slots of about
+    # 2*digits digits, so 2200 passes the default 4300-digit limit on int
+    # and str, and 700 passes the 640 set by -X int_max_str_digits=640
+    rng = random.Random(digits)
+
+    def big():
+        return rng.choice([1, -1]) * rng.randrange(10 ** (digits - 1), 10**digits)
+
+    a = {(i, j): big() for i in range(6) for j in range(3) if (i + j) % 2 == 0}
+    b = {(i, j): big() for i in range(5) for j in range(4) if (i * j) % 3 != 1}
+    # (A x + B y)(A x - B y) = A^2 x^2 - B^2 y^2: the cross slot cancels
+    A, B = big(), big()
+    plus, minus = {(1, 0): A, (0, 1): B}, {(1, 0): A, (0, 1): -B}
+    # the kernel calls its own context, so a thread context that could
+    # hold none of these values exactly changes nothing, and is left as it was
+    tiny = decimal.Context(prec=3, traps=[decimal.Inexact, decimal.Rounded])
+    with decimal.localcontext(tiny) as context:
+        assert _int_product(a, b) == _dict_product(a, b)
+        assert _int_product(b, a) == _dict_product(b, a)
+        assert _int_product(a, a) == _dict_product(a, a)
+        assert _int_product(plus, minus) == {(2, 0): A * A, (0, 2): -B * B}
+        square = _int_product(b, b)
+        assert not any(context.flags.values())
+    assert square == _dict_product(b, b)
+    assert max(abs(c) for c in square.values()).bit_length() > 2 * 3.32 * (digits - 1)
 
 
 def test_rational_products_divide_back_once():

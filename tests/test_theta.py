@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilcert.coefficients import LocalizedRational
-from nilcert.polynomials import RATIONALS, Polynomial
+from nilcert.polynomials import RATIONALS, Polynomial, from_numerators
 from nilcert.theta import ThetaContext, nilpotence_bound, random_polynomial
 
 X, Y = Polynomial.generators(RATIONALS)
@@ -82,6 +83,85 @@ def test_psi_multiplies_weight_by_p():
             terms = {(w - p * j, j): rng.randint(-9, 9) for j in range(w // p + 1)}
             image = ctx.psi(Polynomial(RATIONALS, terms))
             assert all(i + p * j == p * w for i, j in image.terms)
+
+
+def _psi_by_horner(p, f):
+    """Reference: psi by Horner's rule on the unscaled dense list, one
+    multiply by p and one subtraction per entry and step."""
+    parts = {}
+    for (i, j), c in f.numerators.items():
+        parts.setdefault(i + p * j, {})[j] = c
+    out = {}
+    for w, part in parts.items():
+        j0 = min(part)
+        top = w - p * j0
+        acc = [part[j0]]
+        for step in range(1, top + 1):
+            acc = [a - p * b for a, b in zip(acc + [0], [0] + acc)]
+            if step % p == 0 and j0 + step // p in part:
+                acc[step] += part[j0 + step // p]
+        for index, c in enumerate(acc):
+            if c:
+                y_power = p * j0 + index
+                out[(p * (w - y_power), y_power)] = c
+    return from_numerators(f.ring, out, f.denominator)
+
+
+@st.composite
+def _weighted_parts(draw):
+    """(p, f): f a sum of weighted-homogeneous parts for wt(y) = p, each
+    with its own least y-degree j0, often above 0, with negative and
+    rational coefficients, and sometimes reduced mod p^m."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    denominators = st.sampled_from([d for d in (1, 2, 3, 7, 9, 11) if d % p])
+    coefficients = st.builds(LocalizedRational, st.integers(-10**6, 10**6), denominators)
+    terms = {}
+    for w in draw(st.sets(st.integers(0, 4 * p), min_size=1, max_size=4)):
+        j0 = draw(st.integers(0, w // p))
+        for j in draw(st.sets(st.integers(j0, w // p), max_size=4)) | {j0}:
+            terms[(w - p * j, j)] = draw(coefficients)
+    f = Polynomial(RATIONALS, terms)
+    m = draw(st.integers(0, 4))
+    return p, f.reduce_mod(p, m) if m else f
+
+
+@settings(max_examples=150)
+@given(_weighted_parts())
+def test_scaled_psi_matches_horner(case):
+    p, f = case
+    assert ThetaContext(p).psi(f) == _psi_by_horner(p, f)
+
+
+@pytest.mark.parametrize(
+    "p, n, image_sha, power_sha",
+    [
+        (
+            2,
+            10,
+            "49d12a4fbd5d64a8b57b26afb897217bc2a9a8b01c7614b792ec93433de34cf3",
+            "d09e398c32fc10fa7a656386f9fd3a2b54ded12f2d5ab2387762325b86959f77",
+        ),
+        (
+            3,
+            6,
+            "f09aa6784fac94aa2eca16de5f880264096b286be4f573149c4761b9a774837b",
+            "54f3b5577ddbe1bede9ec2f9a3ee7084131c7c4caff424dbd224f2dd4a18dc1e",
+        ),
+        (
+            5,
+            4,
+            "075bb5b838d68b56e19ed442e09457cbc07be1dcb6c8e225e166229843665956",
+            "2b274dab352c52b14c7269457f3845db087da6c4c6fae4601bc511fa6f0d535d",
+        ),
+    ],
+    ids=["2-10", "3-6", "5-4"],
+)
+def test_top_iterate_image_and_power_pinned(p, n, image_sha, power_sha):
+    # psi(f_n) and f_n^p at the deepest default depths, as text
+    ctx = ThetaContext(p)
+    f = ctx.iterate_polynomial(n)
+    assert hashlib.sha256(ctx.psi(f).to_text().encode()).hexdigest() == image_sha
+    assert hashlib.sha256((f**p).to_text().encode()).hexdigest() == power_sha
 
 
 def test_psi_steps_the_iterate_family():
