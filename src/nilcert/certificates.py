@@ -19,12 +19,14 @@ header key once, numbers in plain ASCII digits):
     cofactor <generator index> = <polynomial text>
 
 The whole text is ASCII of at most MAX_CERTIFICATE_BYTES (256 KiB); longer
-input is refused before any line is parsed.  Polynomial text is the
-package's standard format in variables x, y, in which each monomial
-appears at most once (Polynomial.parse refuses a repeat).  The generator
-indices refer to the fixed family for (p, e): index n for 0 <= n <= e is
-p^(e-n) times the n-th iterate polynomial read in (x, y), and index e+1
-is y^(p^e).
+input is refused before any line is parsed.  A number longer than the
+interpreter's integer string limit (4300 digits by default) raises
+ValueError too; the engine writes none past p^m <= 1024^64, 193 digits.
+Polynomial text is the package's standard format in variables x, y, in
+which each monomial appears at most once (Polynomial.parse refuses a
+repeat).  The generator indices refer to the fixed family for (p, e):
+index n for 0 <= n <= e is p^(e-n) times the n-th iterate polynomial
+read in (x, y), and index e+1 is y^(p^e).
 Cofactor lines may appear in any order and absent indices mean zero
 cofactors; an empty cofactor list asserts the target is 0 mod p^m.
 """

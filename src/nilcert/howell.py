@@ -30,9 +30,8 @@ with an identity block as wide as the number of origins to their right:
 the same steps on the same rows give the same basis, and the block becomes
 the transform over the origins.
 
-Rows are lists of Python ints in [0, p^m), so any modulus is exact.  A 2-D
-array is accepted as input and read once into lists; nothing else here
-uses numpy.
+Rows are lists of Python ints in [0, p^m), so any modulus is exact.  The
+input is any sequence of rows of integers, read once into such lists.
 """
 
 from __future__ import annotations
@@ -155,12 +154,8 @@ def _first_pass(rows, modulus: Modulus):
     """(basis, input rows as reduced int lists, pivots as (column, label),
     ascending origins)."""
     n = modulus.value
-    shape = getattr(rows, "shape", None)
-    if shape is not None:
-        # a 2-D array: its width holds even without rows
-        ncols, rows = shape[1], rows.tolist()
-    else:
-        ncols = len(rows[0]) if len(rows) else 0
+    # len, not truth: a 2-D array is a sequence of rows too
+    ncols = len(rows[0]) if len(rows) else 0
     work = [[int(x) % n for x in row] for row in rows]
     if any(len(row) != ncols for row in work):
         raise ValueError("rows differ in length")

@@ -65,6 +65,15 @@ RATIONALS = _RationalRing()
 _CONTEXT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
+def _int_text(v: int) -> str:
+    """The decimal text of v at any size: str under the interpreter's
+    integer string limit, and a Decimal in _CONTEXT past it, where str refuses."""
+    try:
+        return str(v)
+    except ValueError:
+        return _CONTEXT.to_sci_string(_CONTEXT.create_decimal(v))
+
+
 def _schoolbook(a: dict, b: dict) -> dict:
     """Product of two coefficient dicts by the term-by-term loop, zeros dropped."""
     out = {}
@@ -116,7 +125,7 @@ def _layout(a: dict, b: dict):
     return best
 
 
-def _pack(terms: dict, c: int, width: int, base, w: int, text) -> decimal.Decimal:
+def _pack(terms: dict, c: int, width: int, base, w: int) -> decimal.Decimal:
     """The sum of coefficient * 10^(w*slot) over terms, as an exact Decimal."""
     s0, j0 = base
     slots = [width * (i + c * j - s0) + j - j0 for i, j in terms]
@@ -124,9 +133,9 @@ def _pack(terms: dict, c: int, width: int, base, w: int, text) -> decimal.Decima
     positive, negative = ["0" * w] * (top + 1), ["0" * w] * (top + 1)
     for slot, v in zip(slots, terms.values()):
         if v > 0:
-            positive[top - slot] = text(v).zfill(w)
+            positive[top - slot] = _int_text(v).zfill(w)
         else:
-            negative[top - slot] = text(-v).zfill(w)
+            negative[top - slot] = _int_text(-v).zfill(w)
     create = _CONTEXT.create_decimal
     return _CONTEXT.subtract(create("".join(positive)), create("".join(negative)))
 
@@ -145,9 +154,9 @@ def _int_product(a: dict, b: dict, layout=None) -> dict:
     min(len a, len b) terms, each at most max|a| * max|b| in absolute
     value; w is one digit more than that bound has, so adding 5*10^(w-1)
     to every slot makes each one a w-digit field and the signed values
-    come back exactly.  str and int convert a field only when w is under
-    the interpreter's integer string limit, read at call time; past it
-    they would refuse, so a field goes through a Decimal instead.
+    come back exactly.  int reads a field back only when w is under the
+    interpreter's integer string limit, read at call time; past it a
+    field goes through a Decimal, as _int_text packs a coefficient.
     """
     if not a or not b:
         return {}
@@ -158,13 +167,11 @@ def _int_product(a: dict, b: dict, layout=None) -> dict:
     create = _CONTEXT.create_decimal
     w = create(bound).adjusted() + 2
     # 0, or no such function (before 3.10.7), means no limit
-    if w < (getattr(sys, "get_int_max_str_digits", int)() or w + 1):
-        text, value = str, int
-    else:
-        text, value = (lambda v: _CONTEXT.to_sci_string(create(v))), (lambda s: int(create(s)))
-    packed = _pack(a, c, width, base_a, w, text)
+    limit = getattr(sys, "get_int_max_str_digits", int)() or w + 1
+    value = int if w < limit else (lambda s: int(create(s)))
+    packed = _pack(a, c, width, base_a, w)
     # one packed value for a square, so libmpdec takes its squaring path
-    product = _CONTEXT.multiply(packed, packed if b is a else _pack(b, c, width, base_b, w, text))
+    product = _CONTEXT.multiply(packed, packed if b is a else _pack(b, c, width, base_b, w))
     zero = "5" + "0" * (w - 1)
     half = value(zero)
     data = _CONTEXT.to_sci_string(_CONTEXT.add(product, create(zero * slots)))
@@ -437,24 +444,19 @@ class Polynomial:
     def to_text(self, names=("x", "y")) -> str:
         if not self.numerators:
             return "0"
-        chunks = []
-        for (i, j), c in self.sorted_terms():
-            text = str(c)
-            negative = text.startswith("-")
-            if negative:
-                text = text[1:]
-            factors = []
-            if text != "1" or (i == 0 and j == 0):
-                factors.append(text)
+        d, chunks = self.denominator, []
+        for i, j in sorted(self.numerators, key=_term_sort_key, reverse=True):
+            # the numerator over d, reduced by one gcd, at any size
+            c = self.numerators[i, j]
+            g = math.gcd(c, d)
+            text = _int_text(abs(c) // g) + ("" if g == d else f"/{_int_text(d // g)}")
+            factors = [text] if text != "1" or i == j == 0 else []
             if i > 0:
                 factors.append(names[0] if i == 1 else f"{names[0]}^{i}")
             if j > 0:
                 factors.append(names[1] if j == 1 else f"{names[1]}^{j}")
-            term = "*".join(factors)
-            if not chunks:
-                chunks.append(f"-{term}" if negative else term)
-            else:
-                chunks.append(f"- {term}" if negative else f"+ {term}")
+            sign = ("- " if c < 0 else "+ ") if chunks else ("-" if c < 0 else "")
+            chunks.append(sign + "*".join(factors))
         return " ".join(chunks)
 
     @classmethod

@@ -51,8 +51,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-import numpy as np
-
 from .certificates import MAX_DEGREE, MAX_PRECISION, Certificate
 from .certificates import standard_generators, verify_certificate
 from .coefficients import Modulus
@@ -220,6 +218,15 @@ class GradedBasis(dict):
         return sum(weight_class.basis.rank for weight_class in self.values())
 
 
+class _Rows(list):
+    """A class's atom vectors, never empty.  ndim and shape exist only for
+    perfbench/tracing.py's howell_size hook on howell_complete's argument;
+    the benchmark change of ROADMAP item 1 deletes them."""
+
+    ndim = 2
+    shape = property(lambda self: (len(self), len(self[0])))
+
+
 def _build_class(rewrite: RewriteSystem, weight: int):
     """The _WeightClass of one weight, or None when all its atoms vanish.
 
@@ -249,14 +256,8 @@ def _build_class(rewrite: RewriteSystem, weight: int):
             vectors.append(_class_vector(terms, low, width))
     if not keys:
         return None
-    # an ndarray of Python ints only because perfbench/tracing.py's hook on
-    # howell_complete reads rows.shape and rows.ndim of this argument
-    class_basis, origins, transform = howell_complete(
-        np.array(vectors, dtype=object), rewrite.modulus
-    )
-    return _WeightClass(
-        low=low, keys=tuple(keys), basis=class_basis, origins=origins, transform=transform
-    )
+    basis, origins, transform = howell_complete(_Rows(vectors), rewrite.modulus)
+    return _WeightClass(low, tuple(keys), basis, origins, transform)
 
 
 class MembershipModule:

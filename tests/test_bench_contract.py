@@ -34,6 +34,10 @@ def test_tracer_installs_and_sees_the_elimination(monkeypatch):
     names = {span[0] for span in tracer.spans}
     assert {"howell.complete", "quotient.build", "quotient.query", "certificates.verify"} <= names
     assert tracer.counts["setup"]["quotient.rank"] == module.basis.rank
+    # module_size forces every class inside the traced region, so each
+    # class's rows reach the howell_size hook once, shaped as rows x columns
+    assert tracer.counts["setup"]["howell.rows_in"] == len(module.atoms)
+    assert tracer.counts["setup"]["howell.work_bytes"] > 0
 
 
 def test_tracer_sees_psi_inside_the_theta_checks(monkeypatch):

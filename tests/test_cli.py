@@ -3,7 +3,10 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +288,25 @@ def test_default_verify_bytes_pinned(tmp_path, capsys):
     assert len(names) == 14
     joined = b"".join((certs / name).read_bytes() for name in names)
     assert hashlib.sha256(joined).hexdigest() == DEFAULT_VERIFY_CERTS_SHA256
+
+
+def test_default_verify_runs_on_the_standard_library_alone(tmp_path):
+    # -S hides site-packages, so no third-party module can load; the run
+    # must still give the pinned report and certificates
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    certs = tmp_path / "certs"
+    command = ["verify", "--format", "machine", "--out-certs", str(certs)]
+    done = subprocess.run(
+        [sys.executable, "-S", "-m", "nilcert", *command],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == DEFAULT_VERIFY_REPORT_SHA256
+    joined = b"".join((certs / name).read_bytes() for name in sorted(os.listdir(certs)))
+    assert hashlib.sha256(joined).hexdigest() == DEFAULT_VERIFY_CERTS_SHA256
+    # with site-packages visible, the CLI still imports no numpy
+    probe = "import sys, nilcert.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
 
 
 # sha256 of the default `nilcert iterates --format machine` and

@@ -157,7 +157,7 @@ def test_two_passes_match_on_every_class(monkeypatch, p, e, m):
 
     def recorded(rows, modulus):
         result = inner(rows, modulus)
-        seen.append((rows.tolist(), result))
+        seen.append(([list(row) for row in rows], result))
         return result
 
     monkeypatch.setattr(quotient, "howell_complete", recorded)
@@ -249,14 +249,13 @@ def test_modulus_size_guard():
 
 
 def test_empty_input():
-    # an array keeps its width without rows
+    # no rows: no width, no origins and an empty transform
     mod = Modulus(2, 2)
-    basis = howell_complete(np.zeros((0, 4), dtype=np.int64), mod)[0]
+    basis, origins, transform = howell_complete([], mod)
     assert basis.rank == 0
-    assert basis.ncols == 4
-    residue, coeffs = basis.reduce([1, 0, 0, 0])
-    assert residue == [1, 0, 0, 0]
-    assert coeffs == []
+    assert origins == ()
+    assert transform == ()
+    assert basis.reduce([]) == ([], [])
 
 
 @settings(max_examples=40, deadline=None)

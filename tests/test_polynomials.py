@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import decimal
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -576,6 +578,59 @@ def test_int_product_past_the_digit_limit(digits):
         assert not any(context.flags.values())
     assert square == _dict_product(b, b)
     assert max(abs(c) for c in square.values()).bit_length() > 2 * 3.32 * (digits - 1)
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    # expected text comes from str and int with the limit lifted, not from
+    # the code under test
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_text_past_the_digit_limit():
+    # 5001 digits pass the default 4300-digit limit on str, and the 640 of
+    # -X int_max_str_digits=640; to_text stays exact at any size
+    big = 10**5000
+    assert Polynomial.constant(RATIONALS, big).to_text() == "1" + "0" * 5000
+    third = LocalizedRational(-big, 3)
+    assert Polynomial.constant(RATIONALS, third).to_text() == "-1" + "0" * 5000 + "/3"
+    mixed = (X * Y).scale(third) + X.scale(LocalizedRational(1, 6))
+    assert mixed.to_text() == "-1" + "0" * 5000 + "/3*x*y + 1/6*x"
+    # 2^16610 - 1 has 5001 digits
+    ring = Modulus(2, 16610)
+    residue = Polynomial.monomial(ring, 1, 1, -1) + Polynomial.one(ring)
+    with _no_digit_limit():
+        expected = f"{ring.value - 1}*x*y + 1"
+    assert residue.to_text() == expected
+    with _no_digit_limit():
+        assert Polynomial.parse(mixed.to_text(), RATIONALS) == mixed
+        assert Polynomial.parse(expected, ring) == residue
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", int)(), reason="no integer string limit"
+)
+def test_parse_refuses_past_the_digit_limit():
+    # certificate text is outside input, so a number past the limit is
+    # refused with ValueError and no other exception, in a polynomial and
+    # in a certificate
+    from nilcert.certificates import certificate_from_text
+
+    digits = "1" + "0" * sys.get_int_max_str_digits()
+    for text in [digits, f"{digits}*x - y", f"x + 1/{digits}*y", f"x^{digits}"]:
+        with pytest.raises(ValueError):
+            Polynomial.parse(text, RATIONALS)
+    lines = {"p": "2", "e": "1", "m": "2", "target": "x^3", "cofactor 0": "y"}
+    certificate_from_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    for key, value in [("target", f"{digits}*x^3"), ("cofactor 0", f"{digits}*y"), ("m", digits)]:
+        text = "".join(f"{k} = {v}\n" for k, v in {**lines, key: value}.items())
+        with pytest.raises(ValueError):
+            certificate_from_text(text)
 
 
 def test_rational_products_divide_back_once():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nilcert.coefficients import LocalizedRational
 from nilcert.polynomials import RATIONALS, Polynomial, from_numerators
-from nilcert.theta import ThetaContext, nilpotence_bound, random_polynomial
+from nilcert.theta import AxiomReport, ThetaContext, nilpotence_bound, random_polynomial
 
 X, Y = Polynomial.generators(RATIONALS)
 
@@ -579,3 +579,15 @@ def test_theta_checks_the_denominator_before_the_congruence():
     assert ThetaContext(2).theta(third_x) == (third_x**2 - ThetaContext(2).psi(third_x)).scale(
         LocalizedRational(1, 2)
     )
+
+
+def test_axiom_report_records_a_failure_past_the_digit_limit():
+    # sides of 5001 digits, past the default 4300-digit limit on str: the
+    # failure is stored with both sides rendered, not raised
+    report = AxiomReport()
+    big = Polynomial.constant(RATIONALS, 10**5000)
+    report.record("holds", big, big)
+    report.record("fails", big, big + Polynomial.one(RATIONALS))
+    assert report.identities == {"holds": True, "fails": False}
+    assert not report
+    assert report.failures == [("fails", "1" + "0" * 5000, "1" + "0" * 4999 + "1")]
