@@ -4,10 +4,10 @@ A certificate asserts that a target polynomial lies in the ideal generated
 by the standard family for (p, e) when working mod p^m, by exhibiting one
 cofactor per generator.  verify_certificate re-expands the combination
 term by term in Z/p^m, against generators it rebuilds from their defining
-recursion (not from the operator layer the engine uses); it deliberately
-shares nothing with the membership engine beyond the polynomial layer, so
-a certificate check is evidence independent of the machinery that
-produced it.  A cofactor must be p-integral to have a value mod p^m.
+recursion with its own product loop, not the engine's operator layer or
+product kernels; it shares nothing with the membership engine beyond the
+polynomial layer, so a certificate check is evidence independent of the
+machinery that produced it.  A cofactor must be p-integral mod p^m.
 
 Certificate file grammar (one item per line, '#' starts a comment; each
 header key once, numbers in plain ASCII digits):
@@ -37,7 +37,7 @@ import functools
 import re
 from dataclasses import dataclass
 
-from .coefficients import Modulus, is_prime
+from .coefficients import is_prime
 from .polynomials import RATIONALS, Polynomial, from_numerators
 from .theta import ThetaContext
 
@@ -66,22 +66,34 @@ def standard_generators(p: int, e: int) -> tuple:
     return tuple(members)
 
 
+def _product_into(total: dict, a: dict, b: dict) -> dict:
+    """Add a * b into the {(i, j): c} dict total, term by term; return it."""
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            total[key] = total.get(key, 0) + c1 * c2
+    return total
+
+
 @functools.lru_cache(maxsize=32)
 def _checker_generators(p: int, e: int) -> tuple:
     """The same family as standard_generators, for the checker alone:
     f_0 = x, f_n = f_(n-1)(x, y)^p - p * f_(n-1)(y, 0), then
-    p^(e-n) * f_n for n <= e and y^(p^e).  Cached per (p, e)."""
+    p^(e-n) * f_n for n <= e and y^(p^e); each p-th power is p - 1
+    _product_into products, never a polynomials kernel.  Cached per (p, e)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if e < 1:
         raise ValueError("depth e must be at least 1")
     family = [Polynomial.monomial(RATIONALS, 1, 0)]
     for _ in range(e):
-        previous = family[-1]
-        collapsed = Polynomial(
-            RATIONALS, {(0, i): c for (i, j), c in previous.terms.items() if j == 0}
-        )
-        family.append(previous**p - collapsed.scale(p))
+        previous = power = family[-1].numerators
+        for _ in range(p - 1):
+            power = _product_into({}, power, previous)
+        for (i, j), c in previous.items():
+            if j == 0:
+                power[(0, i)] = power.get((0, i), 0) - p * c
+        family.append(from_numerators(RATIONALS, {k: c for k, c in power.items() if c}))
     members = [f.scale(p ** (e - n)) for n, f in enumerate(family)]
     members.append(Polynomial.monomial(RATIONALS, 0, p**e))
     return tuple(members)
@@ -109,14 +121,18 @@ class Certificate:
 
 
 def verify_certificate(certificate: Certificate) -> bool:
-    """Expand the certificate in Z/p^m, each cofactor reduced once and
-    multiplied by its generator mod p^m, and compare it with the target:
-    False on an honest mismatch.  Raises ValueError when the certificate is
-    malformed (bad index, wrong ring, a cofactor that is not p-integral) or
-    its expansion needs more than MAX_TERM_PRODUCTS term products, counted
-    on the integer generators."""
-    p, e, m = certificate.p, certificate.e, certificate.m
+    """Expand the certificate on residue dicts mod p^m, cofactor numerators
+    times the inverse of their denominator, and compare it with the
+    target's: False on an honest mismatch.  Raises ValueError when it is
+    malformed (p not prime, e or m below 1, bad index, a target or cofactor
+    not over RATIONALS, a denominator divisible by p) or its expansion needs
+    over MAX_TERM_PRODUCTS term products, counted on the integer generators."""
+    p, e, m, target = certificate.p, certificate.e, certificate.m, certificate.target
+    if m < 1:
+        raise ValueError("precision must be at least 1")
     generators = _checker_generators(p, e)
+    if target.ring is not RATIONALS:
+        raise ValueError("target must have integer coefficients")
     products = 0
     for index, cofactor in certificate.cofactors:
         if not 0 <= index < len(generators):
@@ -130,15 +146,14 @@ def verify_certificate(certificate: Certificate) -> bool:
         raise ValueError(
             f"certificate expansion needs {products} term products, above {MAX_TERM_PRODUCTS}"
         )
-    modulus, residues, total = Modulus(p, m), _checker_residues(p, e, m), {}
+    n, residues, total = p**m, _checker_residues(p, e, m), {}
     for index, cofactor in certificate.cofactors:
-        reduced = from_numerators(modulus, cofactor.numerators, cofactor.denominator)
-        for (a, b), c in reduced.numerators.items():
-            for (i, j), g in residues[index].items():
-                total[(a + i, b + j)] = total.get((a + i, b + j), 0) + c * g
-    target = certificate.target
-    target = from_numerators(modulus, target.numerators, target.denominator)
-    return from_numerators(modulus, total) == target
+        inverse = pow(cofactor.denominator, -1, n)
+        reduced = {k: r for k, c in cofactor.numerators.items() if (r := c * inverse % n)}
+        _product_into(total, reduced, residues[index])
+    inverse = pow(target.denominator, -1, n)  # ValueError when p divides it
+    expected = {key: r for key, c in target.numerators.items() if (r := c * inverse % n)}
+    return {key: r for key, c in total.items() if (r := c % n)} == expected
 
 
 def certificate_to_text(certificate: Certificate) -> str:

@@ -37,6 +37,7 @@ input is any sequence of rows of integers, read once into such lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from math import gcd
 
@@ -62,6 +63,12 @@ class HowellBasis:
     def rank(self) -> int:
         return len(self.matrix)
 
+    @cached_property
+    def _pivot_rows(self) -> tuple:
+        """(pivot column, pivot value, nonzero entries (j, x)) per row."""
+        entries = (tuple((j, x) for j, x in enumerate(row) if x) for row in self.matrix)
+        return tuple(zip(self.pivot_columns, self.pivot_values, entries))
+
     def reduce(self, vector):
         """Canonical remainder of vector against the basis.
 
@@ -69,18 +76,19 @@ class HowellBasis:
         vector = sum of coefficients[i] * matrix[i] + residue (mod p^m).
         The vector lies in the row module iff the residue is zero; the
         residue is a canonical coset representative either way (each
-        pivot column is reduced below its pivot value).
+        pivot column is reduced below its pivot value).  A pivot step
+        updates the residue in place at the row's nonzero entries alone.
         """
         n = self.modulus.value
         residue = [int(x) % n for x in vector]
         if len(residue) != self.ncols:
             raise ValueError("vector length does not match the basis")
-        coefficients = [0] * self.rank
-        for index, (col, pk) in enumerate(zip(self.pivot_columns, self.pivot_values)):
+        coefficients = [0] * len(self.matrix)
+        for index, (col, pk, row) in enumerate(self._pivot_rows):
             factor = residue[col] // pk
             if factor:
-                row = self.matrix[index]
-                residue[col:] = [(x - factor * y) % n for x, y in zip(residue[col:], row[col:])]
+                for j, x in row:
+                    residue[j] = (residue[j] - factor * x) % n
                 coefficients[index] = factor
         return residue, coefficients
 

@@ -99,12 +99,22 @@ class RewriteSystem:
     def _reduce_terms(self, work: dict):
         """Core loop on a zero-free {(i, j): residue} dict, mutated into the
         span part; returns (span terms, fragments), fragments[g] a cofactor
-        term dict.  One sweep down the heavy keys, sorted once: a tail term
-        of y-degree p^e or more goes straight to the y^(p^e) fragment, a
-        new heavy key is inserted in order and a cancelled one skipped."""
+        term dict.  One pass moves keys of y-degree p^e or more to the
+        y^(p^e) fragment and collects the heavy keys; one sweep down these,
+        sorted once, does the same to a tail term, inserts a new heavy key
+        in order and skips a cancelled one."""
         n, block = self.modulus.value, self.block
-        killed = {(i, j - block): work.pop((i, j)) for i, j in list(work) if j >= block}
-        heavy = sorted(key for key in work if key[0] >= block)
+        killed, heavy = {}, []
+        for (i, j), value in work.items():
+            if j >= block:
+                killed[(i, j - block)] = value
+            elif i >= block:
+                heavy.append((i, j))
+        for i, j in killed:
+            del work[(i, j + block)]
+        if not heavy:
+            return work, {self.e + 1: killed} if killed else {}
+        heavy.sort()
         credits: dict = {}
         while heavy:
             i, j = key = heavy.pop()
@@ -133,10 +143,13 @@ class RewriteSystem:
         The span terms are a {(i, j): int} dict with 0 <= i, j < p^e; the
         fragments account exactly for what was removed:
         f = sum over g of fragment_g * generator_g + span part, mod p^m.
+        A rational f's numerators go straight into a fresh residue dict.
         """
         if f.ring is RATIONALS:
-            f = from_numerators(self.modulus, f.numerators, f.denominator)
-            return self._reduce_terms(f.numerators)  # a fresh dict, taken over
+            n = self.modulus.value
+            inverse = pow(f.denominator, -1, n)  # ValueError when p divides it
+            work = {k: r for k, c in f.numerators.items() if (r := c * inverse % n)}
+            return self._reduce_terms(work)
         if f.ring != self.modulus:
             raise ValueError("polynomial modulus does not match the rewrite system")
         return self._reduce_terms(dict(f.numerators))
@@ -159,14 +172,6 @@ def _add_into(bucket: dict, terms: dict, scale: int, n: int, di: int = 0, dj: in
             bucket[key] = total
         else:
             bucket.pop(key, None)
-
-
-def _class_vector(terms: dict, low: int, width: int) -> list:
-    """Span terms {(i, j): c}, all of one weight, as a class-local vector."""
-    vector = [0] * width
-    for (_, j), value in terms.items():
-        vector[j - low] = value
-    return vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +258,7 @@ def _build_class(rewrite: RewriteSystem, weight: int):
             if any(i + p * j != weight for i, j in terms):
                 raise AssertionError(f"atom {(gen_index, a, b)} is not weighted homogeneous")
             keys.append((gen_index, a, b))
-            vectors.append(_class_vector(terms, low, width))
+            vectors.append([terms.get((weight - p * j, j), 0) for j in range(low, low + width)])
     if not keys:
         return None
     basis, origins, transform = howell_complete(_Rows(vectors), rewrite.modulus)
@@ -306,24 +311,26 @@ class MembershipModule:
         lifted to integers) or a witness."""
         terms, combined = self.rewrite.reduce(f)
         p, n = self.p, self.modulus.value
-        parts: dict = {}
+        parts: dict = {}  # weight -> {y-degree: value}; the two fix a term
         for (i, j), value in terms.items():
-            parts.setdefault(i + p * j, {})[(i, j)] = value
+            parts.setdefault(i + p * j, {})[j] = value
         remainder = {}
         solved = []
         for weight, part in sorted(parts.items()):
             weight_class = self._weight_class(weight)
             if weight_class is None:
-                remainder.update(part)
+                remainder.update({(weight - p * j, j): value for j, value in part.items()})
                 continue
             low = weight_class.low
-            residue, coefficients = weight_class.basis.reduce(
-                _class_vector(part, low, weight_class.basis.ncols)
-            )
+            vector = [0] * weight_class.basis.ncols
+            for j, value in part.items():
+                vector[j - low] = value
+            residue, coefficients = weight_class.basis.reduce(vector)
             for k, value in enumerate(residue):
                 if value:
                     remainder[(weight - p * (low + k), low + k)] = value
-            solved.append((weight_class, coefficients))
+            if any(coefficients):
+                solved.append((weight_class, coefficients))
         if remainder:
             witness = ResidueWitness(polynomial=from_numerators(self.modulus, remainder))
             return MembershipResult(member=False, witness=witness)

@@ -20,6 +20,7 @@ from nilcert.certificates import (
     verify_certificate,
     write_certificate,
 )
+from nilcert import certificates, polynomials
 from nilcert.cli import RunConfig
 from nilcert.coefficients import rational
 from nilcert.polynomials import RATIONALS, Polynomial
@@ -146,6 +147,74 @@ def test_cofactor_over_a_unit_judged_on_its_residue():
 
     assert verify_certificate(certificate(rational(7, 3)))
     assert not verify_certificate(certificate(rational(5, 3)))
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_precision_below_one_refused(m):
+    # everything vanishes mod p^0 = 1, so an unguarded m = 0 would prove x
+    with pytest.raises(ValueError, match="precision must be at least 1"):
+        verify_certificate(Certificate(p=2, e=1, m=m, target=X, cofactors=()))
+
+
+@pytest.mark.parametrize(
+    "target",
+    [(X**3).reduce_mod(3, 2), (X**3 + X.scale(4)).reduce_mod(2, 3)],
+    ids=["over-Z/9", "over-Z/8"],
+)
+def test_target_over_a_residue_ring_refused(target):
+    certificate = Certificate(p=2, e=1, m=2, target=target, cofactors=((0, Y), (1, X)))
+    with pytest.raises(ValueError, match="target must have integer coefficients"):
+        verify_certificate(certificate)
+
+
+def test_target_over_p_refused():
+    certificate = Certificate(p=2, e=1, m=2, target=X.scale(rational(1, 2)), cofactors=())
+    with pytest.raises(ValueError, match="not invertible"):
+        verify_certificate(certificate)
+
+
+def test_target_over_a_unit_judged_on_its_residue():
+    # 1/3 is 3 mod 4, so x/3 is 3x, not 0; 4x/3 is 0 mod 4
+    assert not verify_certificate(
+        Certificate(p=2, e=1, m=2, target=X.scale(rational(1, 3)), cofactors=())
+    )
+    assert verify_certificate(
+        Certificate(p=2, e=1, m=2, target=X.scale(rational(4, 3)), cofactors=())
+    )
+
+
+@pytest.mark.parametrize("kernel", ["_int_product", "_schoolbook"])
+def test_checker_family_shares_no_product_kernel(monkeypatch, kernel):
+    # a fault in either engine product kernel corrupts the engine's family
+    # or trips its spot check, while the checker's, built by its own
+    # product loop, stays as it was
+    cells = [(2, 10), (3, 6)]
+    clean = {cell: _checker_generators(*cell) for cell in cells}
+    product = getattr(polynomials, kernel)
+
+    def perturbed(*args):
+        out = product(*args)
+        if out:
+            key = min(out)
+            out[key] += 2 if out[key] == -1 else 1
+        return out
+
+    monkeypatch.setattr(polynomials, kernel, perturbed)
+    # and under the same name in the checker's module, should it import one
+    monkeypatch.setattr(certificates, kernel, perturbed, raising=False)
+    try:
+        for cache in (_checker_generators, certificates._checker_residues):
+            cache.cache_clear()
+        for cell in cells:
+            assert _checker_generators(*cell) == clean[cell]
+        try:
+            engine = standard_generators(2, 10)
+        except AssertionError:  # the engine's own spot check saw the fault
+            engine = None
+        assert engine != clean[(2, 10)]
+    finally:
+        for cache in (_checker_generators, certificates._checker_residues):
+            cache.cache_clear()
 
 
 def test_text_round_trip():

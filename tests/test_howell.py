@@ -235,6 +235,46 @@ def test_vector_length_checked():
         howell_complete([[2, 1], [1]], mod)
 
 
+def _dense_reduce(basis, vector):
+    """HowellBasis.reduce by the dense formula: each pivot step rewrites
+    the whole residue from the pivot column on."""
+    n = basis.modulus.value
+    residue = [int(x) % n for x in vector]
+    coefficients = [0] * basis.rank
+    for index, (col, pk) in enumerate(zip(basis.pivot_columns, basis.pivot_values)):
+        factor = residue[col] // pk
+        if factor:
+            row = basis.matrix[index]
+            residue[col:] = [(x - factor * y) % n for x, y in zip(residue[col:], row[col:])]
+            coefficients[index] = factor
+    return residue, coefficients
+
+
+@settings(max_examples=80, deadline=None)
+@given(pm=st.sampled_from([(2, 3), (3, 2), (5, 2), (2, 40), (2, 64)]), data=st.data())
+def test_sparse_reduce_matches_dense_formula(pm, data):
+    p, m = pm
+    n = p**m
+    width = data.draw(st.integers(1, 6))
+    # entries of every valuation, negative ones and ones past p^m among them
+    entries = st.builds(
+        lambda u, k: u * p**k, st.integers(-2 * n, 2 * n), st.integers(0, m)
+    ) | st.just(0)
+    row = st.lists(entries, min_size=width, max_size=width)
+    basis = howell_complete(data.draw(st.lists(row, min_size=1, max_size=5)), Modulus(p, m))[0]
+    vector = data.draw(row)
+    assert basis.reduce(vector) == _dense_reduce(basis, vector)
+    if pm == (2, 40):
+        # int64 entries are read as Python ints: a pivot step's products
+        # pass 2^63 here, where int64 arithmetic would wrap
+        fitting = [x % 2**64 - 2**63 for x in vector]  # into the int64 range
+        residue, coefficients = basis.reduce(np.array(fitting, dtype=np.int64))
+        assert (residue, coefficients) == _dense_reduce(basis, fitting)
+        assert all(type(x) is int for x in residue + coefficients)
+    with pytest.raises(ValueError, match="length"):
+        basis.reduce(vector + [0])
+
+
 def test_modulus_size_guard():
     # the elimination runs on Python ints and bounds no modulus: 2^31, the
     # old int64 limit, and moduli past 2^63 answer exactly

@@ -175,6 +175,42 @@ def test_reduce_rejects_foreign_modulus():
         rewrite.reduce(X.reduce_mod(3, 2))
 
 
+@pytest.mark.parametrize(
+    "f, span, fragments",
+    [
+        (Polynomial.zero(RATIONALS), {}, {}),
+        # no heavy key: the span part alone, 16x vanishing mod 8
+        ((X**3 * Y).scale(9) - Y.scale(3) + X.scale(16), {(3, 1): 1, (0, 1): 5}, {}),
+        # killed keys only, one of them of x-degree p^e or more
+        ((Y**4).scale(3) - X**6 * Y**5, {}, {3: {(0, 0): 3, (6, 1): 7}}),
+        # a fraction over a unit: 1/3 is 3 mod 8
+        (Y.scale(rational(1, 3)) + Y**4, {(0, 1): 3}, {3: {(0, 0): 1}}),
+        # the system's own modulus
+        ((X**5 + X * Y**4).reduce_mod(2, 3), None, None),
+    ],
+    ids=["empty", "no-heavy-key", "only-killed-keys", "fraction-over-a-unit", "own-modulus"],
+)
+def test_reduce_entry_cases(f, span, fragments):
+    # f = sum of fragment_g * g + span part, mod p^m, in every case
+    rewrite = RewriteSystem(2, 2, 3)
+    terms, found = rewrite.reduce(f)
+    if span is not None:
+        assert (terms, found) == (span, fragments)
+    assert all(i < 4 and j < 4 for i, j in terms)
+    lifted = f if f.ring is RATIONALS else f.lift()
+    rebuilt = expand(rewrite, found) + Polynomial(rewrite.modulus, terms).lift()
+    assert not (lifted - rebuilt).reduce_mod(2, 3)
+
+
+@pytest.mark.parametrize(
+    "f, message",
+    [(X.reduce_mod(2, 4), "modulus does not match"), (X.scale(rational(1, 2)), "not invertible")],
+)
+def test_reduce_entry_refusals(f, message):
+    with pytest.raises(ValueError, match=message):
+        RewriteSystem(2, 2, 3).reduce(f)
+
+
 def test_monomial_index_round_trip():
     rewrite = RewriteSystem(3, 1, 2)
     terms, _ = rewrite.reduce((X**2 * Y).scale(5))
