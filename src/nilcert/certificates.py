@@ -7,7 +7,9 @@ term by term in Z/p^m, against generators it rebuilds from their defining
 recursion with its own product loop, not the engine's operator layer or
 product kernels; it shares nothing with the membership engine beyond the
 polynomial layer, so a certificate check is evidence independent of the
-machinery that produced it.  A cofactor must be p-integral mod p^m.
+machinery that produced it.  Both map values into Z/p^m by
+polynomials.residues alone, and admit a cell (p, e, m) by check_cell
+alone.  A cofactor must be p-integral mod p^m.
 
 Certificate file grammar (one item per line, '#' starts a comment; each
 header key once, numbers in plain ASCII digits):
@@ -38,13 +40,13 @@ import re
 from dataclasses import dataclass
 
 from .coefficients import is_prime
-from .polynomials import RATIONALS, Polynomial, from_numerators
+from .polynomials import RATIONALS, Polynomial, from_numerators, residues
 from .theta import ThetaContext
 
 # A certificate file is outside input, so its text is bounded before it is
 # parsed, and its header before any generator is built: p^e at most the
 # default --degree-cap of the iterate checks, and m at most MAX_PRECISION,
-# the precision build_membership_module refuses to exceed.  Its expansion
+# by check_cell, which admits the engine's cells too.  Its expansion
 # is bounded too, by the term products it needs (about a second of work).
 # For scale, the largest nilpotence certificate `verify` writes, at
 # (2, 7, 64), is 3046 bytes and needs 4001 term products; (2, 9, 64),
@@ -53,6 +55,24 @@ MAX_DEGREE = 1024
 MAX_PRECISION = 64
 MAX_TERM_PRODUCTS = 10**6
 MAX_CERTIFICATE_BYTES = 2**18
+
+
+def check_cell(p: int, e: int, m: int) -> None:
+    """Raise ValueError unless the cell (p, e, m) is admitted: p^e at most
+    MAX_DEGREE, m at most MAX_PRECISION, e and m at least 1, p prime.
+    The bounds come first, so neither p**e nor the trial division in
+    is_prime runs on an absurd cell."""
+    # p^e >= 2^e, so e is bounded before p**e is formed, for e >= 1 only
+    if p > MAX_DEGREE or e >= MAX_DEGREE.bit_length() or (e > 0 and p**e > MAX_DEGREE):
+        raise ValueError(f"degree p^e exceeds {MAX_DEGREE}")
+    if m > MAX_PRECISION:
+        raise ValueError(f"precision {m} exceeds {MAX_PRECISION}")
+    if e < 1:
+        raise ValueError("depth e must be at least 1")
+    if m < 1:
+        raise ValueError("precision must be at least 1")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 def standard_generators(p: int, e: int) -> tuple:
@@ -80,11 +100,8 @@ def _checker_generators(p: int, e: int) -> tuple:
     """The same family as standard_generators, for the checker alone:
     f_0 = x, f_n = f_(n-1)(x, y)^p - p * f_(n-1)(y, 0), then
     p^(e-n) * f_n for n <= e and y^(p^e); each p-th power is p - 1
-    _product_into products, never a polynomials kernel.  Cached per (p, e)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if e < 1:
-        raise ValueError("depth e must be at least 1")
+    _product_into products, never a polynomials kernel.  Cached per (p, e),
+    which the caller has admitted by check_cell."""
     family = [Polynomial.monomial(RATIONALS, 1, 0)]
     for _ in range(e):
         previous = power = family[-1].numerators
@@ -121,15 +138,14 @@ class Certificate:
 
 
 def verify_certificate(certificate: Certificate) -> bool:
-    """Expand the certificate on residue dicts mod p^m, cofactor numerators
-    times the inverse of their denominator, and compare it with the
-    target's: False on an honest mismatch.  Raises ValueError when it is
-    malformed (p not prime, e or m below 1, bad index, a target or cofactor
-    not over RATIONALS, a denominator divisible by p) or its expansion needs
-    over MAX_TERM_PRODUCTS term products, counted on the integer generators."""
+    """Expand the certificate on the residue dicts of its cofactors mod
+    p^m and compare it with the target's: False on an honest mismatch.
+    Raises ValueError when it is malformed (a cell check_cell refuses, bad
+    index, a target or cofactor not over RATIONALS, a denominator divisible
+    by p) or its expansion needs over MAX_TERM_PRODUCTS term products,
+    counted on the integer generators."""
     p, e, m, target = certificate.p, certificate.e, certificate.m, certificate.target
-    if m < 1:
-        raise ValueError("precision must be at least 1")
+    check_cell(p, e, m)
     generators = _checker_generators(p, e)
     if target.ring is not RATIONALS:
         raise ValueError("target must have integer coefficients")
@@ -146,13 +162,11 @@ def verify_certificate(certificate: Certificate) -> bool:
         raise ValueError(
             f"certificate expansion needs {products} term products, above {MAX_TERM_PRODUCTS}"
         )
-    n, residues, total = p**m, _checker_residues(p, e, m), {}
+    n, family, total = p**m, _checker_residues(p, e, m), {}
     for index, cofactor in certificate.cofactors:
-        inverse = pow(cofactor.denominator, -1, n)
-        reduced = {k: r for k, c in cofactor.numerators.items() if (r := c * inverse % n)}
-        _product_into(total, reduced, residues[index])
-    inverse = pow(target.denominator, -1, n)  # ValueError when p divides it
-    expected = {key: r for key, c in target.numerators.items() if (r := c * inverse % n)}
+        reduced = residues(cofactor.numerators, cofactor.denominator, n)
+        _product_into(total, reduced, family[index])
+    expected = residues(target.numerators, target.denominator, n)
     return {key: r for key, c in total.items() if (r := c % n)} == expected
 
 
@@ -170,8 +184,8 @@ def certificate_to_text(certificate: Certificate) -> str:
 
 def certificate_from_text(text: str) -> Certificate:
     """Parse the grammar above; raises ValueError on malformed input, on
-    text that is not ASCII and, before parsing, on text longer than
-    MAX_CERTIFICATE_BYTES."""
+    text that is not ASCII, on a header check_cell refuses and, before
+    parsing, on text longer than MAX_CERTIFICATE_BYTES."""
     if len(text) > MAX_CERTIFICATE_BYTES:
         raise ValueError(f"certificate text exceeds {MAX_CERTIFICATE_BYTES} bytes")
     header: dict = {}
@@ -204,15 +218,7 @@ def certificate_from_text(text: str) -> Certificate:
     if missing:
         raise ValueError(f"certificate is missing {sorted(missing)}")
     p, e, m = header["p"], header["e"], header["m"]
-    if e < 1 or m < 1:
-        raise ValueError("certificate depth and precision must be at least 1")
-    if m > MAX_PRECISION:
-        raise ValueError(f"certificate precision {m} exceeds {MAX_PRECISION}")
-    # p^e >= 2^e, so e is bounded before p**e is formed
-    if p > MAX_DEGREE or e >= MAX_DEGREE.bit_length() or p**e > MAX_DEGREE:
-        raise ValueError(f"certificate degree p^e exceeds {MAX_DEGREE}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_cell(p, e, m)
     seen = [index for index, _ in cofactors]
     if len(seen) != len(set(seen)):
         raise ValueError("duplicate cofactor index")

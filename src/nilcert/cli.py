@@ -303,16 +303,10 @@ def run_verify(config: RunConfig) -> Report:
         record = {"p": p, "e": e, "verdicts": {}}
         verdicts = record["verdicts"]
         moduli = sorted({e + 1, e + 1 + config.extra_precision})
-        modules = {}
-        guard = None
-        for m in moduli:
-            try:
-                modules[m] = build_membership_module(p, e, m, config.span_limit)
-            except ValueError as error:
-                guard = str(error)
-                break
-        if guard is not None:
-            verdicts["cell"] = skipped(guard)
+        try:
+            modules = {m: build_membership_module(p, e, m, config.span_limit) for m in moduli}
+        except ValueError as error:
+            verdicts["cell"] = skipped(str(error))
             report.records.append(record)
             _timing(f"verify p={p} e={e}", started)
             continue

@@ -15,8 +15,8 @@ rational(), the one constructor of rational values, returns a plain int
 when the reduced denominator is 1 and a LocalizedRational otherwise.
 
 An element of Z/p^m is a plain int, its representative in [0, p^m).
-Modulus only describes the ring; polynomials.from_numerators is the one
-map of a value into it.
+Modulus only describes the ring; polynomials.residues is the one map of
+a value into it.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class LocalizedRational:
 
     A coefficient in the localization of Z at a prime p.  The value itself
     does not know p; a polynomial entering Z/p^m checks its denominator
-    there, in polynomials.from_numerators.  Zero is always stored as 0/1.
+    there, in polynomials.residues.  Zero is always stored as 0/1.
 
     Sums and powers are not defined here: polynomials add and multiply
     their integer numerators.  The one arithmetic operation is the

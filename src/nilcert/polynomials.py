@@ -8,9 +8,9 @@ equal polynomials have equal numerators, denominators and hashes.  Over
 a Modulus, d is 1 and the numerators are residues in [0, p^m).  The
 terms view reads the coefficients back as ints and LocalizedRationals.
 
-Every value enters a ring through from_numerators: the constructor, a
-scalar multiple and reduce_mod each hand it integer numerators over a
-denominator, and over a Modulus it multiplies them by the inverse of the
+Every polynomial is built by from_numerators from integer numerators
+over a denominator; over a Modulus it hands them to residues, the one
+map of a value into Z/p^m, which multiplies them by the inverse of the
 denominator mod p^m.
 
 The operators +, -, * and == take polynomials only, both over one ring:
@@ -203,23 +203,26 @@ def _product(a: dict, b: dict) -> dict:
     return _int_product(a, b, layout)
 
 
+def residues(numerators: dict, denominator: int, n: int) -> dict:
+    """numerators / denominator mod n = p^m as a zero-free dict of residues
+    in [0, n); ValueError when p divides the denominator."""
+    if denominator == 1:
+        return {k: r for k, c in numerators.items() if (r := c % n)}
+    try:
+        inverse = pow(denominator, -1, n)
+    except ValueError:
+        raise ValueError("denominator is not invertible mod p") from None
+    return {k: r for k, c in numerators.items() if (r := c * inverse % n)}
+
+
 def from_numerators(ring, numerators: dict, denominator: int = 1) -> "Polynomial":
     """The polynomial numerators / denominator over ring; every Polynomial
-    is built here, so this is the one map of a value into a ring.  Over
-    RATIONALS the numerators are zero-free and both are divided by their
-    gcd, so the stored denominator is the least one.  Over a Modulus the
-    denominator must be coprime to p (ValueError otherwise): the
-    numerators are multiplied by its inverse mod p^m and reduced into
-    [0, p^m), those that vanish dropped, over the denominator 1."""
+    is built here.  Over RATIONALS the numerators are zero-free and both
+    are divided by their gcd, so the stored denominator is the least one.
+    Over a Modulus the numerators are residues(numerators, denominator,
+    p^m) over the denominator 1."""
     if ring is not RATIONALS:
-        n = ring.value
-        if denominator != 1:
-            if denominator % ring.p == 0:
-                raise ValueError("denominator is not invertible mod p")
-            inverse = pow(denominator, -1, n)
-            numerators = {k: c * inverse for k, c in numerators.items()}
-            denominator = 1
-        numerators = {k: r for k, c in numerators.items() if (r := c % n)}
+        numerators, denominator = residues(numerators, denominator, ring.value), 1
     elif denominator != 1:
         g = math.gcd(denominator, *numerators.values())
         if g != 1:
@@ -230,11 +233,6 @@ def from_numerators(ring, numerators: dict, denominator: int = 1) -> "Polynomial
     _set_numerators(result, numerators)
     _set_denominator(result, denominator)
     return result
-
-
-def _term_sort_key(exponents):
-    i, j = exponents
-    return (i + j, i)
 
 
 class Polynomial:
@@ -321,10 +319,6 @@ class Polynomial:
         an int in [0, p^m).
         """
         return rational(self.numerators.get((i, j), 0), self.denominator)
-
-    def sorted_terms(self):
-        """Terms in descending graded-lex order, first variable dominant."""
-        return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]), reverse=True)
 
     def _check_ring(self, other):
         if self.ring is not other.ring and self.ring != other.ring:
@@ -445,7 +439,8 @@ class Polynomial:
         if not self.numerators:
             return "0"
         d, chunks = self.denominator, []
-        for i, j in sorted(self.numerators, key=_term_sort_key, reverse=True):
+        # graded-lex order: total degree, then first-variable degree
+        for i, j in sorted(self.numerators, key=lambda k: (k[0] + k[1], k[0]), reverse=True):
             # the numerator over d, reduced by one gcd, at any size
             c = self.numerators[i, j]
             g = math.gcd(c, d)

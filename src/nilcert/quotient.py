@@ -51,15 +51,14 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from .certificates import MAX_DEGREE, MAX_PRECISION, Certificate
-from .certificates import standard_generators, verify_certificate
+from .certificates import Certificate, check_cell, standard_generators, verify_certificate
 from .coefficients import Modulus
 from .howell import HowellBasis, howell_complete
 
 # never called by the build, which takes its origins from howell_complete;
 # importable here because perfbench/tracing.py wraps it by this name
 from .howell import howell_spanning_subset  # noqa: F401
-from .polynomials import RATIONALS, Polynomial, from_numerators
+from .polynomials import RATIONALS, Polynomial, from_numerators, residues
 from .theta import ThetaContext
 
 
@@ -73,14 +72,14 @@ class RewriteSystem:
     irrelevant to the result, which the tests exercise separately.
 
     generators is the family g_0 .. g_(e+1) of (p, e), generator_terms
-    the same mod p^m as {(i, j): int} dicts.  The constructor checks that
-    g_e is monic of degree p^e in x, that the last generator is y^(p^e)
-    and that the rewrite tail g_e gives stays inside the span block.
+    the same mod p^m as {(i, j): int} dicts.  The constructor admits the
+    cell by certificates.check_cell, then checks that g_e is monic of
+    degree p^e in x, that the last generator is y^(p^e) and that the
+    rewrite tail g_e gives stays inside the span block.
     """
 
     def __init__(self, p: int, e: int, m: int):
-        if e < 1:
-            raise ValueError("depth e must be at least 1")
+        check_cell(p, e, m)
         self.modulus = Modulus(p, m)
         self.p, self.e, self.m = p, e, m
         self.block = p**e
@@ -143,16 +142,11 @@ class RewriteSystem:
         The span terms are a {(i, j): int} dict with 0 <= i, j < p^e; the
         fragments account exactly for what was removed:
         f = sum over g of fragment_g * generator_g + span part, mod p^m.
-        A rational f's numerators go straight into a fresh residue dict.
+        f, rational or over the system's modulus, enters as a fresh residue dict.
         """
-        if f.ring is RATIONALS:
-            n = self.modulus.value
-            inverse = pow(f.denominator, -1, n)  # ValueError when p divides it
-            work = {k: r for k, c in f.numerators.items() if (r := c * inverse % n)}
-            return self._reduce_terms(work)
-        if f.ring != self.modulus:
+        if f.ring is not RATIONALS and f.ring != self.modulus:
             raise ValueError("polynomial modulus does not match the rewrite system")
-        return self._reduce_terms(dict(f.numerators))
+        return self._reduce_terms(residues(f.numerators, f.denominator, self.modulus.value))
 
     def weight_class(self, weight: int) -> tuple:
         """(low, width): the span monomials x^i y^j with i + p*j = weight
@@ -464,10 +458,11 @@ def build_membership_module(
 
     span_limit bounds the monomial span p^(2e); exceeding it raises
     ValueError before any other work, so callers can turn resource
-    overruns into skip verdicts.  The degree p^e and the precision m are
-    refused the same way above certificates.MAX_DEGREE and MAX_PRECISION,
-    so no certificate the module writes fails the grammar's bounds.  Past
-    these checks and the rewrite system's own, no atom is built here.
+    overruns into skip verdicts.  The rewrite system then admits the cell
+    by certificates.check_cell, which raises ValueError the same way, so
+    no certificate the module writes fails the grammar's bounds.  Past
+    these checks and the rewrite system's structural ones, no atom is
+    built here.
 
     One elimination per weight class, on the class's first touch: the
     atoms of weight w are reduced over that class's at most p^(e-1)
@@ -481,11 +476,6 @@ def build_membership_module(
             raise ValueError(f"span size {p}^{2 * e} exceeds the limit {span_limit}")
         if p ** (2 * e) > span_limit:
             raise ValueError(f"span size {p ** (2 * e)} exceeds the limit {span_limit}")
-    # p^e >= 2^e, so e is bounded before p**e is formed
-    if p > MAX_DEGREE or e >= MAX_DEGREE.bit_length() or p**e > MAX_DEGREE:
-        raise ValueError(f"degree p^e exceeds {MAX_DEGREE}")
-    if m > MAX_PRECISION:
-        raise ValueError(f"precision {m} exceeds {MAX_PRECISION}")
     return MembershipModule(RewriteSystem(p, e, m))
 
 

@@ -24,6 +24,7 @@ from nilcert import certificates, polynomials
 from nilcert.cli import RunConfig
 from nilcert.coefficients import rational
 from nilcert.polynomials import RATIONALS, Polynomial
+from nilcert.quotient import RewriteSystem, build_membership_module
 
 X, Y = Polynomial.generators(RATIONALS)
 ACCEPTANCE_GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)]
@@ -327,6 +328,42 @@ def test_largest_admitted_header_parses():
     text = f"p = 2\ne = 10\nm = {MAX_PRECISION}\ntarget = x\n"
     certificate = certificate_from_text(text)
     assert (certificate.e, certificate.m) == (10, MAX_PRECISION)
+
+
+CELL_ENTRY_POINTS = {
+    "checker": lambda p, e, m: verify_certificate(
+        Certificate(p=p, e=e, m=m, target=X, cofactors=())
+    ),
+    "parser": lambda p, e, m: certificate_from_text(f"p = {p}\ne = {e}\nm = {m}\ntarget = x\n"),
+    "rewrite": RewriteSystem,
+    "module": build_membership_module,
+}
+
+
+@pytest.mark.parametrize("entry", list(CELL_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "p, e, m, message",
+    [
+        (2, 11, 12, f"degree p^e exceeds {MAX_DEGREE}"),
+        (1031, 1, 2, f"degree p^e exceeds {MAX_DEGREE}"),
+        (2, 1, MAX_PRECISION + 1, f"precision {MAX_PRECISION + 1} exceeds {MAX_PRECISION}"),
+        (2, 0, 2, "depth e must be at least 1"),
+        (2, 1, 0, "precision must be at least 1"),
+        (4, 1, 2, "4 is not prime"),
+        # trial division of p, or forming p^m, would not end here
+        (10**40 + 1, 1, 2, f"degree p^e exceeds {MAX_DEGREE}"),
+        (2, 1, 10**9, f"precision {10**9} exceeds {MAX_PRECISION}"),
+    ],
+    ids=["2-11-12", "1031-1-2", "2-1-65", "2-0-2", "2-1-0", "4-1-2", "1e40+1-1-2", "2-1-1e9"],
+)
+def test_every_entry_point_refuses_a_bad_cell_alike(entry, p, e, m, message):
+    # the checker, the parser, the rewrite system and the module builder
+    # admit cells by one check, so each refuses with its text, promptly
+    started = time.perf_counter()
+    with pytest.raises(ValueError) as refusal:
+        CELL_ENTRY_POINTS[entry](p, e, m)
+    assert time.perf_counter() - started < 1.0
+    assert str(refusal.value) == message
 
 
 def padded_certificate_text(size):

@@ -245,9 +245,11 @@ def test_text_rendering_residues_never_signed():
 
 
 def test_term_order_graded_lex():
+    # to_text prints the terms in descending (i + j, i) order
     f = Polynomial.parse("x + y^2 + x*y + 1", RATIONALS)
-    keys = [key for key, _ in f.sorted_terms()]
+    keys = sorted(f.numerators, key=lambda k: (k[0] + k[1], k[0]), reverse=True)
     assert keys == [(1, 1), (0, 2), (1, 0), (0, 0)]
+    assert f.to_text() == "x*y + y^2 + x + 1"
 
 
 @settings(max_examples=60)

@@ -656,7 +656,8 @@ def test_checkers_agree_on_the_query_batch(monkeypatch):
             certificate = result.certificate
             assert verdicts(certificate) == (True, True)
             for k, (index, cofactor) in enumerate(certificate.cofactors):
-                (a, b), _ = cofactor.sorted_terms()[0]
+                # the leading term in graded-lex order
+                a, b = max(cofactor.numerators, key=lambda k: (k[0] + k[1], k[0]))
                 for step, accepted in ((1, False), (p**m, True)):
                     cofactors = list(certificate.cofactors)
                     shifted = cofactor + Polynomial.monomial(RATIONALS, a, b, step)
