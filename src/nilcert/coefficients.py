@@ -3,25 +3,26 @@
 Three coefficient domains appear throughout: the integers, the integers
 localized at a prime p (fractions whose denominator is coprime to p), and
 the finite rings Z/p^m.  Everything here is exact big-integer arithmetic;
-no floats are involved anywhere.
+no float arithmetic is involved anywhere.
 
-LocalizedRational is the only coefficient class: a fraction in lowest
-terms that compares, hashes, prints and multiplies by a scalar, but does
-not add.  A polynomial computes on integer numerators over one
-denominator (see the polynomials module), so fractions appear only where
-coefficients come in (parsing, the scalar of Polynomial.scale or
-Polynomial.constant) or are read out (the terms view).
-rational(), the one constructor of rational values, returns a plain int
-when the reduced denominator is 1 and a LocalizedRational otherwise.
+LocalizedRational is the only coefficient class: a fractions.Fraction
+that refuses + and - and multiplies through rational().  A polynomial
+computes on integer numerators over one denominator (see the polynomials
+module), so fractions appear only where coefficients come in (parsing,
+the scalar of Polynomial.scale or Polynomial.constant) or are read out
+(the terms view).  rational(), the one constructor of rational values,
+returns a plain int when the reduced denominator is 1 and a
+LocalizedRational otherwise.
 
 An element of Z/p^m is a plain int, its representative in [0, p^m).
-Modulus only describes the ring; polynomials.residues is the one map of
-a value into it.
+Modulus, a frozen dataclass, only describes the ring;
+polynomials.residues is the one map of a value into it.
 """
 
 from __future__ import annotations
 
-import math
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 
 def is_prime(n: int) -> bool:
@@ -48,41 +49,31 @@ def rational(numerator: int, denominator: int = 1):
     return LocalizedRational(numerator, denominator)
 
 
-class LocalizedRational:
-    """A fraction a/b kept in lowest terms with b > 0.
+class LocalizedRational(Fraction):
+    """A fraction a/b in lowest terms with b > 0: a fractions.Fraction
+    that multiplies but does not add.
 
     A coefficient in the localization of Z at a prime p.  The value itself
     does not know p; a polynomial entering Z/p^m checks its denominator
-    there, in polynomials.residues.  Zero is always stored as 0/1.
+    there, in polynomials.residues.  Fraction builds the value, compares
+    and hashes it (an integer-valued instance equals, and hashes like, the
+    same int), prints it, copies and pickles it.
 
-    Sums and powers are not defined here: polynomials add and multiply
-    their integer numerators.  The one arithmetic operation is the
-    product with an int or another fraction, which Polynomial.parse uses;
-    it returns through rational(), so an integer-valued result is a plain
-    int.  The constructor always builds an instance, and an
-    integer-valued instance equals, and hashes like, the same int.
+    Sums and differences raise TypeError: polynomials add and multiply
+    their integer numerators.  The product with an int or another
+    LocalizedRational, which Polynomial.parse uses, returns through
+    rational(), so an integer-valued result is a plain int.  Fraction's
+    other arithmetic returns a plain Fraction, which Polynomial refuses
+    as a coefficient.
     """
 
-    __slots__ = ("numerator", "denominator")
+    __slots__ = ()
 
-    def __init__(self, numerator: int, denominator: int = 1):
-        numerator = int(numerator)
-        denominator = int(denominator)
-        if denominator == 0:
-            raise ZeroDivisionError("denominator must be nonzero")
-        if denominator < 0:
-            numerator, denominator = -numerator, -denominator
-        if numerator == 0:
-            denominator = 1
-        else:
-            g = math.gcd(numerator, denominator)
-            numerator //= g
-            denominator //= g
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LocalizedRational is immutable")
+    def __init__(self, numerator=0, denominator=None):
+        # Fraction.__new__ builds the value.  A wrapper of __init__, such
+        # as perfbench's counting tracer, calls the original with the
+        # constructor's arguments, which object.__init__ would refuse.
+        pass
 
     def __mul__(self, other):
         # an int carries numerator and denominator (n/1) itself
@@ -94,56 +85,20 @@ class LocalizedRational:
         )
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, (LocalizedRational, int)):
-            return NotImplemented
-        return (
-            self.numerator == other.numerator
-            and self.denominator == other.denominator
-        )
-
-    def __hash__(self):
-        if self.denominator == 1:
-            return hash(self.numerator)
-        return hash((self.numerator, self.denominator))
-
-    def __bool__(self):
-        return self.numerator != 0
-
-    def __str__(self):
-        if self.denominator == 1:
-            return str(self.numerator)
-        return f"{self.numerator}/{self.denominator}"
-
-    def __repr__(self):
-        return f"LocalizedRational({self.numerator}, {self.denominator})"
+    __add__ = __radd__ = __sub__ = __rsub__ = None
 
 
+@dataclass(frozen=True)
 class Modulus:
     """Descriptor of the ring Z/p^m for a prime p and precision m >= 1."""
 
-    __slots__ = ("p", "m", "value")
+    p: int
+    m: int
+    value: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, p: int, m: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if m < 1:
+    def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
+        if self.m < 1:
             raise ValueError("precision must be at least 1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "value", p**m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Modulus is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Modulus) and self.p == other.p and self.m == other.m
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.m))
-
-    def __repr__(self):
-        return f"Modulus({self.p}, {self.m})"
+        object.__setattr__(self, "value", self.p**self.m)

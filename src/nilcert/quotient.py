@@ -378,27 +378,24 @@ class MembershipModule:
         """The ideal is carried into itself by theta and psi, mod p^m.
 
         Checks membership of theta(g) and psi(g) for every generator, and
-        pins the exact identities behind them: psi(g_n) is p^(e-n) times
-        the next iterate for n <= e, theta(g_e) = y^(p^e), theta of the
-        last generator vanishes, and theta(g_n) for n < e expands as
-        p^((e-n)p-1) * (iterate_n)^p - p^(e-n-1) * iterate_(n+1).
+        pins the exact identities behind them, stated in the generators
+        alone: g_0 = p^e * x; for n < e, psi(g_n) = p * g_(n+1) and
+        p * theta(g_n) = g_n^p - p * g_(n+1); psi(g_e) = g_e^p - p * g_(e+1)
+        and theta(g_e) = g_(e+1); theta(y^(p^e)) = 0.
         """
         ctx = self.theta_context
-        p, e = self.p, self.e
-        iterates = [ctx.iterate_polynomial(k) for k in range(e + 2)]
-        ok = True
-        for index, g in enumerate(self.generators):
-            psi_g = ctx.psi(g)
-            theta_g = ctx.theta_from(g, g**p, psi_g)
+        p, e, generators = self.p, self.e, self.generators
+        ok = generators[0] == Polynomial.monomial(RATIONALS, 1, 0, p**e)
+        for index, g in enumerate(generators):
+            power, psi_g = g**p, ctx.psi(g)
+            theta_g = ctx.theta_from(g, power, psi_g)
             ok = ok and self._proved(theta_g) and self._proved(psi_g)
             if index < e:
-                expected = (iterates[index] ** p).scale(p ** ((e - index) * p - 1))
-                expected = expected - iterates[index + 1].scale(p ** (e - index - 1))
-                ok = ok and theta_g == expected
-                ok = ok and psi_g == iterates[index + 1].scale(p ** (e - index))
+                following = generators[index + 1].scale(p)
+                ok = ok and psi_g == following and theta_g.scale(p) == power - following
             elif index == e:
-                ok = ok and theta_g == Polynomial.monomial(RATIONALS, 0, p**e)
-                ok = ok and psi_g == iterates[e + 1]
+                ok = ok and psi_g == power - generators[e + 1].scale(p)
+                ok = ok and theta_g == generators[e + 1]
             else:
                 ok = ok and not theta_g
         return ok

@@ -11,6 +11,7 @@ from pathlib import Path
 import nilcert
 import nilcert.cli
 from nilcert import certificates, quotient
+from nilcert.coefficients import LocalizedRational
 from nilcert.polynomials import RATIONALS, Polynomial
 from nilcert.theta import ThetaContext
 
@@ -54,3 +55,21 @@ def test_tracer_sees_psi_inside_the_theta_checks(monkeypatch):
     assert {"theta.psi", "theta.checks"} <= names
     checks = [index for index, span in enumerate(tracer.spans) if span[0] == "theta.checks"]
     assert any(span[0] == "theta.psi" and span[3] in checks for span in tracer.spans)
+
+
+def test_tracer_counts_coefficient_construction_and_products(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer(nilcert)
+    tracer.install("setup")
+    try:
+        # the tracer wraps LocalizedRational.__init__ and calls the
+        # original with the constructor's arguments
+        half = LocalizedRational(1, 2)
+        Polynomial.parse("1/2*x + 2/3*y", RATIONALS)
+        assert half * 3 == LocalizedRational(3, 2)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["setup"]["coefficients.rational_new"] > 0
+    assert tracer.counts["setup"]["coefficients.rational_mul_calls"] > 0

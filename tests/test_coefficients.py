@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -256,3 +258,19 @@ def test_modulus_validation():
     assert Modulus(3, 2).value == 9
     assert Modulus(3, 2) == Modulus(3, 2)
     assert Modulus(3, 2) != Modulus(3, 3)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [LocalizedRational(-2, 3), LocalizedRational(5), Modulus(3, 2)],
+    ids=["fraction", "integer-valued", "modulus"],
+)
+@pytest.mark.parametrize(
+    "round_trip",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_values_copy_and_pickle(value, round_trip):
+    result = round_trip(value)
+    assert type(result) is type(value)
+    assert result == value and hash(result) == hash(value)

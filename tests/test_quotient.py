@@ -917,6 +917,24 @@ def test_theta_stability_forms_each_psi_image_once(p, e, m, monkeypatch):
     assert len(images) == e + 2
 
 
+@pytest.mark.parametrize("p,e,m", [(2, 2, 3), (3, 2, 3)])
+def test_theta_stability_raises_only_the_generators_to_the_p(p, e, m, monkeypatch):
+    module = build_membership_module(p, e, m)
+    bases = []
+    original = Polynomial.__pow__
+
+    def recorded(self, exponent):
+        if exponent == p:
+            bases.append(self)
+        return original(self, exponent)
+
+    monkeypatch.setattr(Polynomial, "__pow__", recorded)
+    assert module.check_theta_stability()
+    # each identity is stated in the module's own generators, so no
+    # second iterate family is built and each g^p is formed once
+    assert bases == list(module.generators)
+
+
 @pytest.mark.parametrize("p,e,m", [(2, 1, 2), (3, 1, 2), (2, 2, 3)])
 def test_iterate_torsion_all_depths(p, e, m):
     module = module_for(p, e, m)
