@@ -40,10 +40,10 @@ from .theta import SAMPLE_DEGREE, ThetaContext, nilpotence_bound, random_polynom
 PASS, FAIL = "pass", "fail"
 
 # Largest accepted --degree-cap: `iterates --degree-cap 4096` takes about
-# 5 s at p = 2 and at p = 5 as a subprocess on a 2-core x86 host with
-# CPython 3.11 (1.1 s and 0.4 s at 2048; medians of three runs, which
-# spread by about 20%).  MAX_DIAGONAL_SIZE keeps other primes near that:
-# 3.7 s at p = 47 and 6 s at p = 1741.
+# 4 s at p = 2 and 3.4 s at p = 5 as a subprocess on a 2-core x86 host with
+# CPython 3.11 (0.6 s and 0.15 s at 2048; medians of three runs, which
+# spread by up to 40%).  MAX_DIAGONAL_SIZE keeps other primes near that:
+# 3.1 s at p = 47 and 5 s at p = 1741.
 MAX_DEGREE_CAP = 4096
 
 # Largest accepted --p: a larger prime admits no iterate depth under the

@@ -31,11 +31,14 @@ the same steps on the same rows give the same basis, and the block becomes
 the transform over the origins.
 
 Rows are lists of Python ints in [0, p^m), so any modulus is exact.  The
-input is any sequence of rows of integers, read once into such lists.
+input is any sequence of rows of integers, read once into such lists
+through operator.index, so a float entry raises TypeError rather than
+being truncated.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -80,7 +83,7 @@ class HowellBasis:
         updates the residue in place at the row's nonzero entries alone.
         """
         n = self.modulus.value
-        residue = [int(x) % n for x in vector]
+        residue = [x % n for x in map(operator.index, vector)]
         if len(residue) != self.ncols:
             raise ValueError("vector length does not match the basis")
         coefficients = [0] * len(self.matrix)
@@ -164,7 +167,7 @@ def _first_pass(rows, modulus: Modulus):
     n = modulus.value
     # len, not truth: a 2-D array is a sequence of rows too
     ncols = len(rows[0]) if len(rows) else 0
-    work = [[int(x) % n for x in row] for row in rows]
+    work = [[x % n for x in map(operator.index, row)] for row in rows]
     if any(len(row) != ncols for row in work):
         raise ValueError("rows differ in length")
     pending = [(label, row[:]) for label, row in enumerate(work)]

@@ -24,7 +24,12 @@ through from_numerators.  A large integer product goes through one
 kernel, _int_product: Kronecker substitution packs both operands into
 Decimals in base 10^w, libmpdec's number-theoretic transform multiplies
 them once in a private exact context, and the w-digit slots are read
-back; small or sparse products keep the schoolbook loop.
+back.  A power over RATIONALS from the cube to the 17th whose base that
+kernel would square is _int_power: the base is packed once at the slot
+width of the whole power, raised by libmpdec's exact power, and read
+back once.  Small or sparse products keep the schoolbook loop, which
+from 64 term products on keys its sums by the one int i*K + j, K past
+the product's y-degree.
 
 Variables are positional; they are only named at the text boundary,
 rendered as x, y by default or s, t for the iterate family.
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import operator
 import re
 import sys
 
@@ -74,17 +80,39 @@ def _int_text(v: int) -> str:
         return _CONTEXT.to_sci_string(_CONTEXT.create_decimal(v))
 
 
+# Term products from which _schoolbook keys its accumulator by one int:
+# below this the encoding costs more than the tuple keys it saves (on a
+# cached default verify round, whose products are all but two smaller,
+# int keys alone took half again as long).
+_INT_KEYS = 64
+
+
 def _schoolbook(a: dict, b: dict) -> dict:
-    """Product of two coefficient dicts by the term-by-term loop, zeros dropped."""
+    """Product of two coefficient dicts by the term-by-term loop, zeros dropped.
+
+    From _INT_KEYS term products on, x^i*y^j is keyed by the one int
+    i*K + j, K past the product's y-degree, so a term product adds two
+    ints and hashes one, and the keys are split back once at the end.
+    """
     out = {}
     get = out.get
-    right = [(i2, j2, c2) for (i2, j2), c2 in b.items()]
-    for (i1, j1), c1 in a.items():
-        for i2, j2, c2 in right:
-            key = (i1 + i2, j1 + j2)
+    if len(a) * len(b) < _INT_KEYS:
+        right = [(i2, j2, c2) for (i2, j2), c2 in b.items()]
+        for (i1, j1), c1 in a.items():
+            for i2, j2, c2 in right:
+                key = (i1 + i2, j1 + j2)
+                s = get(key)
+                out[key] = c1 * c2 if s is None else s + c1 * c2
+        return {k: c for k, c in out.items() if c}
+    K = max(j for _, j in a) + max(j for _, j in b) + 1
+    right = [(i * K + j, c) for (i, j), c in b.items()]
+    for (i, j), c1 in a.items():
+        k1 = i * K + j
+        for k2, c2 in right:
+            key = k1 + k2
             s = get(key)
             out[key] = c1 * c2 if s is None else s + c1 * c2
-    return {k: c for k, c in out.items() if c}
+    return {divmod(k, K): c for k, c in out.items() if c}
 
 
 def _slope(keys) -> int:
@@ -145,38 +173,74 @@ def _int_product(a: dict, b: dict, layout=None) -> dict:
     Kronecker substitution (von zur Gathen and Gerhard, Modern Computer
     Algebra, 8.4): each operand is evaluated at z = 10^w under the
     layout of _layout, the two values are multiplied once, and the
-    product is read back slot by slot.
+    product is read back slot by slot by _unpack.
 
     The values are Decimals in _CONTEXT, whose precision holds any
     integer exactly, so the one multiply is libmpdec's number-theoretic
     transform, and packing and unpacking are decimal string joins and
     slices.  A slot of the product holds a sum of at most
     min(len a, len b) terms, each at most max|a| * max|b| in absolute
-    value; w is one digit more than that bound has, so adding 5*10^(w-1)
-    to every slot makes each one a w-digit field and the signed values
-    come back exactly.  int reads a field back only when w is under the
-    interpreter's integer string limit, read at call time; past it a
-    field goes through a Decimal, as _int_text packs a coefficient.
+    value, and _width sizes the slots from that bound.
     """
     if not a or not b:
         return {}
     if layout is None:
         layout = _layout(a, b)
     slots, c, width, base_a, base_b = layout
-    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
-    create = _CONTEXT.create_decimal
-    w = create(bound).adjusted() + 2
-    # 0, or no such function (before 3.10.7), means no limit
-    limit = getattr(sys, "get_int_max_str_digits", int)() or w + 1
-    value = int if w < limit else (lambda s: int(create(s)))
+    w = _width(max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b)))
     packed = _pack(a, c, width, base_a, w)
     # one packed value for a square, so libmpdec takes its squaring path
     product = _CONTEXT.multiply(packed, packed if b is a else _pack(b, c, width, base_b, w))
+    base = (base_a[0] + base_b[0], base_a[1] + base_b[1])
+    return _unpack(product, slots, c, width, base, w)
+
+
+# Largest exponent Polynomial.__pow__ forms by _int_power: libmpdec's
+# power squares and multiplies at the full slot width of a^k, and past the
+# 17th power that was slower than the ladder's narrower steps on some of
+# the shapes measured (f_2^19, and dense 40-term lines from the 23rd).
+_PACKED_POWERS = 17
+
+
+def _int_power(a: dict, k: int, layout) -> dict:
+    """a^k for a zero-free integer polynomial a, by one Kronecker packing:
+    a is packed once at the slot width of a^k, raised to the k-th power
+    by libmpdec's exact power in _CONTEXT, and read back once.
+
+    layout is _layout(a, a).  a^k spans k times a's spread in i + c*j and
+    in j, so the slope c that gives a^2 the fewest slots gives a^k the
+    fewest too.  Every coefficient of a^k is at most ||a||_1^k in
+    absolute value, the bound _width sizes the slots from.
+    """
+    _, c, _, (s0, j0), _ = layout
+    width = k * (max(j for _, j in a) - j0) + 1
+    slots = width * (k * (max(i + c * j for i, j in a) - s0) + 1)
+    w = _width(sum(map(abs, a.values())) ** k)
+    power = _CONTEXT.power(_pack(a, c, width, (s0, j0), w), k)
+    return _unpack(power, slots, c, width, (k * s0, k * j0), w)
+
+
+def _width(bound: int) -> int:
+    """The slot width w for signed slot values at most bound in absolute
+    value: one digit more than bound has, so adding 5*10^(w-1) to every
+    slot makes each one a w-digit field and _unpack reads them back exactly."""
+    return _CONTEXT.create_decimal(bound).adjusted() + 2
+
+
+def _unpack(packed: decimal.Decimal, slots: int, c: int, width: int, base, w: int) -> dict:
+    """The zero-free dict held by the slots of packed, w digits each, for
+    the layout (slots, c, width) and the product's base (s0, j0), as in
+    _layout.  int reads a field back only when w is under the
+    interpreter's integer string limit, read at call time; past it a
+    field goes through a Decimal, as _int_text packs a coefficient."""
+    create = _CONTEXT.create_decimal
+    # 0, or no such function (before 3.10.7), means no limit
+    limit = getattr(sys, "get_int_max_str_digits", int)() or w + 1
+    value = int if w < limit else (lambda s: int(create(s)))
     zero = "5" + "0" * (w - 1)
     half = value(zero)
-    data = _CONTEXT.to_sci_string(_CONTEXT.add(product, create(zero * slots)))
-    s0 = base_a[0] + base_b[0]
-    j0 = base_a[1] + base_b[1]
+    data = _CONTEXT.to_sci_string(_CONTEXT.add(packed, create(zero * slots)))
+    s0, j0 = base
     out = {}
     for slot, end in enumerate(range(slots * w, 0, -w)):
         field = data[end - w:end]
@@ -187,20 +251,26 @@ def _int_product(a: dict, b: dict, layout=None) -> dict:
     return out
 
 
-def _product(a: dict, b: dict) -> dict:
-    """Product of two integer coefficient dicts, zeros dropped: through
-    _int_product when the product has fewer than an eighth as many slots
-    as term products, by the schoolbook loop otherwise."""
-    if not a or not b:
-        return {}
+def _kronecker_layout(a: dict, b: dict):
+    """_layout(a, b) when the product a*b has fewer than an eighth as many
+    slots as term products, so _int_product forms it; None when the
+    schoolbook loop does."""
     products = len(a) * len(b)
     # a product has at least len(a) + len(b) - 1 slots
     if 8 * (len(a) + len(b) - 1) >= products:
-        return _schoolbook(a, b)
+        return None
     layout = _layout(a, b)
-    if 8 * layout[0] >= products:
-        return _schoolbook(a, b)
-    return _int_product(a, b, layout)
+    return layout if 8 * layout[0] < products else None
+
+
+def _product(a: dict, b: dict) -> dict:
+    """Product of two integer coefficient dicts, zeros dropped: through
+    _int_product when _kronecker_layout gives a layout, by the schoolbook
+    loop otherwise."""
+    if not a or not b:
+        return {}
+    layout = _kronecker_layout(a, b)
+    return _schoolbook(a, b) if layout is None else _int_product(a, b, layout)
 
 
 def residues(numerators: dict, denominator: int, n: int) -> dict:
@@ -241,11 +311,13 @@ class Polynomial:
     __slots__ = ("ring", "numerators", "denominator")
 
     def __new__(cls, ring, terms=None):
-        """Build from a mapping {(i, j): coefficient}, each coefficient an
-        int or a LocalizedRational (TypeError otherwise); zeros are dropped."""
+        """Build from a mapping {(i, j): coefficient}, each exponent an
+        integer (read through operator.index, so a float raises TypeError)
+        and each coefficient an int or a LocalizedRational (TypeError
+        otherwise); zeros are dropped."""
         clean, d = {}, 1
-        for key, value in (terms or {}).items():
-            i, j = key
+        for (i, j), value in (terms or {}).items():
+            i, j = operator.index(i), operator.index(j)
             if i < 0 or j < 0:
                 raise ValueError("exponents must be nonnegative")
             if type(value) is not int:
@@ -260,7 +332,7 @@ class Polynomial:
                 else:
                     raise TypeError(f"cannot take a {type(value).__name__} coefficient")
             if value:
-                clean[(int(i), int(j))] = value
+                clean[(i, j)] = value
         if d != 1:
             # an int carries numerator and denominator (n/1) itself
             clean = {k: c.numerator * (d // c.denominator) for k, c in clean.items()}
@@ -380,13 +452,21 @@ class Polynomial:
         )
 
     def __pow__(self, exponent: int):
-        """Square-and-multiply on the numerators, over d^exponent.  Each
-        step leaves through from_numerators with d = 1, which keeps the
-        integers over RATIONALS and reduces them mod p^m over a Modulus,
-        so they stay small there."""
+        """The power of the numerators, over d^exponent.  Over RATIONALS,
+        the cube up to the _PACKED_POWERS-th power of a base whose square
+        _product would form by _int_product is _int_power, one packing for
+        the whole power; a square keeps _int_product, whose slot bound is
+        the tighter.  Otherwise square-and-multiply, each step leaving
+        through from_numerators with d = 1, which reduces mod p^m over a
+        Modulus, so the integers, and so the slots, stay small there."""
         if exponent < 0:
             raise ValueError("negative powers are not defined")
-        ring, base = self.ring, self.numerators
+        ring, base, d = self.ring, self.numerators, self.denominator**exponent
+        layout = None
+        if 2 < exponent <= _PACKED_POWERS and ring is RATIONALS and base:
+            layout = _kronecker_layout(base, base)
+        if layout is not None:
+            return from_numerators(ring, _int_power(base, exponent, layout), d)
         result = {(0, 0): 1}
         e = exponent
         while e:
@@ -395,7 +475,7 @@ class Polynomial:
             if e > 1:
                 base = from_numerators(ring, _product(base, base)).numerators
             e >>= 1
-        return from_numerators(ring, result, self.denominator**exponent)
+        return from_numerators(ring, result, d)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

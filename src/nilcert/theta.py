@@ -39,7 +39,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .coefficients import is_prime
 from .polynomials import RATIONALS, Polynomial, from_numerators
@@ -77,6 +77,8 @@ class ThetaContext:
         # f_n^p and psi(f_n), each formed once for the recursion and the checks
         self._powers: dict[int, Polynomial] = {}
         self._images: dict[int, Polynomial] = {}
+        # p^0, p^1, ...: the scales of psi's Horner lists, extended on demand
+        self._p_powers = [1]
 
     # ---- operators ----
 
@@ -93,23 +95,26 @@ class ThetaContext:
         p*(j - j0).  Index L stands for x^(p*(top-L)) y^(p*j0+L).  The
         list holds entry L times p^(top-L), so a step is t[L] - t[L-1]
         and a_j enters times p^(top-step); each entry is divided exactly
-        by p^(top-L) at the end.  psi is linear, so the expansion runs on
-        the plain-int numerators of f and the result keeps f's
-        denominator.
+        by p^(top-L) at the end.  The powers of p stay on the context,
+        extended when a longer part needs them, and each step reads the
+        shifted list through chain, not a copy.  psi is linear, so the
+        expansion runs on the plain-int numerators of f and the result
+        keeps f's denominator.
         """
         p = self.p
         parts: dict[int, dict[int, int]] = {}
         for (i, j), c in f.numerators.items():
             parts.setdefault(i + p * j, {})[j] = c
-        out = {}
+        scale, out = self._p_powers, {}
         for w, part in parts.items():
             j0 = min(part)
             top = w - p * j0
-            scale = [p**k for k in range(top + 1)]
+            while len(scale) <= top:
+                scale.append(scale[-1] * p)
             acc = [part[j0] * scale[top]]
             for step in range(1, top + 1):
                 acc.append(0)
-                acc = list(map(operator.sub, acc, [0] + acc[:-1]))
+                acc = list(map(operator.sub, acc, chain((0,), acc)))
                 if step % p == 0 and j0 + step // p in part:
                     acc[step] += part[j0 + step // p] * scale[top - step]
             for index, t in enumerate(acc):

@@ -275,6 +275,33 @@ def test_sparse_reduce_matches_dense_formula(pm, data):
         basis.reduce(vector + [0])
 
 
+@pytest.mark.parametrize("entry", [1.5, 2.0, np.float64(1.0)], ids=["float", "integral-float", "numpy-float"])
+def test_non_integer_entries_are_refused(entry):
+    # an entry is read as an integer, never truncated: [[1.5, 2.0]] over
+    # Z/3 is not the row (1, 2)
+    modulus = Modulus(3, 1)
+    with pytest.raises(TypeError):
+        howell_complete([[entry, 2]], modulus)
+    with pytest.raises(TypeError):
+        howell_spanning_subset([[1, 2], [0, entry]], modulus)
+    basis = howell_complete([[1, 2]], modulus)[0]
+    with pytest.raises(TypeError):
+        basis.reduce([entry, 0])
+
+
+def test_integer_scalar_entries_are_read_exactly():
+    # anything operator.index takes is an entry: numpy integer scalars of
+    # any width and bool, read as Python ints
+    modulus = Modulus(2, 70)
+    rows = [[np.int64(-1), np.uint8(6), True], [np.int32(4), 0, np.int64(2**62)]]
+    plain = [[-1, 6, 1], [4, 0, 2**62]]
+    assert howell_complete(rows, modulus) == howell_complete(plain, modulus)
+    basis = howell_complete(plain, modulus)[0]
+    residue, coefficients = basis.reduce([np.int64(3), np.uint16(5), False])
+    assert (residue, coefficients) == basis.reduce([3, 5, 0])
+    assert all(type(x) is int for x in residue + coefficients)
+
+
 def test_modulus_size_guard():
     # the elimination runs on Python ints and bounds no modulus: 2^31, the
     # old int64 limit, and moduli past 2^63 answer exactly

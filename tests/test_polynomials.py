@@ -412,6 +412,24 @@ def test_other_coefficient_types_are_refused(ring, value):
         Polynomial.one(ring).scale(value)
 
 
+@pytest.mark.parametrize("ring", [RATIONALS, Modulus(3, 2)], ids=["rationals", "modulus"])
+@pytest.mark.parametrize("key", [(1.5, 0), (0, 2.0), (1.0, 1.0)], ids=["float", "integral-float", "both"])
+def test_non_integer_exponents_are_refused(ring, key):
+    # an exponent is read as an integer, never truncated: (1.5, 0) is not x
+    with pytest.raises(TypeError):
+        Polynomial(ring, {key: 1})
+
+
+def test_integer_scalar_exponents_are_read_exactly():
+    # anything operator.index takes is an exponent: numpy integer scalars
+    # and bool, stored as plain int keys
+    f = Polynomial(RATIONALS, {(np.int64(2), np.uint8(1)): 3, (True, False): -1})
+    assert f == X.scale(-1) + (X * X * Y).scale(3)
+    assert all(type(i) is int and type(j) is int for i, j in f.numerators)
+    with pytest.raises(ValueError, match="nonnegative"):
+        Polynomial(RATIONALS, {(np.int64(-1), 0): 1})
+
+
 def test_parse_errors():
     with pytest.raises(ValueError):
         Polynomial.parse("", RATIONALS)
@@ -549,6 +567,99 @@ def test_iterate_products_match_schoolbook(p, top):
         for _ in range(p - 1):
             power = _dict_product(power, f)
         assert (ctx.iterate_polynomial(n) ** p).terms == power
+
+
+def _scattered(rng, size, magnitude):
+    """size terms at random (i, j) far apart, so a product has about as
+    many slots as term products and _product keeps the schoolbook loop."""
+    keys = rng.sample([(i, j) for i in range(0, 400, 7) for j in range(0, 300, 11)], size)
+    return {k: rng.choice([1, -1]) * rng.randint(1, magnitude) for k in keys}
+
+
+def test_schoolbook_integer_keys_on_both_sides_of_the_crossover():
+    from nilcert.polynomials import _INT_KEYS, _kronecker_layout, _schoolbook
+
+    rng = random.Random(3)
+    # term-product counts just under, at and past the crossover, and
+    # operands whose y-degrees reach far past their x-degrees
+    for rows, cols in [(7, 9), (1, _INT_KEYS - 1), (8, 8), (1, _INT_KEYS), (_INT_KEYS, 1), (9, 30)]:
+        a = _scattered(rng, rows, 2**127 - 1)
+        b = _scattered(rng, cols, 2**64)
+        b[(0, 5000)] = -1
+        expected = _dict_product(a, b)
+        assert _schoolbook(a, b) == expected
+        assert _schoolbook(b, a) == expected
+        if rows * (cols + 1) > _INT_KEYS:
+            assert _kronecker_layout(a, b) is None
+        assert all(type(i) is int and type(j) is int for i, j in _schoolbook(a, b))
+
+
+def _dict_power(a: dict, k: int) -> dict:
+    # reference: k - 1 products of the test-local double loop
+    power = {(0, 0): 1}
+    for _ in range(k):
+        power = _dict_product(power, a)
+    return power
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
+def test_int_power_matches_repeated_products(k):
+    from nilcert.polynomials import _int_power, _kronecker_layout, _layout
+    from nilcert.theta import ThetaContext
+
+    rng = random.Random(k)
+    line = {(40 - j, j): rng.choice([1, -1]) * rng.randint(1, 2**64) for j in range(40)}
+    cases = [ThetaContext(p).iterate_polynomial(n).numerators for p, n in [(2, 5), (3, 3), (5, 2)]]
+    # and the line times x^2*y^3, whose least x- and y-degrees are not 0
+    shifted = {(i + 2, j + 3): c for (i, j), c in line.items()}
+    cases += [line, shifted, {(0, 0): -3}, {(2, 7): 5, (0, 0): -1}]
+    for a in cases:
+        assert _int_power(a, k, _layout(a, a)) == _dict_power(a, k)
+    # the route: a dense base is squared by _int_product, so its cube up
+    # to its 17th power is one packing, and the rest the ladder
+    assert _kronecker_layout(line, line) is not None
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 7, 17, 18])
+def test_polynomial_powers_take_one_packing(monkeypatch, k):
+    from nilcert import polynomials
+
+    calls = []
+    kernel = polynomials._int_power
+
+    def counted(a, exponent, layout):
+        calls.append(exponent)
+        return kernel(a, exponent, layout)
+
+    monkeypatch.setattr(polynomials, "_int_power", counted)
+    rng = random.Random(k)
+    line = {(30 - j, j): rng.randint(-99, 99) or 1 for j in range(30)}
+    f = polynomials.from_numerators(RATIONALS, line, 7)
+    power = f**k
+    assert power.numerators == _dict_power(line, k)
+    assert power.denominator == 7**k
+    # a square, a power past the 17th and a power over Z/p^m keep the ladder
+    assert calls == ([k] if 3 <= k <= 17 else [])
+    g = f.reduce_mod(2, 8)
+    assert g**k == power.reduce_mod(2, 8)
+    assert calls == ([k] if 3 <= k <= 17 else [])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_int_power_past_the_digit_limit(p):
+    from nilcert.polynomials import _int_power, _layout
+
+    # coefficients of about 700 digits: a cube's slots pass 2100 digits,
+    # past the 640 of -X int_max_str_digits=640, and a 7th power's pass the
+    # default 4300-digit limit; the kernel computes in its own context
+    rng = random.Random(p)
+    a = {(12 - 3 * j, j): rng.choice([1, -1]) * rng.randrange(10**699, 10**700) for j in range(5)}
+    tiny = decimal.Context(prec=3, traps=[decimal.Inexact, decimal.Rounded])
+    for k in sorted({1, p, 3, 7}):
+        with decimal.localcontext(tiny) as context:
+            power = _int_power(a, k, _layout(a, a))
+            assert not any(context.flags.values())
+        assert power == _dict_power(a, k)
 
 
 @pytest.mark.parametrize("digits", [700, 2200])

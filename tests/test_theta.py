@@ -132,6 +132,27 @@ def test_scaled_psi_matches_horner(case):
     assert ThetaContext(p).psi(f) == _psi_by_horner(p, f)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_psi_on_a_served_context_matches_a_fresh_one(p):
+    # a context keeps the powers of p its Horner lists are scaled by: a
+    # part longer than any served before extends them, a shorter one reads
+    # a prefix, and a polynomial may hold parts of both kinds
+    rng = random.Random(p)
+    served = ThetaContext(p)
+    for tops in [(40,), (3,), (0,), (41, 2), (17,), (80, 5, 0), (1,)]:
+        terms = {}
+        for top in tops:
+            j0 = rng.randint(0, 3)
+            w = top + p * j0
+            terms[(w - p * j0, j0)] = rng.choice([1, -1]) * rng.randint(1, 10**30)
+            for j in range(j0 + 1, w // p + 1):
+                if rng.random() < 0.5:
+                    terms[(w - p * j, j)] = rng.randint(-9, 9)
+        f = from_numerators(RATIONALS, {k: c for k, c in terms.items() if c}, 1 if p == 2 else 2)
+        image = served.psi(f)
+        assert image == ThetaContext(p).psi(f) == _psi_by_horner(p, f)
+
+
 @pytest.mark.parametrize(
     "p, n, image_sha, power_sha",
     [
