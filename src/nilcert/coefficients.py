@@ -8,11 +8,12 @@ no float arithmetic is involved anywhere.
 LocalizedRational is the only coefficient class: a fractions.Fraction
 that refuses + and - and multiplies through rational().  A polynomial
 computes on integer numerators over one denominator (see the polynomials
-module), so fractions appear only where coefficients come in (parsing,
-the scalar of Polynomial.scale or Polynomial.constant) or are read out
-(the terms view).  rational(), the one constructor of rational values,
-returns a plain int when the reduced denominator is 1 and a
-LocalizedRational otherwise.
+module), so fractions appear only where coefficients come in (the
+terms given to the Polynomial constructor, the scalar of Polynomial.scale
+or Polynomial.constant) or are read out (the terms view);
+Polynomial.parse reads integer numerators and denominators.  rational(),
+the one constructor of rational values, returns a plain int when the
+reduced denominator is 1 and a LocalizedRational otherwise.
 
 An element of Z/p^m is a plain int, its representative in [0, p^m).
 Modulus, a frozen dataclass, only describes the ring;
@@ -61,10 +62,9 @@ class LocalizedRational(Fraction):
 
     Sums and differences raise TypeError: polynomials add and multiply
     their integer numerators.  The product with an int or another
-    LocalizedRational, which Polynomial.parse uses, returns through
-    rational(), so an integer-valued result is a plain int.  Fraction's
-    other arithmetic returns a plain Fraction, which Polynomial refuses
-    as a coefficient.
+    LocalizedRational returns through rational(), so an integer-valued
+    result is a plain int.  Fraction's other arithmetic returns a plain
+    Fraction, which Polynomial refuses as a coefficient.
     """
 
     __slots__ = ()

@@ -11,7 +11,8 @@ terms view reads the coefficients back as ints and LocalizedRationals.
 Every polynomial is built by from_numerators from integer numerators
 over a denominator; over a Modulus it hands them to residues, the one
 map of a value into Z/p^m, which multiplies them by the inverse of the
-denominator mod p^m.
+denominator mod p^m.  parse reads each term as an integer numerator
+over a denominator in lowest terms, and builds once over their lcm.
 
 The operators +, -, * and == take polynomials only, both over one ring:
 a scalar enters through f.scale(c) or Polynomial.constant(ring, c), and
@@ -27,9 +28,11 @@ them once in a private exact context, and the w-digit slots are read
 back.  A power over RATIONALS from the cube to the 17th whose base that
 kernel would square is _int_power: the base is packed once at the slot
 width of the whole power, raised by libmpdec's exact power, and read
-back once.  Small or sparse products keep the schoolbook loop, which
-from 64 term products on keys its sums by the one int i*K + j, K past
-the product's y-degree.
+back once.  Any other power is a right-to-left square-and-multiply
+ladder that starts from the base at its lowest set bit, not from 1.
+Small or sparse products keep the schoolbook loop, which from 64 term
+products on keys its sums by the one int i*K + j, K past the product's
+y-degree, and by (i, j) tuples below that.
 
 Variables are positional; they are only named at the text boundary,
 rendered as x, y by default or s, t for the iterate family.
@@ -456,9 +459,11 @@ class Polynomial:
         the cube up to the _PACKED_POWERS-th power of a base whose square
         _product would form by _int_product is _int_power, one packing for
         the whole power; a square keeps _int_product, whose slot bound is
-        the tighter.  Otherwise square-and-multiply, each step leaving
-        through from_numerators with d = 1, which reduces mod p^m over a
-        Modulus, so the integers, and so the slots, stay small there."""
+        the tighter.  Otherwise right-to-left square-and-multiply, which
+        starts from the base squared up to the exponent's lowest set bit,
+        so no step multiplies by 1; each step leaves through
+        from_numerators with d = 1, which reduces mod p^m over a Modulus,
+        so the integers, and so the slots, stay small there."""
         if exponent < 0:
             raise ValueError("negative powers are not defined")
         ring, base, d = self.ring, self.numerators, self.denominator**exponent
@@ -467,15 +472,17 @@ class Polynomial:
             layout = _kronecker_layout(base, base)
         if layout is not None:
             return from_numerators(ring, _int_power(base, exponent, layout), d)
-        result = {(0, 0): 1}
+        result = None
         e = exponent
         while e:
-            if e & 1:
+            if e & 1 and result is None:
+                result = base
+            elif e & 1:
                 result = from_numerators(ring, _product(result, base)).numerators
             if e > 1:
                 base = from_numerators(ring, _product(base, base)).numerators
             e >>= 1
-        return from_numerators(ring, result, d)
+        return from_numerators(ring, {(0, 0): 1} if result is None else result, d)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -538,33 +545,32 @@ class Polynomial:
     def parse(cls, text: str, ring, names=("x", "y")) -> "Polynomial":
         """Inverse of to_text; accepts any term order and spacing.
 
-        Malformed text, such as a stray sign, a zero denominator or a
-        monomial written twice, raises ValueError.
+        Each term is read as an integer numerator over a denominator,
+        the product of its numeric factors, in lowest terms; the terms
+        are built once over the lcm of their denominators, so over a
+        Modulus the text is refused only when a term's value is not
+        p-integral.  Malformed text, such as a stray sign, a zero
+        denominator or a monomial written twice, raises ValueError.
         """
         compact = text.replace(" ", "")
         if not compact:
             raise ValueError("empty polynomial text")
-        if compact == "0":
-            return cls.zero(ring)
         if not re.fullmatch(r"[+-]?[^+-]+(?:[+-][^+-]+)*", compact):
             raise ValueError(f"cannot parse polynomial text {text!r}")
         terms = {}
         for chunk in re.findall(r"[+-]?[^+-]+", compact):
-            sign = 1
+            num, den = (-1 if chunk[0] == "-" else 1), 1
             if chunk[0] in "+-":
-                sign = -1 if chunk[0] == "-" else 1
                 chunk = chunk[1:]
             i = j = 0
-            coefficient = None
             for factor in chunk.split("*"):
                 match = re.fullmatch(r"([0-9]+)(?:/([0-9]+))?", factor)
                 if match:
-                    num = int(match.group(1))
-                    den = int(match.group(2)) if match.group(2) else 1
-                    if den == 0:
-                        raise ValueError(f"zero denominator in {text!r}")
-                    value = LocalizedRational(num, den) if den != 1 else num
-                    coefficient = value if coefficient is None else coefficient * value
+                    num *= int(match.group(1))
+                    if match.group(2):
+                        den *= int(match.group(2))
+                        if den == 0:
+                            raise ValueError(f"zero denominator in {text!r}")
                     continue
                 match = re.fullmatch(r"([A-Za-z]+)(?:\^([0-9]+))?", factor)
                 if match and match.group(1) in names:
@@ -577,8 +583,12 @@ class Polynomial:
                 raise ValueError(f"cannot parse factor {factor!r} in {text!r}")
             if (i, j) in terms:
                 raise ValueError(f"repeated monomial in {text!r}")
-            terms[(i, j)] = sign if coefficient is None else sign * coefficient
-        return cls(ring, terms)
+            g = math.gcd(num, den)
+            terms[(i, j)] = (num // g, den // g)
+        # the lcm of reduced denominators is the least d
+        d = math.lcm(*(den for _, den in terms.values()))
+        numerators = {k: num * (d // den) for k, (num, den) in terms.items() if num}
+        return from_numerators(ring, numerators, d)
 
     def __str__(self):
         return self.to_text()

@@ -89,9 +89,9 @@ class RewriteSystem:
             raise AssertionError("top generator must be monic of degree p^e in x")
         if self.generators[e + 1] != Polynomial.monomial(RATIONALS, 0, self.block):
             raise AssertionError("last generator must be y^(p^e)")
-        self.generator_terms = tuple(g.reduce_mod(p, m).terms for g in self.generators)
+        self.generator_terms = tuple(g.reduce_mod(p, m).numerators for g in self.generators)
         tail = Polynomial.monomial(RATIONALS, self.block, 0) - top
-        self.tail = tail.reduce_mod(p, m).terms
+        self.tail = tail.reduce_mod(p, m).numerators
         if any(i >= self.block or j >= self.block for i, j in self.tail):
             raise AssertionError("rewrite tail escapes the span block")
 
@@ -498,7 +498,7 @@ def brute_force_membership_oracle(p: int, e: int, m: int, f: Polynomial) -> bool
     block = p**e
     generators = standard_generators(p, e)
     # generators[e] is g_e = f_e, monic of degree p^e in x
-    tail = (Polynomial.monomial(RATIONALS, block, 0) - generators[e]).reduce_mod(p, m).terms
+    tail = (Polynomial.monomial(RATIONALS, block, 0) - generators[e]).reduce_mod(p, m).numerators
 
     def oracle_reduce(terms: dict) -> tuple:
         terms = {key: value % n for key, value in terms.items() if value % n}
@@ -530,7 +530,7 @@ def brute_force_membership_oracle(p: int, e: int, m: int, f: Polynomial) -> bool
 
     seeds = []
     for g in generators:
-        reduced = oracle_reduce(g.reduce_mod(p, m).terms)
+        reduced = oracle_reduce(g.reduce_mod(p, m).numerators)
         if any(reduced):
             seeds.append(reduced)
 
@@ -556,5 +556,5 @@ def brute_force_membership_oracle(p: int, e: int, m: int, f: Polynomial) -> bool
         worklist.append(shift(candidate, 0, 1))
 
     query = f.reduce_mod(p, m) if f.ring is RATIONALS else f
-    reduced = oracle_reduce(query.terms)
+    reduced = oracle_reduce(query.numerators)
     return reduced in elements

@@ -248,7 +248,7 @@ class ThetaContext:
         weight = self.p**n
         if candidate.coefficient(weight, 0) != 1:
             raise AssertionError("iterate polynomial lost its monic leading term")
-        for i, j in candidate.terms:
+        for i, j in candidate.numerators:
             if i + self.p * j != weight:
                 raise AssertionError("iterate polynomial lost weighted homogeneity")
 
@@ -265,8 +265,10 @@ class ThetaContext:
             raise ValueError("needs n >= 1")
         p = self.p
         previous = self.iterate_polynomial(n - 1)
-        stretched = Polynomial(
-            RATIONALS, {(p * i, p * j): c for (i, j), c in previous.terms.items()}
+        stretched = from_numerators(
+            RATIONALS,
+            {(p * i, p * j): c for (i, j), c in previous.numerators.items()},
+            previous.denominator,
         )
         difference = self.iterate_polynomial(n) - stretched
         return all(c % p**n == 0 for c in difference.numerators.values())
@@ -287,7 +289,9 @@ class ThetaContext:
 
 def _at_second_and_zero(f: Polynomial) -> Polynomial:
     """f(t, 0): the terms free of the second variable, moved onto it."""
-    return Polynomial(f.ring, {(0, i): c for (i, j), c in f.terms.items() if j == 0})
+    return from_numerators(
+        f.ring, {(0, i): c for (i, j), c in f.numerators.items() if j == 0}, f.denominator
+    )
 
 
 def nilpotence_bound(n: int) -> int:

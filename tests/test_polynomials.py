@@ -439,7 +439,7 @@ def test_parse_errors():
         Polynomial.parse("x^", RATIONALS)
 
 
-@pytest.mark.parametrize("text", ["1/0*x", "0/0", "--x", "x+", "x - -y", "x +"])
+@pytest.mark.parametrize("text", ["1/0*x", "0/0", "x*3*1/0", "--x", "x+", "x - -y", "x +"])
 def test_parse_rejects_zero_denominators_and_stray_signs(text):
     with pytest.raises(ValueError):
         Polynomial.parse(text, RATIONALS)
@@ -463,6 +463,28 @@ def test_parse_raises_only_value_error(text):
         except ValueError:
             continue
         assert f.ring == ring
+
+
+@pytest.mark.parametrize(
+    "text, ring, expected, denominator",
+    [
+        ("2/3*3/4*x", RATIONALS, "1/2*x", 2),
+        ("2/4*x + 1/6*y", RATIONALS, "1/2*x + 1/6*y", 6),
+        ("2/4*x + 1/6*y", Modulus(5, 2), "13*x + 21*y", 1),
+        ("-3/9*x^2*6", RATIONALS, "-2*x^2", 1),
+        # a term is p-integral once in lowest terms, and a zero term has
+        # no denominator to refuse
+        ("1/2*x*2", Modulus(2, 3), "x", 1),
+        ("0/2*x + y", Modulus(2, 3), "y", 1),
+        ("0*x + y", RATIONALS, "y", 1),
+        ("0*x + y", Modulus(2, 3), "y", 1),
+    ],
+)
+def test_parse_reads_each_term_in_lowest_terms(text, ring, expected, denominator):
+    f = Polynomial.parse(text, ring)
+    assert f.to_text() == expected
+    assert f.denominator == denominator
+    assert f == Polynomial.parse(expected, ring)
 
 
 def test_parse_tolerates_order_and_spacing():
@@ -643,6 +665,35 @@ def test_polynomial_powers_take_one_packing(monkeypatch, k):
     g = f.reduce_mod(2, 8)
     assert g**k == power.reduce_mod(2, 8)
     assert calls == ([k] if 3 <= k <= 17 else [])
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, Modulus(3, 4)], ids=["rationals", "modulus"])
+def test_power_ladder_never_multiplies_by_one(monkeypatch, ring):
+    from nilcert import polynomials
+
+    operands = []
+    product = polynomials._product
+
+    def recorded(a, b):
+        operands.extend((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(polynomials, "_product", recorded)
+    rng = random.Random(20)
+    # a sparse base the schoolbook loop multiplies, and a dense line of
+    # 40-digit coefficients that _int_product multiplies, where the slots
+    # of the 16th power and the products after it pass 640 digits
+    sparse = {(3, 0): 2, (0, 1): -1, (1, 2): 5}
+    line = {(30 - j, j): rng.choice([1, -1]) * rng.randrange(10**39, 10**40) for j in range(30)}
+    for base in (sparse, line):
+        f = polynomials.from_numerators(ring, base)
+        assert f**0 == Polynomial.one(ring)
+        expected = {(0, 0): 1}
+        for k in range(1, 21):
+            expected = _dict_product(expected, base)
+            assert f**k == polynomials.from_numerators(ring, expected)
+    assert operands
+    assert {(0, 0): 1} not in operands
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
