@@ -18,22 +18,23 @@ exact quotient.  After placing a pivot p^k with k > 0, the annihilator
 multiple (n / p^k) * row is appended so later columns still generate
 everything the row module contains.
 
-The elimination runs in two passes.  The first eliminates the rows alone.
-It labels each row by its input index, or the k-th annihilator row by
-nrows + k, and records each pivot as a (column, label) pair;
-howell_spanning_subset is this pass alone.  A basis row is the row first
-promoted into its slot plus multiples of earlier basis rows, and an
-annihilator row is a multiple of a basis row, so only the origins, the
-input rows among the pivot labels, ever reach the basis.  The second pass,
-in howell_complete, replays the recorded pivots on the origin rows alone,
-with an identity block as wide as the number of origins to their right:
-the same steps on the same rows give the same basis, and the block becomes
-the transform over the origins.
+The elimination runs in two passes.  The first eliminates the rows alone,
+in place on its one working copy of them.  It labels each row by its
+input index, or the k-th annihilator row by nrows + k, and records each
+pivot as a (column, label) pair; howell_spanning_subset is this pass
+alone.  A basis row is the row first promoted into its slot plus
+multiples of earlier basis rows, and an annihilator row is a multiple of
+a basis row, so only the origins, the input rows among the pivot labels,
+ever reach the basis.  The second pass, in howell_complete, reads the
+origin rows again from the input and replays the recorded pivots on them
+alone, with an identity block as wide as the number of origins to their
+right: the same steps on the same rows give the same basis, and the block
+becomes the transform over the origins.
 
 Rows are lists of Python ints in [0, p^m), so any modulus is exact.  The
-input is any sequence of rows of integers, read once into such lists
-through operator.index, so a float entry raises TypeError rather than
-being truncated.
+input is any sequence of rows of integers, left unchanged, and read into
+such lists through operator.index, so a float entry raises TypeError
+rather than being truncated.
 """
 
 from __future__ import annotations
@@ -162,16 +163,15 @@ def _eliminate(pending: list, n: int, ncols: int, next_label: int, plan=None):
 
 
 def _first_pass(rows, modulus: Modulus):
-    """(basis, input rows as reduced int lists, pivots as (column, label),
-    ascending origins)."""
+    """(basis, number of input rows, pivots as (column, label), ascending
+    origins).  The one working copy of the rows is eliminated in place."""
     n = modulus.value
     # len, not truth: a 2-D array is a sequence of rows too
     ncols = len(rows[0]) if len(rows) else 0
     work = [[x % n for x in map(operator.index, row)] for row in rows]
     if any(len(row) != ncols for row in work):
         raise ValueError("rows differ in length")
-    pending = [(label, row[:]) for label, row in enumerate(work)]
-    placed, pivots = _eliminate(pending, n, ncols, len(work))
+    placed, pivots = _eliminate(list(enumerate(work)), n, ncols, len(work))
     basis = HowellBasis(
         modulus=modulus,
         matrix=tuple(map(tuple, placed)),
@@ -180,7 +180,7 @@ def _first_pass(rows, modulus: Modulus):
         ncols=ncols,
     )
     origins = sorted(label for _, label in pivots if label < len(work))
-    return basis, work, pivots, origins
+    return basis, len(work), pivots, origins
 
 
 def howell_spanning_subset(rows, modulus: Modulus):
@@ -201,16 +201,20 @@ def howell_complete(rows, modulus: Modulus):
     row indices of howell_spanning_subset, and transform has one int tuple
     per basis row with
     basis.matrix[i] = sum over k of transform[i][k] * rows[origins[k]]
-    (mod p^m).  The identity block rides along through the replay, so the
+    (mod p^m).  The first pass eliminated its working copy in place, so
+    the replay reads each origin row again from rows, as the first pass
+    read it.  The identity block rides along through the replay, so the
     transform is exact by construction.
     """
-    basis, work, pivots, origins = _first_pass(rows, modulus)
-    width, ncols = len(origins), basis.ncols
+    basis, nrows, pivots, origins = _first_pass(rows, modulus)
+    width, ncols, n = len(origins), basis.ncols, modulus.value
     pending = [
-        (label, work[label] + [int(k == index) for k in range(width)])
-        for index, label in enumerate(origins)
+        (label, [x % n for x in map(operator.index, rows[label])] + [0] * width)
+        for label in origins
     ]
-    placed, _ = _eliminate(pending, modulus.value, ncols, len(work), plan=pivots)
+    for index, (_, row) in enumerate(pending):
+        row[ncols + index] = 1
+    placed, _ = _eliminate(pending, n, ncols, nrows, plan=pivots)
     if any(tuple(row[:ncols]) != basis_row for row, basis_row in zip(placed, basis.matrix)):
         raise AssertionError("the replay on the origin rows left the first pass's basis")
     return basis, tuple(origins), tuple(tuple(row[ncols:]) for row in placed)

@@ -171,12 +171,13 @@ def _pack(terms: dict, c: int, width: int, base, w: int) -> decimal.Decimal:
     return _CONTEXT.subtract(create("".join(positive)), create("".join(negative)))
 
 
-def _int_product(a: dict, b: dict, layout=None) -> dict:
-    """Product of two zero-free integer polynomials {(i, j): int}, zeros dropped, by
-    Kronecker substitution (von zur Gathen and Gerhard, Modern Computer
-    Algebra, 8.4): each operand is evaluated at z = 10^w under the
-    layout of _layout, the two values are multiplied once, and the
-    product is read back slot by slot by _unpack.
+def _int_product(a: dict, b: dict, layout) -> dict:
+    """Product of two nonempty zero-free integer polynomials {(i, j): int},
+    zeros dropped, by Kronecker substitution (von zur Gathen and Gerhard,
+    Modern Computer Algebra, 8.4): each operand is evaluated at z = 10^w
+    under layout, the _layout(a, b) that _product already computed, the
+    two values are multiplied once, and the product is read back slot by
+    slot by _unpack.
 
     The values are Decimals in _CONTEXT, whose precision holds any
     integer exactly, so the one multiply is libmpdec's number-theoretic
@@ -185,10 +186,6 @@ def _int_product(a: dict, b: dict, layout=None) -> dict:
     min(len a, len b) terms, each at most max|a| * max|b| in absolute
     value, and _width sizes the slots from that bound.
     """
-    if not a or not b:
-        return {}
-    if layout is None:
-        layout = _layout(a, b)
     slots, c, width, base_a, base_b = layout
     w = _width(max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b)))
     packed = _pack(a, c, width, base_a, w)
@@ -380,12 +377,6 @@ class Polynomial:
 
     def __bool__(self):
         return bool(self.numerators)
-
-    def degree_first(self) -> int:
-        """Degree in the first variable; -1 for zero."""
-        if not self.numerators:
-            return -1
-        return max(i for i, _ in self.numerators)
 
     def coefficient(self, i, j):
         """Coefficient of the (i, j) monomial, 0 if absent.

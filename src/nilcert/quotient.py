@@ -85,7 +85,7 @@ class RewriteSystem:
         self.block = p**e
         self.generators = standard_generators(p, e)
         top = self.generators[e]
-        if top.coefficient(self.block, 0) != 1 or top.degree_first() != self.block:
+        if top.coefficient(self.block, 0) != 1 or max(i for i, _ in top.numerators) != self.block:
             raise AssertionError("top generator must be monic of degree p^e in x")
         if self.generators[e + 1] != Polynomial.monomial(RATIONALS, 0, self.block):
             raise AssertionError("last generator must be y^(p^e)")

@@ -302,6 +302,37 @@ def test_integer_scalar_entries_are_read_exactly():
     assert all(type(x) is int for x in residue + coefficients)
 
 
+@pytest.mark.parametrize(
+    "form",
+    [
+        lambda rows: [list(row) for row in rows],
+        lambda rows: [tuple(row) for row in rows],
+        lambda rows: np.array(rows, dtype=np.int64),
+        lambda rows: np.array(rows, dtype=object),
+    ],
+    ids=["lists", "tuples", "int64-array", "object-array"],
+)
+def test_input_rows_are_left_unchanged(form):
+    # the first pass eliminates its own copy of the rows in place, and the
+    # replay reads the origin rows again from the input: the input stays as
+    # given, and an array answers as the same rows given as lists do
+    rng = random.Random("unchanged")
+    for p in (2, 3, 5):
+        for _ in range(20):
+            m = rng.randint(1, 4)
+            modulus = Modulus(p, m)
+            rows = _random_rows(rng, p, m, rng.randint(1, 10), rng.randint(1, 6))
+            # entries outside [0, p^m), which the read reduces
+            rows = [[x + modulus.value * rng.randint(-2, 2) for x in row] for row in rows]
+            given = form(rows)
+            before = [list(row) for row in given]
+            complete = howell_complete(given, modulus)
+            subset = howell_spanning_subset(given, modulus)
+            assert [list(row) for row in given] == before
+            assert complete == howell_complete(rows, modulus)
+            assert subset == howell_spanning_subset(rows, modulus)
+
+
 def test_modulus_size_guard():
     # the elimination runs on Python ints and bounds no modulus: 2^31, the
     # old int64 limit, and moduli past 2^63 answer exactly

@@ -60,10 +60,8 @@ def total_degree(f: Polynomial) -> int:
 def test_degrees():
     f = Polynomial.parse("x^3*y + y^2", RATIONALS)
     assert total_degree(f) == 4
-    assert f.degree_first() == 3
     assert max(j for _, j in f.terms) == 2
     assert total_degree(Polynomial.zero(RATIONALS)) == -1
-    assert Polynomial.zero(RATIONALS).degree_first() == -1
 
 
 def test_power_matches_repeated_multiplication():
@@ -506,6 +504,13 @@ def _dict_product(a: dict, b: dict) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
+def _kernel(a: dict, b: dict) -> dict:
+    # the Kronecker kernel under the layout _product hands it
+    from nilcert.polynomials import _int_product, _layout
+
+    return _int_product(a, b, _layout(a, b))
+
+
 # polynomial terms are zero-free, so the kernel's operands are too
 _coefficients = st.one_of(
     st.integers(min_value=-9, max_value=9),
@@ -529,54 +534,52 @@ def _int_dicts(draw, max_degree=12, max_terms=24):
 @settings(max_examples=200)
 @given(_int_dicts(), _int_dicts())
 def test_int_product_matches_schoolbook(a, b):
-    from nilcert.polynomials import _int_product, _product, _schoolbook
+    from nilcert.polynomials import _product, _schoolbook
 
     expected = _dict_product(a, b)
-    assert _int_product(a, b) == expected
+    if a and b:
+        assert _kernel(a, b) == expected
     assert _product(a, b) == expected
     assert _schoolbook(a, b) == expected
 
 
 def test_int_product_edge_cases():
-    from nilcert.polynomials import _int_product
+    from nilcert.polynomials import _product
 
-    # empty and single-term operands
-    assert _int_product({}, {(1, 2): 3}) == {}
-    assert _int_product({(1, 2): 3}, {}) == {}
-    assert _int_product({(0, 0): -1}, {(4, 1): 5}) == {(4, 1): -5}
-    assert _int_product({(3, 0): 2**100}, {(0, 7): -(2**90)}) == {(3, 7): -(2**190)}
+    # empty operands stop at _product; single-term operands reach the kernel
+    assert _product({}, {(1, 2): 3}) == {}
+    assert _product({(1, 2): 3}, {}) == {}
+    assert _kernel({(0, 0): -1}, {(4, 1): 5}) == {(4, 1): -5}
+    assert _kernel({(3, 0): 2**100}, {(0, 7): -(2**90)}) == {(3, 7): -(2**190)}
     # cancellation to zero: (x + y)(x - y) = x^2 - y^2, and f * g with f*g = 0 terms
-    assert _int_product({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}) == {
+    assert _kernel({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}) == {
         (2, 0): 1,
         (0, 2): -1,
     }
     a = {(i, 0): (-1) ** i for i in range(9)}  # 1 - x + x^2 - ... + x^8
-    assert _int_product(a, {(0, 0): 1, (1, 0): 1}) == {(0, 0): 1, (9, 0): 1}
+    assert _kernel(a, {(0, 0): 1, (1, 0): 1}) == {(0, 0): 1, (9, 0): 1}
     # operands of different slopes: weighted for wt(y) = 2 against wt(y) = 3
     a = {(6 - 2 * j, j): j + 1 for j in range(4)}
     b = {(9 - 3 * j, j): -(j + 2) for j in range(4)}
-    assert _int_product(a, b) == _dict_product(a, b)
+    assert _kernel(a, b) == _dict_product(a, b)
 
 
 @pytest.mark.parametrize("magnitude", [2**31, 2**32 - 1, 2**63 - 1, 2**63, 2**64, 2**64 + 1])
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 17])
 def test_int_product_at_slot_width_boundary(magnitude, sign, length):
-    from nilcert.polynomials import _int_product
-
     # equal coefficients of one sign: the middle slot sums to exactly
     # length * magnitude^2, the bound the slot width is sized from
     a = {(i, 0): sign * magnitude for i in range(length)}
     b = {(0, j): magnitude for j in range(length)}
     c = {(i, 0): sign * magnitude for i in range(length)}
-    assert _int_product(a, b) == _dict_product(a, b)
-    assert _int_product(a, c) == _dict_product(a, c)
-    assert _int_product(a, c)[(length - 1, 0)] == length * magnitude**2
+    assert _kernel(a, b) == _dict_product(a, b)
+    assert _kernel(a, c) == _dict_product(a, c)
+    assert _kernel(a, c)[(length - 1, 0)] == length * magnitude**2
 
 
 @pytest.mark.parametrize("p, top", [(2, 7), (3, 4), (5, 3), (7, 3)])
 def test_iterate_products_match_schoolbook(p, top):
-    from nilcert.polynomials import _int_product
     from nilcert.theta import ThetaContext
 
     ctx = ThetaContext(p)
@@ -584,7 +587,7 @@ def test_iterate_products_match_schoolbook(p, top):
         f = ctx.iterate_polynomial(n).terms
         square = _dict_product(f, f)
         assert (ctx.iterate_polynomial(n) * ctx.iterate_polynomial(n)).terms == square
-        assert _int_product(f, f) == square
+        assert _kernel(f, f) == square
         power = f
         for _ in range(p - 1):
             power = _dict_product(power, f)
@@ -715,8 +718,6 @@ def test_int_power_past_the_digit_limit(p):
 
 @pytest.mark.parametrize("digits", [700, 2200])
 def test_int_product_past_the_digit_limit(digits):
-    from nilcert.polynomials import _int_product
-
     # coefficients of about `digits` digits: product slots of about
     # 2*digits digits, so 2200 passes the default 4300-digit limit on int
     # and str, and 700 passes the 640 set by -X int_max_str_digits=640
@@ -734,11 +735,11 @@ def test_int_product_past_the_digit_limit(digits):
     # hold none of these values exactly changes nothing, and is left as it was
     tiny = decimal.Context(prec=3, traps=[decimal.Inexact, decimal.Rounded])
     with decimal.localcontext(tiny) as context:
-        assert _int_product(a, b) == _dict_product(a, b)
-        assert _int_product(b, a) == _dict_product(b, a)
-        assert _int_product(a, a) == _dict_product(a, a)
-        assert _int_product(plus, minus) == {(2, 0): A * A, (0, 2): -B * B}
-        square = _int_product(b, b)
+        assert _kernel(a, b) == _dict_product(a, b)
+        assert _kernel(b, a) == _dict_product(b, a)
+        assert _kernel(a, a) == _dict_product(a, a)
+        assert _kernel(plus, minus) == {(2, 0): A * A, (0, 2): -B * B}
+        square = _kernel(b, b)
         assert not any(context.flags.values())
     assert square == _dict_product(b, b)
     assert max(abs(c) for c in square.values()).bit_length() > 2 * 3.32 * (digits - 1)

@@ -139,6 +139,12 @@ def test_ideal_spec_frozen():
     [
         # g_e no longer monic in x
         (lambda g: g[:2] + (g[2].scale(3),) + g[3:], "top generator must be monic"),
+        # g_e monic at x^(p^e) = x^4, but of x-degree 5
+        pytest.param(
+            lambda g: g[:2] + (g[2] + X**5,) + g[3:],
+            "top generator must be monic",
+            id="x-degree-past-p^e",
+        ),
         # a last generator other than y^(p^e)
         (lambda g: g[:3] + (Y**5,), "last generator must be y"),
         # g_e monic of degree p^e, but its tail reaches y^(p^e)
