@@ -4,12 +4,12 @@ A certificate asserts that a target polynomial lies in the ideal generated
 by the standard family for (p, e) when working mod p^m, by exhibiting one
 cofactor per generator.  verify_certificate re-expands the combination
 term by term in Z/p^m, against generators it rebuilds from their defining
-recursion with its own product loop, not the engine's operator layer or
-product kernels; it shares nothing with the membership engine beyond the
-polynomial layer, so a certificate check is evidence independent of the
-machinery that produced it.  Both map values into Z/p^m by
-polynomials.residues alone, and admit a cell (p, e, m) by check_cell
-alone.  A cofactor must be p-integral mod p^m.
+recursion as {(i, j): int} dicts, with its own product loop, not the
+engine's operator layer or product kernels; it shares nothing with the
+membership engine beyond the polynomial layer, so a certificate check is
+evidence independent of the machinery that produced it.  Both map values
+into Z/p^m by polynomials.residues alone, and admit a cell (p, e, m) by
+check_cell alone.  A cofactor must be p-integral mod p^m.
 
 Certificate file grammar (one item per line, '#' starts a comment; each
 header key once, numbers in plain ASCII digits):
@@ -40,7 +40,7 @@ import re
 from dataclasses import dataclass
 
 from .coefficients import is_prime
-from .polynomials import RATIONALS, Polynomial, from_numerators, residues
+from .polynomials import RATIONALS, Polynomial, residues
 from .theta import ThetaContext
 
 # A certificate file is outside input, so its text is bounded before it is
@@ -97,29 +97,29 @@ def _product_into(total: dict, a: dict, b: dict) -> dict:
 
 @functools.lru_cache(maxsize=32)
 def _checker_generators(p: int, e: int) -> tuple:
-    """The same family as standard_generators, for the checker alone:
+    """The same family as standard_generators, for the checker alone, as
+    zero-free {(i, j): int} dicts, the numerators of those polynomials:
     f_0 = x, f_n = f_(n-1)(x, y)^p - p * f_(n-1)(y, 0), then
     p^(e-n) * f_n for n <= e and y^(p^e); each p-th power is p - 1
     _product_into products, never a polynomials kernel.  Cached per (p, e),
-    which the caller has admitted by check_cell."""
-    family = [Polynomial.monomial(RATIONALS, 1, 0)]
+    which the caller has admitted by check_cell; callers only read it."""
+    family = [{(1, 0): 1}]
     for _ in range(e):
-        previous = power = family[-1].numerators
+        previous = power = family[-1]
         for _ in range(p - 1):
             power = _product_into({}, power, previous)
         for (i, j), c in previous.items():
             if j == 0:
                 power[(0, i)] = power.get((0, i), 0) - p * c
-        family.append(from_numerators(RATIONALS, {k: c for k, c in power.items() if c}))
-    members = [f.scale(p ** (e - n)) for n, f in enumerate(family)]
-    members.append(Polynomial.monomial(RATIONALS, 0, p**e))
-    return tuple(members)
+        family.append({k: c for k, c in power.items() if c})
+    members = [{k: c * p ** (e - n) for k, c in f.items()} for n, f in enumerate(family)]
+    return (*members, {(0, p**e): 1})
 
 
 @functools.lru_cache(maxsize=32)
 def _checker_residues(p: int, e: int, m: int) -> tuple:
     """_checker_generators(p, e) mod p^m as residue dicts, per (p, e, m)."""
-    return tuple(g.reduce_mod(p, m).numerators for g in _checker_generators(p, e))
+    return tuple(residues(g, 1, p**m) for g in _checker_generators(p, e))
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def verify_certificate(certificate: Certificate) -> bool:
             raise ValueError("cofactors must have integer coefficients")
         if cofactor.denominator % p == 0:
             raise ValueError(f"cofactor {index} is not p-integral")
-        products += len(cofactor.numerators) * len(generators[index].numerators)
+        products += len(cofactor.numerators) * len(generators[index])
     if products > MAX_TERM_PRODUCTS:
         raise ValueError(
             f"certificate expansion needs {products} term products, above {MAX_TERM_PRODUCTS}"
@@ -166,8 +166,7 @@ def verify_certificate(certificate: Certificate) -> bool:
     for index, cofactor in certificate.cofactors:
         reduced = residues(cofactor.numerators, cofactor.denominator, n)
         _product_into(total, reduced, family[index])
-    expected = residues(target.numerators, target.denominator, n)
-    return {key: r for key, c in total.items() if (r := c % n)} == expected
+    return residues(total, 1, n) == residues(target.numerators, target.denominator, n)
 
 
 def certificate_to_text(certificate: Certificate) -> str:

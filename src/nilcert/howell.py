@@ -29,7 +29,9 @@ ever reach the basis.  The second pass, in howell_complete, reads the
 origin rows again from the input and replays the recorded pivots on them
 alone, with an identity block as wide as the number of origins to their
 right: the same steps on the same rows give the same basis, and the block
-becomes the transform over the origins.
+becomes the transform over the origins.  Neither pass exits early, and
+both keep every annihilator row they form: the replay places only rows
+its labels name, so one it never picks changes nothing.
 
 Rows are lists of Python ints in [0, p^m), so any modulus is exact.  The
 input is any sequence of rows of integers, left unchanged, and read into
@@ -106,22 +108,18 @@ def _eliminate(pending: list, n: int, ncols: int, next_label: int, plan=None):
     tracking block.  Without plan, each column's pivot is the first pending
     row of least gcd with n, and rows that fall to zero stay pending, where
     their gcd n never picks them; plan, the pivots of an earlier call,
-    replays those choices instead, and an annihilator row it never picks
-    is dropped.
+    replays those choices instead, picking rows by label alone.  Both keep
+    every annihilator row they form (the replay leaves those it never
+    picks unplaced) and visit every column, with no early exit.
     """
     placed, pivots = [], []
-    wanted = None if plan is None else {label for _, label in plan}
     for c in range(ncols) if plan is None else [c for c, _ in plan]:
         if plan is None:
-            if not pending:
-                break
             best, pk = None, n
             for index, (_, row) in enumerate(pending):
                 g = gcd(row[c], n)
                 if g < pk:
                     best, pk = index, g
-                    if g == 1:
-                        break
             if best is None:
                 continue
         else:
@@ -154,8 +152,7 @@ def _eliminate(pending: list, n: int, ncols: int, next_label: int, plan=None):
             for j, x in tail:
                 annihilator[j] = x * (n // pk) % n
             if any(annihilator[:ncols]):
-                if wanted is None or next_label in wanted:
-                    pending.append((next_label, annihilator))
+                pending.append((next_label, annihilator))
                 next_label += 1
         placed.append(pivot)
         pivots.append((c, label))

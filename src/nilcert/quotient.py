@@ -89,9 +89,12 @@ class RewriteSystem:
             raise AssertionError("top generator must be monic of degree p^e in x")
         if self.generators[e + 1] != Polynomial.monomial(RATIONALS, 0, self.block):
             raise AssertionError("last generator must be y^(p^e)")
-        self.generator_terms = tuple(g.reduce_mod(p, m).numerators for g in self.generators)
+        n = self.modulus.value
+        self.generator_terms = tuple(
+            residues(g.numerators, g.denominator, n) for g in self.generators
+        )
         tail = Polynomial.monomial(RATIONALS, self.block, 0) - top
-        self.tail = tail.reduce_mod(p, m).numerators
+        self.tail = residues(tail.numerators, tail.denominator, n)
         if any(i >= self.block or j >= self.block for i, j in self.tail):
             raise AssertionError("rewrite tail escapes the span block")
 
@@ -195,7 +198,8 @@ class _WeightClass:
     over those columns, which are not kept.  origins are the ascending
     indices into keys of the atoms the basis is built from, and
     basis.matrix[i] = sum over k of transform[i][k] times the class vector
-    of keys[origins[k]], mod p^m; every other atom has weight zero.
+    of keys[origins[k]], mod p^m; every other atom has weight zero.  A
+    weight without atoms has no keys and an empty basis.
     """
 
     low: int
@@ -209,7 +213,7 @@ class GradedBasis(dict):
     """The basis of T, one weight class at a time: weight -> _WeightClass.
 
     The classes share no monomials, so T is their direct sum and its rank
-    is the sum of the class ranks.  Weights without atoms are absent.
+    is the sum of the class ranks.  It lists the classes with atoms alone.
     """
 
     @property
@@ -227,7 +231,8 @@ class _Rows(list):
 
 
 def _build_class(rewrite: RewriteSystem, weight: int):
-    """The _WeightClass of one weight, or None when all its atoms vanish.
+    """The _WeightClass of one weight; it has no keys and an empty basis
+    when all its atoms vanish.
 
     Its atoms are the grid multiples x^a y^b g_n with a + p*b + p^n equal
     to weight and 0 <= a, b < p^e, taken in order of n, then b, as in a
@@ -254,7 +259,7 @@ def _build_class(rewrite: RewriteSystem, weight: int):
             keys.append((gen_index, a, b))
             vectors.append([terms.get((weight - p * j, j), 0) for j in range(low, low + width)])
     if not keys:
-        return None
+        return _WeightClass(low, (), HowellBasis(rewrite.modulus, (), (), (), width), (), ())
     basis, origins, transform = howell_complete(_Rows(vectors), rewrite.modulus)
     return _WeightClass(low, tuple(keys), basis, origins, transform)
 
@@ -262,9 +267,10 @@ def _build_class(rewrite: RewriteSystem, weight: int):
 class MembershipModule:
     """Queryable description of T = reductions of the ideal, mod p^m.
 
-    Weight classes are built on first touch.  basis is the GradedBasis of
-    T and atoms lists the key (n, a, b) of every nonzero closure atom,
-    class by class; reading either builds every class not yet built.
+    Weight classes are built on first touch, every weight its own class.
+    basis is the GradedBasis of T, the classes with atoms, and atoms lists
+    the key (n, a, b) of every nonzero closure atom, class by class;
+    reading either builds every class not yet built.
     Queries reduce each weight part of a target against its own class.
     generators, p, e, m and modulus are the rewrite system's.
     """
@@ -275,7 +281,7 @@ class MembershipModule:
         self.p, self.e, self.m = rewrite.p, rewrite.e, rewrite.m
         self.modulus = rewrite.modulus
         self.theta_context = ThetaContext(rewrite.p)
-        # weight -> _WeightClass, or None for a weight without atoms
+        # weight -> _WeightClass, with or without atoms
         self._classes: dict = {}
 
     def _weight_class(self, weight: int):
@@ -290,7 +296,7 @@ class MembershipModule:
         basis = GradedBasis()
         for weight in range((self.rewrite.block - 1) * (self.p + 1) + 1):
             weight_class = self._weight_class(weight)
-            if weight_class is not None:
+            if weight_class.keys:
                 basis[weight] = weight_class
         return basis
 
@@ -312,9 +318,6 @@ class MembershipModule:
         solved = []
         for weight, part in sorted(parts.items()):
             weight_class = self._weight_class(weight)
-            if weight_class is None:
-                remainder.update({(weight - p * j, j): value for j, value in part.items()})
-                continue
             low = weight_class.low
             vector = [0] * weight_class.basis.ncols
             for j, value in part.items():

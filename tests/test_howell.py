@@ -180,6 +180,25 @@ def test_annihilator_row_is_found():
     assert any(basis.reduce([0, 1])[0])
 
 
+@pytest.mark.parametrize(
+    "p,m,rows,matrix,origins,transform",
+    [
+        (2, 3, [[4, 7, 5], [2, 7, 7]], ((2, 0, 6), (0, 1, 7)), (0, 1), ((1, 7), (1, 6))),
+        (2, 2, [[2, 1, 2], [2, 0, 2]], ((2, 0, 2), (0, 1, 0)), (0, 1), ((0, 1), (1, 3))),
+        (
+            2, 2, [[0, 0, 3], [0, 1, 2], [2, 3, 3]],
+            ((2, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 1, 2), ((1, 1, 1), (2, 1, 0), (3, 0, 0)),
+        ),
+    ],
+)
+def test_replay_keeps_annihilators_it_never_picks(p, m, rows, matrix, origins, transform):
+    # the first pass forms an annihilator row that no pivot picks; the
+    # replay forms and keeps it too, and places the same rows
+    basis, got_origins, got_transform = howell_complete(rows, Modulus(p, m))
+    assert (basis.matrix, got_origins, got_transform) == (matrix, origins, transform)
+    assert basis.matrix == _transform_image(transform, origins, rows, p**m)
+
+
 def test_identity_like_input():
     mod = Modulus(2, 3)
     basis = howell_complete([[1, 2], [0, 4]], mod)[0]

@@ -707,6 +707,31 @@ def test_classes_built_on_first_touch(monkeypatch):
     assert len(calls) == 189
 
 
+def test_weight_without_atoms_has_an_empty_class():
+    # at (2, 1, 2) every atom x^a y^b g_n has weight at least p^n >= 1, so
+    # weight 0 has none: its class is empty, a query on it is its own
+    # remainder, and the basis lists only the classes with atoms
+    module = build_membership_module(2, 1, 2)
+    empty = module._weight_class(0)
+    assert empty.keys == () and empty.basis.rank == 0
+    result = module.is_member(Polynomial.one(RATIONALS))
+    assert not result.member
+    assert result.witness.to_text() == "1"
+    assert 0 not in module.basis
+    assert all(weight_class.keys for weight_class in module.basis.values())
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 3, 4), (3, 2, 3), (5, 2, 3)])
+def test_every_atom_vector_is_a_multiple_of_p(p, e, m):
+    # g_n = p^(e-n) * f_n for n < e, and the rewrite keeps divisibility by
+    # p mod p^m, so no class row has a unit entry and no elimination of a
+    # class meets a unit pivot
+    module = module_for(p, e, m)
+    assert module.atoms
+    for key in module.atoms:
+        assert all(value % p == 0 for value in span_vector(module, key))
+
+
 def default_queries(module):
     """The membership queries of a default verify cell, nilpotence and
     sharpness first."""
@@ -994,15 +1019,13 @@ def _functional_failures(p, e, functional):
     top = p**e + p ** (e - 1) - 1
     failures, multiples = [], 0
     for n, g in enumerate(_checker_generators(p, e)):
-        weights = {i + p * j for i, j in g.numerators}
-        assert len(weights) == 1 and g.denominator == 1
+        weights = {i + p * j for i, j in g}
+        assert len(weights) == 1 and all(type(c) is int for c in g.values())
         (weight,) = weights
         for b in range((top - weight) // p + 1):
             a = top - weight - p * b
             multiples += 1
-            value = sum(
-                c * g.numerators.get((i - a, j - b), 0) for (i, j), c in functional.items()
-            )
+            value = sum(c * g.get((i - a, j - b), 0) for (i, j), c in functional.items())
             if value % p ** (e + 1):
                 failures.append((n, a, b))
     assert multiples > 0
