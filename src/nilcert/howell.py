@@ -82,21 +82,41 @@ class HowellBasis:
         vector = sum of coefficients[i] * matrix[i] + residue (mod p^m).
         The vector lies in the row module iff the residue is zero; the
         residue is a canonical coset representative either way (each
-        pivot column is reduced below its pivot value).  A pivot step
-        updates the residue in place at the row's nonzero entries alone.
+        pivot column is reduced below its pivot value).  The vector is
+        read through operator.index and left unchanged; its nonzero
+        residues go to reduce_residues.
         """
         n = self.modulus.value
-        residue = [x % n for x in map(operator.index, vector)]
-        if len(residue) != self.ncols:
+        vector = [x % n for x in map(operator.index, vector)]
+        if len(vector) != self.ncols:
             raise ValueError("vector length does not match the basis")
-        coefficients = [0] * len(self.matrix)
+        residue = {j: x for j, x in enumerate(vector) if x}
+        coefficients = self.reduce_residues(residue)
+        return (
+            [residue.get(j, 0) for j in range(self.ncols)],
+            coefficients or [0] * len(self.matrix),
+        )
+
+    def reduce_residues(self, residue: dict):
+        """The pivot walk of reduce on a sparse {column: residue in
+        [0, p^m)} dict, which becomes the canonical remainder in place.
+
+        A pivot step updates the dict at the pivot row's nonzero entries
+        alone; an entry it clears stays, as 0.  Returns the coefficients,
+        an int list, or None when every factor is zero.  The dict is not
+        checked: its keys must be columns and its values residues.
+        """
+        n = self.modulus.value
+        coefficients = None
         for index, (col, pk, row) in enumerate(self._pivot_rows):
-            factor = residue[col] // pk
+            factor = residue.get(col, 0) // pk
             if factor:
                 for j, x in row:
-                    residue[j] = (residue[j] - factor * x) % n
+                    residue[j] = (residue.get(j, 0) - factor * x) % n
+                if coefficients is None:
+                    coefficients = [0] * len(self.matrix)
                 coefficients[index] = factor
-        return residue, coefficients
+        return coefficients
 
 
 def _eliminate(pending: list, n: int, ncols: int, next_label: int, plan=None):

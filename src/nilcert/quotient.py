@@ -308,7 +308,12 @@ class MembershipModule:
 
     def is_member(self, f: Polynomial) -> MembershipResult:
         """Decide f in ideal mod p^m; attach a certificate (its target f,
-        lifted to integers) or a witness."""
+        lifted to integers) or a witness.
+
+        Each weight part of the rewrite, shifted to its class's columns,
+        is reduced in place by the class basis's reduce_residues; the
+        witness is the nonzero entries the parts keep, and a class whose
+        walk returns coefficients weights its origins."""
         terms, combined = self.rewrite.reduce(f)
         p, n = self.p, self.modulus.value
         parts: dict = {}  # weight -> {y-degree: value}; the two fix a term
@@ -319,14 +324,12 @@ class MembershipModule:
         for weight, part in sorted(parts.items()):
             weight_class = self._weight_class(weight)
             low = weight_class.low
-            vector = [0] * weight_class.basis.ncols
-            for j, value in part.items():
-                vector[j - low] = value
-            residue, coefficients = weight_class.basis.reduce(vector)
-            for k, value in enumerate(residue):
+            residue = {j - low: value for j, value in part.items()}
+            coefficients = weight_class.basis.reduce_residues(residue)
+            for k, value in residue.items():
                 if value:
                     remainder[(weight - p * (low + k), low + k)] = value
-            if any(coefficients):
+            if coefficients is not None:
                 solved.append((weight_class, coefficients))
         if remainder:
             witness = ResidueWitness(polynomial=from_numerators(self.modulus, remainder))

@@ -282,7 +282,20 @@ def test_sparse_reduce_matches_dense_formula(pm, data):
     row = st.lists(entries, min_size=width, max_size=width)
     basis = howell_complete(data.draw(st.lists(row, min_size=1, max_size=5)), Modulus(p, m))[0]
     vector = data.draw(row)
-    assert basis.reduce(vector) == _dense_reduce(basis, vector)
+    given = list(vector)
+    expected_residue, expected_coefficients = _dense_reduce(basis, vector)
+    assert basis.reduce(vector) == (expected_residue, expected_coefficients)
+    assert vector == given
+    # the walk on the vector's nonzero residues leaves the same remainder,
+    # on columns alone, and the same coefficients
+    residue = {j: x % n for j, x in enumerate(vector) if x % n}
+    coefficients = basis.reduce_residues(residue)
+    assert [residue.get(j, 0) for j in range(width)] == expected_residue
+    assert set(residue) <= set(range(width))
+    if any(expected_coefficients):
+        assert coefficients == expected_coefficients
+    else:
+        assert coefficients is None
     if pm == (2, 40):
         # int64 entries are read as Python ints: a pivot step's products
         # pass 2^63 here, where int64 arithmetic would wrap
