@@ -51,7 +51,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from .certificates import Certificate, check_cell, standard_generators, verify_certificate
+from .certificates import Certificate, _checker_generators, check_cell, standard_generators
+from .certificates import verify_certificate
 from .coefficients import Modulus
 from .howell import HowellBasis, howell_complete
 
@@ -59,7 +60,7 @@ from .howell import HowellBasis, howell_complete
 # importable here because perfbench/tracing.py wraps it by this name
 from .howell import howell_spanning_subset  # noqa: F401
 from .polynomials import RATIONALS, Polynomial, from_numerators, residues
-from .theta import ThetaContext
+from .theta import ThetaContext, nilpotence_bound
 
 
 class RewriteSystem:
@@ -72,10 +73,12 @@ class RewriteSystem:
     irrelevant to the result, which the tests exercise separately.
 
     generators is the family g_0 .. g_(e+1) of (p, e), generator_terms
-    the same mod p^m as {(i, j): int} dicts.  The constructor admits the
-    cell by certificates.check_cell, then checks that g_e is monic of
-    degree p^e in x, that the last generator is y^(p^e) and that the
-    rewrite tail g_e gives stays inside the span block.
+    the same mod p^m as {(i, j): int} dicts, and tail is x^(p^e) - g_e
+    mod p^m, read off generator_terms[e] by dropping its leading term and
+    negating the rest.  The constructor admits the cell by
+    certificates.check_cell, then checks that g_e is monic of degree p^e
+    in x, that the last generator is y^(p^e) and that the tail stays
+    inside the span block.
     """
 
     def __init__(self, p: int, e: int, m: int):
@@ -93,8 +96,7 @@ class RewriteSystem:
         self.generator_terms = tuple(
             residues(g.numerators, g.denominator, n) for g in self.generators
         )
-        tail = Polynomial.monomial(RATIONALS, self.block, 0) - top
-        self.tail = residues(tail.numerators, tail.denominator, n)
+        self.tail = {k: -c % n for k, c in self.generator_terms[e].items() if k != (self.block, 0)}
         if any(i >= self.block or j >= self.block for i, j in self.tail):
             raise AssertionError("rewrite tail escapes the span block")
 
@@ -421,14 +423,15 @@ class MembershipModule:
             raise ValueError("k out of range")
         p, e = self.p, self.e
         x, _ = Polynomial.generators(RATIONALS)
-        small = p ** (e - k) + p ** (e - k - 1)
-        difference = x ** (p**e + p ** (e - 1)) - self.theta_context.psi_iterate(x, k) ** small
+        small = nilpotence_bound(p ** (e - k))
+        difference = x ** nilpotence_bound(p**e) - self.theta_context.psi_iterate(x, k) ** small
         return self._proved(difference)
 
     def verify_nilpotence(self) -> MembershipResult:
-        """x^(p^e + p^(e-1)) lies in the ideal mod p^m, with certificate."""
+        """x^N lies in the ideal mod p^m, with certificate, for
+        N = nilpotence_bound(p^e) = p^e + p^(e-1), as `nilcert bound` prints."""
         x, _ = Polynomial.generators(RATIONALS)
-        return self.power_membership(x, self.p**self.e + self.p ** (self.e - 1))
+        return self.power_membership(x, nilpotence_bound(self.p**self.e))
 
     def verify_sharpness(self) -> MembershipResult:
         """One exponent below the bound stays outside, at precision e+1.
@@ -439,7 +442,7 @@ class MembershipModule:
         if self.m != self.e + 1:
             raise ValueError("sharpness is stated at precision m = e + 1")
         x, _ = Polynomial.generators(RATIONALS)
-        return self.power_membership(x, self.p**self.e + self.p ** (self.e - 1) - 1)
+        return self.power_membership(x, nilpotence_bound(self.p**self.e) - 1)
 
     def verify_torsion_powers(self) -> bool:
         """Each p^(e-k) * x, 1 <= k <= e, is p^k-torsion mod the ideal, so
@@ -447,7 +450,7 @@ class MembershipModule:
         x, _ = Polynomial.generators(RATIONALS)
         ok = True
         for k in range(1, self.e + 1):
-            exponent = self.p**k + self.p ** (k - 1)
+            exponent = nilpotence_bound(self.p**k)
             scalar = (self.p ** (self.e - k)) ** exponent
             target = (x**exponent).scale(scalar)
             ok = ok and self._proved(target)
@@ -488,23 +491,29 @@ ORACLE_CLOSURE_LIMIT = 4096
 
 
 def brute_force_membership_oracle(p: int, e: int, m: int, f: Polynomial) -> bool:
-    """Decide membership by enumerating T outright.  Desk-scale guard:
+    """Decide membership by enumerating T outright.  It admits the cell by
+    certificates.check_cell first, so no absurd power is formed, then
     refuses unless p^(2e) <= 16 and p^m <= 16, and raises ValueError as
     soon as the closure holds more than ORACLE_CLOSURE_LIMIT elements
     (|T| is 2^22 at (2, 2, 3) and 2^37 at (2, 2, 4)).
 
-    This is a deliberately independent second route: the reduction loop
-    and the closure are rewritten here against the definition (breadth
-    first closure of the seed reductions under addition, scalars, and the
-    two monomial shifts), sharing none of the Howell machinery.
+    A deliberately independent second route on plain ints: seeds and tail
+    come from the checker's integer family certificates._checker_generators,
+    f (rational or over Z/p^m) enters by polynomials.residues, and the
+    reduction and the closure (of the seeds under addition, scalars and
+    the two monomial shifts) are written here against the definition.  It
+    shares no operator, polynomial arithmetic or Howell code with the engine.
     """
+    check_cell(p, e, m)
     if p ** (2 * e) > 16 or p**m > 16:
         raise ValueError("oracle guard: instance too large to enumerate")
+    if f.ring is not RATIONALS and f.ring != Modulus(p, m):
+        raise ValueError("polynomial modulus does not match the oracle's cell")
     n = p**m
     block = p**e
-    generators = standard_generators(p, e)
-    # generators[e] is g_e = f_e, monic of degree p^e in x
-    tail = (Polynomial.monomial(RATIONALS, block, 0) - generators[e]).reduce_mod(p, m).numerators
+    # the cached family is only read; family[e] is g_e, monic of degree p^e in x
+    family = _checker_generators(p, e)
+    tail = {k: -c for k, c in family[e].items() if k != (block, 0)}
 
     def oracle_reduce(terms: dict) -> tuple:
         terms = {key: value % n for key, value in terms.items() if value % n}
@@ -534,15 +543,10 @@ def brute_force_membership_oracle(p: int, e: int, m: int, f: Polynomial) -> bool
                 terms[(index % block + di, index // block + dj)] = value
         return oracle_reduce(terms)
 
-    seeds = []
-    for g in generators:
-        reduced = oracle_reduce(g.reduce_mod(p, m).numerators)
-        if any(reduced):
-            seeds.append(reduced)
-
     zero = tuple([0] * block**2)
     elements = {zero}
-    worklist = list(seeds)
+    # a seed that reduces to zero is already an element and is skipped
+    worklist = [oracle_reduce(g) for g in family]
     while worklist:
         candidate = worklist.pop()
         if candidate in elements:
@@ -561,6 +565,4 @@ def brute_force_membership_oracle(p: int, e: int, m: int, f: Polynomial) -> bool
         worklist.append(shift(candidate, 1, 0))
         worklist.append(shift(candidate, 0, 1))
 
-    query = f.reduce_mod(p, m) if f.ring is RATIONALS else f
-    reduced = oracle_reduce(query.numerators)
-    return reduced in elements
+    return oracle_reduce(residues(f.numerators, f.denominator, n)) in elements

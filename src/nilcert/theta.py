@@ -165,16 +165,10 @@ class ThetaContext:
     # ---- axiom checks ----
 
     def scaled_binomial(self, j: int) -> int:
-        """The integer binom(p, j) / p for 0 < j < p, exactness asserted."""
+        """The integer binom(p, j) / p for 0 < j < p, exact since p is prime."""
         if not 0 < j < self.p:
             raise ValueError("index out of range")
-        value = math.comb(self.p, j)
-        quotient, remainder = divmod(value, self.p)
-        if remainder:
-            raise AssertionError("binomial not divisible by p")
-        if quotient * j != math.comb(self.p - 1, j - 1):
-            raise AssertionError("binomial quotient mismatch")
-        return quotient
+        return math.comb(self.p, j) // self.p
 
     def check_theta_axioms(self, f: Polynomial, g: Polynomial) -> AxiomReport:
         """Verify the six defining identities on the concrete pair (f, g).

@@ -34,7 +34,7 @@ from nilcert.quotient import (
     brute_force_membership_oracle,
     build_membership_module,
 )
-from nilcert.theta import ThetaContext, random_polynomial
+from nilcert.theta import ThetaContext, nilpotence_bound, random_polynomial
 
 X, Y = Polynomial.generators(RATIONALS)
 ACCEPTANCE_GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)]
@@ -883,6 +883,16 @@ def test_oracle_guard():
         brute_force_membership_oracle(2, 1, 5, X)
     with pytest.raises(ValueError):
         brute_force_membership_oracle(3, 2, 1, X)
+    # the cell is admitted by check_cell before the guard forms p^(2e) or p^m
+    for cell in [(3, 10**7, 2), (3, 1, 10**7)]:
+        started = time.perf_counter()
+        with pytest.raises(ValueError):
+            brute_force_membership_oracle(*cell, X)
+        assert time.perf_counter() - started < 0.1
+    with pytest.raises(ValueError, match="degree p\\^e exceeds 1024"):
+        brute_force_membership_oracle(2, 11, 12, X)
+    with pytest.raises(ValueError, match="modulus does not match"):
+        brute_force_membership_oracle(2, 1, 2, X.reduce_mod(2, 3))
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -912,6 +922,20 @@ def test_oracle_agrees_on_hand_cases():
     assert brute_force_membership_oracle(2, 1, 3, Y.scale(4))
     assert not brute_force_membership_oracle(3, 1, 2, X**3)
     assert brute_force_membership_oracle(3, 1, 2, X**4)
+
+
+def test_oracle_runs_on_plain_ints_alone(monkeypatch):
+    # the oracle reads the checker's integer family and maps by residues,
+    # so it reaches none of the engine's generators, operators or arithmetic
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached the engine")
+
+    monkeypatch.setattr(quotient, "standard_generators", refuse)
+    monkeypatch.setattr(Polynomial, "reduce_mod", refuse)
+    monkeypatch.setattr(Polynomial, "__sub__", refuse)
+    monkeypatch.setattr(ThetaContext, "iterate_polynomial", refuse)
+    _checker_generators.cache_clear()
+    test_oracle_agrees_on_hand_cases()
 
 
 @pytest.mark.parametrize("p,e,m,samples", [(2, 1, 2, 20), (2, 1, 3, 15), (3, 1, 2, 10)])
@@ -989,6 +1013,23 @@ def test_nilpotence_bound_attained(p, e, m):
     result = module_for(p, e, m).verify_nilpotence()
     assert result.member
     assert verify_certificate(result.certificate)
+
+
+def test_verify_operations_take_their_exponents_from_the_bound(monkeypatch):
+    # verify proves exactly the exponent `nilcert bound` prints
+    module = build_membership_module(3, 2, 3)
+    asked = []
+
+    def recorded(n):
+        asked.append(n)
+        return nilpotence_bound(n)
+
+    monkeypatch.setattr(quotient, "nilpotence_bound", recorded)
+    assert module.verify_nilpotence().member
+    assert not module.verify_sharpness().member
+    assert all(module.verify_iterate_power_identity(k) for k in range(2))
+    assert module.verify_torsion_powers()
+    assert set(asked) == {9, 3}
 
 
 DEFAULT_VERIFY_CELLS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)]
