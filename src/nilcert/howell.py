@@ -33,6 +33,11 @@ becomes the transform over the origins.  Neither pass exits early, and
 both keep every annihilator row they form: the replay places only rows
 its labels name, so one it never picks changes nothing.
 
+Reduction against a basis is one pivot walk, pivot_walk, on a sparse
+{column: residue} dict: HowellBasis.reduce and reduce_residues run it on
+the basis's own pivot rows, and a membership query runs it on its weight
+class's copy of them, whose columns are read as y-degrees (quotient.py).
+
 Rows are lists of Python ints in [0, p^m), so any modulus is exact.  The
 input is any sequence of rows of integers, left unchanged, and read into
 such lists through operator.index, so a float entry raises TypeError
@@ -69,11 +74,18 @@ class HowellBasis:
     def rank(self) -> int:
         return len(self.matrix)
 
+    def pivot_rows(self, offset: int = 0) -> tuple:
+        """The rows pivot_walk reads: (pivot column, pivot value, nonzero
+        entries (j, x)) per row, in pivot order, with each column read as
+        offset plus its index.  Built afresh on every call."""
+        return tuple(
+            (c + offset, pk, tuple((j, x) for j, x in enumerate(row, offset) if x))
+            for row, c, pk in zip(self.matrix, self.pivot_columns, self.pivot_values)
+        )
+
     @cached_property
     def _pivot_rows(self) -> tuple:
-        """(pivot column, pivot value, nonzero entries (j, x)) per row."""
-        entries = (tuple((j, x) for j, x in enumerate(row) if x) for row in self.matrix)
-        return tuple(zip(self.pivot_columns, self.pivot_values, entries))
+        return self.pivot_rows()
 
     def reduce(self, vector):
         """Canonical remainder of vector against the basis.
@@ -98,25 +110,35 @@ class HowellBasis:
         )
 
     def reduce_residues(self, residue: dict):
-        """The pivot walk of reduce on a sparse {column: residue in
-        [0, p^m)} dict, which becomes the canonical remainder in place.
+        """pivot_walk on a sparse {column: residue in [0, p^m)} dict, over
+        this basis's pivot rows; the dict becomes the canonical remainder
+        in place.  Returns the coefficients, an int list, or None when
+        every factor is zero."""
+        return pivot_walk(self._pivot_rows, residue, self.modulus.value)
 
-        A pivot step updates the dict at the pivot row's nonzero entries
-        alone; an entry it clears stays, as 0.  Returns the coefficients,
-        an int list, or None when every factor is zero.  The dict is not
-        checked: its keys must be columns and its values residues.
-        """
-        n = self.modulus.value
-        coefficients = None
-        for index, (col, pk, row) in enumerate(self._pivot_rows):
-            factor = residue.get(col, 0) // pk
-            if factor:
-                for j, x in row:
-                    residue[j] = (residue.get(j, 0) - factor * x) % n
-                if coefficients is None:
-                    coefficients = [0] * len(self.matrix)
-                coefficients[index] = factor
-        return coefficients
+
+def pivot_walk(rows, residue: dict, n: int):
+    """The pivot walk of HowellBasis.reduce, the one copy of it.
+
+    rows are (pivot column, pivot value, nonzero entries (j, x)) per basis
+    row, in pivot order, and residue is a sparse {column: residue in
+    [0, n)} dict with columns read as the rows read them; it becomes the
+    canonical remainder in place.  A pivot step updates the dict at the
+    pivot row's nonzero entries alone; an entry it clears stays, as 0.
+    Returns the coefficients, one int per row, or None when every factor
+    is zero.  The dict is not checked: its keys must be columns and its
+    values residues.
+    """
+    coefficients = None
+    for index, (col, pk, row) in enumerate(rows):
+        factor = residue.get(col, 0) // pk
+        if factor:
+            for j, x in row:
+                residue[j] = (residue.get(j, 0) - factor * x) % n
+            if coefficients is None:
+                coefficients = [0] * len(rows)
+            coefficients[index] = factor
+    return coefficients
 
 
 def _eliminate(pending: list, n: int, ncols: int, next_label: int, plan=None):

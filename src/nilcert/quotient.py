@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from .certificates import Certificate, _checker_generators, check_cell, standard_generators
 from .certificates import verify_certificate
 from .coefficients import Modulus
-from .howell import HowellBasis, howell_complete
+from .howell import HowellBasis, howell_complete, pivot_walk
 
 # never called by the build, which takes its origins from howell_complete;
 # importable here because perfbench/tracing.py wraps it by this name
@@ -200,8 +200,12 @@ class _WeightClass:
     over those columns, which are not kept.  origins are the ascending
     indices into keys of the atoms the basis is built from, and
     basis.matrix[i] = sum over k of transform[i][k] times the class vector
-    of keys[origins[k]], mod p^m; every other atom has weight zero.  A
-    weight without atoms has no keys and an empty basis.
+    of keys[origins[k]], mod p^m; every other atom has weight zero.
+    rows are basis.pivot_rows(low), the pivot rows howell.pivot_walk reads
+    with both column fields read as y-degrees: (pivot column + low, pivot
+    value, ((j + low, x), ...)) per row, so a query walks its weight part,
+    keyed by y-degree, in place.  A weight without atoms has no keys, an
+    empty basis and no rows.
     """
 
     low: int
@@ -209,6 +213,7 @@ class _WeightClass:
     basis: HowellBasis
     origins: tuple
     transform: tuple
+    rows: tuple
 
 
 class GradedBasis(dict):
@@ -260,10 +265,11 @@ def _build_class(rewrite: RewriteSystem, weight: int):
                 raise AssertionError(f"atom {(gen_index, a, b)} is not weighted homogeneous")
             keys.append((gen_index, a, b))
             vectors.append([terms.get((weight - p * j, j), 0) for j in range(low, low + width)])
-    if not keys:
-        return _WeightClass(low, (), HowellBasis(rewrite.modulus, (), (), (), width), (), ())
-    basis, origins, transform = howell_complete(_Rows(vectors), rewrite.modulus)
-    return _WeightClass(low, tuple(keys), basis, origins, transform)
+    if keys:
+        basis, origins, transform = howell_complete(_Rows(vectors), rewrite.modulus)
+    else:
+        basis, origins, transform = HowellBasis(rewrite.modulus, (), (), (), width), (), ()
+    return _WeightClass(low, tuple(keys), basis, origins, transform, basis.pivot_rows(low))
 
 
 class MembershipModule:
@@ -312,10 +318,11 @@ class MembershipModule:
         """Decide f in ideal mod p^m; attach a certificate (its target f,
         lifted to integers) or a witness.
 
-        Each weight part of the rewrite, shifted to its class's columns,
-        is reduced in place by the class basis's reduce_residues; the
-        witness is the nonzero entries the parts keep, and a class whose
-        walk returns coefficients weights its origins."""
+        Each weight part of the rewrite, a {y-degree: value} dict, is
+        reduced in place by howell.pivot_walk on its class's rows, which
+        are keyed by y-degree too; the witness is the nonzero entries the
+        parts keep, and a class whose walk returns coefficients weights
+        its origins."""
         terms, combined = self.rewrite.reduce(f)
         p, n = self.p, self.modulus.value
         parts: dict = {}  # weight -> {y-degree: value}; the two fix a term
@@ -325,12 +332,10 @@ class MembershipModule:
         solved = []
         for weight, part in sorted(parts.items()):
             weight_class = self._weight_class(weight)
-            low = weight_class.low
-            residue = {j - low: value for j, value in part.items()}
-            coefficients = weight_class.basis.reduce_residues(residue)
-            for k, value in residue.items():
+            coefficients = pivot_walk(weight_class.rows, part, n)
+            for j, value in part.items():
                 if value:
-                    remainder[(weight - p * (low + k), low + k)] = value
+                    remainder[(weight - p * j, j)] = value
             if coefficients is not None:
                 solved.append((weight_class, coefficients))
         if remainder:

@@ -8,6 +8,7 @@ exhaustive enumeration along a second, independent code path.
 import dataclasses
 import functools
 import hashlib
+import operator
 import random
 import time
 from pathlib import Path
@@ -27,7 +28,7 @@ from nilcert.certificates import (
 )
 from nilcert import quotient
 from nilcert.coefficients import rational
-from nilcert.howell import HowellBasis, howell_complete
+from nilcert.howell import HowellBasis, howell_complete, pivot_walk
 from nilcert.polynomials import RATIONALS, Polynomial
 from nilcert.quotient import (
     RewriteSystem,
@@ -719,6 +720,44 @@ def test_weight_without_atoms_has_an_empty_class():
     assert result.witness.to_text() == "1"
     assert 0 not in module.basis
     assert all(weight_class.keys for weight_class in module.basis.values())
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 3, 4), (3, 2, 3), (5, 2, 3), (2, 4, 6)])
+def test_class_rows_are_the_pivot_rows_in_y_degrees(p, e, m):
+    # a class keeps its basis's pivot rows with both column fields shifted
+    # by low, so a query walks its {y-degree: value} part in place; on
+    # seeded parts, the walk on those rows leaves what reduce_residues
+    # leaves on the part shifted to class columns, and a combination of
+    # basis rows walks to a zero remainder
+    module = module_for(p, e, m)
+    n = p**m
+    rng = random.Random(f"class rows {p} {e} {m}")
+    module.basis  # builds every class, those without atoms too
+    empty = 0
+    for weight_class in module._classes.values():
+        low, basis = weight_class.low, weight_class.basis
+        assert weight_class.rows == tuple(
+            (col + low, pk, tuple((j + low, x) for j, x in row))
+            for col, pk, row in basis._pivot_rows
+        )
+        if not weight_class.keys:
+            assert weight_class.rows == ()
+            empty += 1
+        for k in range(6):
+            if k % 2 and basis.rank:
+                factors = [rng.randrange(n) for _ in range(basis.rank)]
+                dense = [sum(map(operator.mul, factors, column)) % n for column in zip(*basis.matrix)]
+            else:
+                dense = [rng.choice([0, rng.randrange(n)]) for _ in range(basis.ncols)]
+            part = {low + j: x for j, x in enumerate(dense) if x}
+            shifted = {j - low: x for j, x in part.items()}
+            coefficients = pivot_walk(weight_class.rows, part, n)
+            assert coefficients == basis.reduce_residues(shifted)
+            assert part == {j + low: x for j, x in shifted.items()}
+            assert coefficients is None or len(coefficients) == basis.rank
+            if k % 2 and basis.rank:
+                assert not any(part.values())
+    assert empty
 
 
 @pytest.mark.parametrize("p,e,m", [(2, 3, 4), (3, 2, 3), (5, 2, 3)])
