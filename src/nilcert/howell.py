@@ -34,8 +34,8 @@ both keep every annihilator row they form: the replay places only rows
 its labels name, so one it never picks changes nothing.
 
 Reduction against a basis is one pivot walk, pivot_walk, on a sparse
-{column: residue} dict: HowellBasis.reduce and reduce_residues run it on
-the basis's own pivot rows, and a membership query runs it on its weight
+{column: residue} dict: HowellBasis.reduce runs it on the basis's pivot
+rows, built afresh per call, and a membership query runs it on its weight
 class's copy of them, whose columns are read as y-degrees (quotient.py).
 
 Rows are lists of Python ints in [0, p^m), so any modulus is exact.  The
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from math import gcd
 
@@ -83,10 +82,6 @@ class HowellBasis:
             for row, c, pk in zip(self.matrix, self.pivot_columns, self.pivot_values)
         )
 
-    @cached_property
-    def _pivot_rows(self) -> tuple:
-        return self.pivot_rows()
-
     def reduce(self, vector):
         """Canonical remainder of vector against the basis.
 
@@ -95,26 +90,19 @@ class HowellBasis:
         The vector lies in the row module iff the residue is zero; the
         residue is a canonical coset representative either way (each
         pivot column is reduced below its pivot value).  The vector is
-        read through operator.index and left unchanged; its nonzero
-        residues go to reduce_residues.
+        read through operator.index and left unchanged; pivot_walk runs
+        on its nonzero residues.
         """
         n = self.modulus.value
         vector = [x % n for x in map(operator.index, vector)]
         if len(vector) != self.ncols:
             raise ValueError("vector length does not match the basis")
         residue = {j: x for j, x in enumerate(vector) if x}
-        coefficients = self.reduce_residues(residue)
+        coefficients = pivot_walk(self.pivot_rows(), residue, n)
         return (
             [residue.get(j, 0) for j in range(self.ncols)],
             coefficients or [0] * len(self.matrix),
         )
-
-    def reduce_residues(self, residue: dict):
-        """pivot_walk on a sparse {column: residue in [0, p^m)} dict, over
-        this basis's pivot rows; the dict becomes the canonical remainder
-        in place.  Returns the coefficients, an int list, or None when
-        every factor is zero."""
-        return pivot_walk(self._pivot_rows, residue, self.modulus.value)
 
 
 def pivot_walk(rows, residue: dict, n: int):

@@ -37,11 +37,14 @@ remainders side by side.  A class needs only its own atoms, the grid
 multiples of its weight, so it is built the first time a query touches
 it; x^N, say, reads the weight-N class alone.
 
-Certificates are derived from atom keys: the class transforms weight the
-atoms, an atom (n, a, b) of weight w is the cofactor w * x^a y^b on g_n,
+Certificates are derived from atom keys: each class keeps its Howell
+transform by origin, one column over the basis rows per origin atom, and
+a query's basis coefficients times an origin's column give that atom's
+weight; an atom (n, a, b) of weight w is the cofactor w * x^a y^b on g_n,
 and the span part less those multiples rewrites to credits on g_e and
-y^(p^e) alone.  Those credits are unique mod p^m (the one on g_e has
-y-degree below p^e), so the certificate, checked by independent expansion
+y^(p^e) alone.
+Those credits are unique mod p^m (the one on g_e has y-degree below
+p^e), so the certificate, checked by independent expansion
 (certificates.py), does not depend on how a rewrite is split: one
 reduction of a power x^N gives what reducing step by step would.
 """
@@ -49,6 +52,7 @@ reduction of a power x^N gives what reducing step by step would.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 
 from .certificates import Certificate, _checker_generators, check_cell, standard_generators
@@ -198,9 +202,11 @@ class _WeightClass:
     monomial of y-degree low + k.  keys are the atoms (n, a, b), each the
     reduction of x^a y^b * g_n; basis is the Howell form of their vectors
     over those columns, which are not kept.  origins are the ascending
-    indices into keys of the atoms the basis is built from, and
-    basis.matrix[i] = sum over k of transform[i][k] times the class vector
-    of keys[origins[k]], mod p^m; every other atom has weight zero.
+    indices into keys of the atoms the basis is built from, and columns
+    holds howell_complete's transform by origin, one int tuple per origin
+    over the basis rows: basis.matrix[i] = sum over k of columns[k][i]
+    times the class vector of keys[origins[k]], mod p^m; every other atom
+    has weight zero.
     rows are basis.pivot_rows(low), the pivot rows howell.pivot_walk reads
     with both column fields read as y-degrees: (pivot column + low, pivot
     value, ((j + low, x), ...)) per row, so a query walks its weight part,
@@ -212,7 +218,7 @@ class _WeightClass:
     keys: tuple
     basis: HowellBasis
     origins: tuple
-    transform: tuple
+    columns: tuple
     rows: tuple
 
 
@@ -269,7 +275,8 @@ def _build_class(rewrite: RewriteSystem, weight: int):
         basis, origins, transform = howell_complete(_Rows(vectors), rewrite.modulus)
     else:
         basis, origins, transform = HowellBasis(rewrite.modulus, (), (), (), width), (), ()
-    return _WeightClass(low, tuple(keys), basis, origins, transform, basis.pivot_rows(low))
+    columns = tuple(zip(*transform))
+    return _WeightClass(low, tuple(keys), basis, origins, columns, basis.pivot_rows(low))
 
 
 class MembershipModule:
@@ -322,7 +329,8 @@ class MembershipModule:
         reduced in place by howell.pivot_walk on its class's rows, which
         are keyed by y-degree too; the witness is the nonzero entries the
         parts keep, and a class whose walk returns coefficients weights
-        its origins."""
+        each origin atom by their product with its column, the class's
+        transform kept by origin."""
         terms, combined = self.rewrite.reduce(f)
         p, n = self.p, self.modulus.value
         parts: dict = {}  # weight -> {y-degree: value}; the two fix a term
@@ -345,12 +353,8 @@ class MembershipModule:
         # g_index; the rest of the span part must rewrite to credits only.
         # Only the origins carry weight, and they are taken in key order
         for weight_class, coefficients in solved:
-            atom_weights = [0] * len(weight_class.origins)
-            for coefficient, row in zip(coefficients, weight_class.transform):
-                if coefficient:
-                    atom_weights = [w + coefficient * t for w, t in zip(atom_weights, row)]
-            for origin, weight in zip(weight_class.origins, atom_weights):
-                weight %= n
+            for origin, column in zip(weight_class.origins, weight_class.columns):
+                weight = sum(map(operator.mul, coefficients, column)) % n
                 if weight:
                     index, a, b = weight_class.keys[origin]
                     combined.setdefault(index, {})[(a, b)] = weight
@@ -477,8 +481,9 @@ def build_membership_module(
 
     One elimination per weight class, on the class's first touch: the
     atoms of weight w are reduced over that class's at most p^(e-1)
-    columns by howell_complete, whose transforms later weight the atoms
-    of a certificate.  Both run on Python ints, exact at any precision.
+    columns by howell_complete, whose transform, kept by origin, later
+    weights the atoms of a certificate.  Both run on Python ints, exact at
+    any precision.
     """
     if span_limit is not None:
         # p^(2e) >= 2^e > span_limit once e reaches its bit length, so an

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nilcert import quotient
 from nilcert.certificates import MAX_PRECISION
 from nilcert.coefficients import Modulus
-from nilcert.howell import howell_complete, howell_spanning_subset
+from nilcert.howell import howell_complete, howell_spanning_subset, pivot_walk
 from nilcert.quotient import build_membership_module
 
 
@@ -289,7 +289,7 @@ def test_sparse_reduce_matches_dense_formula(pm, data):
     # the walk on the vector's nonzero residues leaves the same remainder,
     # on columns alone, and the same coefficients
     residue = {j: x % n for j, x in enumerate(vector) if x % n}
-    coefficients = basis.reduce_residues(residue)
+    coefficients = pivot_walk(basis.pivot_rows(), residue, n)
     assert [residue.get(j, 0) for j in range(width)] == expected_residue
     assert set(residue) <= set(range(width))
     if any(expected_coefficients):

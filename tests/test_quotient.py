@@ -27,7 +27,7 @@ from nilcert.certificates import (
     verify_certificate,
 )
 from nilcert import quotient
-from nilcert.coefficients import rational
+from nilcert.coefficients import is_prime, rational
 from nilcert.howell import HowellBasis, howell_complete, pivot_walk
 from nilcert.polynomials import RATIONALS, Polynomial
 from nilcert.quotient import (
@@ -369,8 +369,8 @@ def test_extra_precision_separates_cosets():
 
 def test_atom_vectors_are_rewrites_of_their_keys():
     # a class keeps only its atom keys; certificates are derived from the
-    # keys, so the transform must carry the origin keys' rewrites onto the
-    # basis
+    # keys, so the transform, kept by origin, must carry the origin keys'
+    # rewrites onto the basis
     for p, e, m in [(2, 1, 3), (2, 2, 3), (3, 2, 3)]:
         module = module_for(p, e, m)
         n = module.modulus.value
@@ -385,9 +385,11 @@ def test_atom_vectors_are_rewrites_of_their_keys():
             origins = weight_class.origins
             assert list(origins) == sorted(set(origins))
             assert all(0 <= k < len(weight_class.keys) for k in origins)
+            rank = weight_class.basis.rank
+            assert len(weight_class.columns) == len(origins)
+            assert all(len(column) == rank for column in weight_class.columns)
             combined = []
-            for coefficients in weight_class.transform:
-                assert len(coefficients) == len(origins)
+            for coefficients in zip(*weight_class.columns):
                 total = [0] * width
                 for c, k in zip(coefficients, origins):
                     total = [(t + c * x) % n for t, x in zip(total, vectors[k])]
@@ -397,8 +399,9 @@ def test_atom_vectors_are_rewrites_of_their_keys():
 
 def test_corrupted_transform_breaks_the_certificate():
     # a basis row reduces against its class with coefficient 1 on itself,
-    # so its atom weights are its transform row; one weight off by 1 adds
-    # a nonzero atom vector the derived cofactors cannot account for
+    # so its atom weights are its entries in the columns; one weight off
+    # by 1 adds a nonzero atom vector the derived cofactors cannot account
+    # for
     module = build_membership_module(2, 2, 3)
     weight, weight_class = max(module.basis.items(), key=lambda item: item[1].basis.rank)
     row = weight_class.basis.matrix[0]
@@ -408,9 +411,9 @@ def test_corrupted_transform_breaks_the_certificate():
     result = module.is_member(target)
     assert result.member
     assert verify_certificate(result.certificate)
-    first, *rest = weight_class.transform
-    first = first[:-1] + ((first[-1] + 1) % module.modulus.value,)
-    module._classes[weight] = dataclasses.replace(weight_class, transform=(first, *rest))
+    *rest, last = weight_class.columns
+    last = ((last[0] + 1) % module.modulus.value,) + last[1:]
+    module._classes[weight] = dataclasses.replace(weight_class, columns=(*rest, last))
     with pytest.raises(AssertionError, match="do not account"):
         module.is_member(target)
 
@@ -506,9 +509,10 @@ def test_deep_cells_build_and_certify(p, e):
 
 
 def dense_transform(weight_class):
-    """The class transform over every atom key, zero off the origins."""
+    """The class transform over every atom key, zero off the origins: one
+    row per basis row, read off the columns kept by origin."""
     rows = []
-    for coefficients in weight_class.transform:
+    for coefficients in zip(*weight_class.columns):
         row = [0] * len(weight_class.keys)
         for origin, value in zip(weight_class.origins, coefficients):
             row[origin] = value
@@ -612,10 +616,11 @@ def query_batch(p, e, m):
     return queries
 
 
-def query_batch_results(p, e, m):
+def query_batch_results(p, e, m, module=None):
     """(expected verdict, result) for the batch's queries, then for
-    x^N and x^(N-1) through power_membership, N = p^e + p^(e-1)."""
-    module = module_for(p, e, m)
+    x^N and x^(N-1) through power_membership, N = p^e + p^(e-1), on
+    module, by default the cached module of the cell."""
+    module = module or module_for(p, e, m)
     results = [(expected, module.is_member(f)) for expected, f in query_batch(p, e, m)]
     bound = p**e + p ** (e - 1)
     results.append((True, module.power_membership(X, bound)))
@@ -633,14 +638,40 @@ QUERY_BATCH_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("p,e,m", QUERY_BATCH_CELLS)
-def test_query_batch_pinned(p, e, m):
+def query_batch_digest(results):
+    """sha256 over the certificate and witness texts of query_batch_results,
+    checking each verdict on the way."""
     digest = hashlib.sha256()
-    for expected, result in query_batch_results(p, e, m):
+    for expected, result in results:
         assert result.member == expected
         text = certificate_to_text(result.certificate) if expected else result.witness.to_text()
         digest.update(text.encode("ascii") + b"\n")
-    assert digest.hexdigest() == QUERY_BATCH_DIGESTS[(p, e, m)]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("p,e,m", QUERY_BATCH_CELLS)
+def test_query_batch_pinned(p, e, m):
+    assert query_batch_digest(query_batch_results(p, e, m)) == QUERY_BATCH_DIGESTS[(p, e, m)]
+
+
+def test_no_query_path_calls_the_dense_reduce(monkeypatch):
+    # queries walk their class's rows; HowellBasis.reduce builds its pivot
+    # rows afresh on every call, so a query routed through it would be a
+    # silent slowdown.  Fresh modules, so their classes are built here too
+    def refused(self, vector):
+        raise AssertionError("a query called HowellBasis.reduce")
+
+    monkeypatch.setattr(HowellBasis, "reduce", refused)
+    for p, e, m in QUERY_BATCH_CELLS:
+        results = query_batch_results(p, e, m, build_membership_module(p, e, m))
+        assert query_batch_digest(results) == QUERY_BATCH_DIGESTS[(p, e, m)]
+    module = build_membership_module(3, 2, 3)
+    assert module.check_theta_stability()
+    assert all(module.verify_iterate_torsion(k) for k in range(3))
+    assert all(module.verify_iterate_power_identity(k) for k in range(2))
+    assert module.verify_nilpotence().member
+    assert not module.verify_sharpness().member
+    assert module.verify_torsion_powers()
 
 
 
@@ -726,9 +757,9 @@ def test_weight_without_atoms_has_an_empty_class():
 def test_class_rows_are_the_pivot_rows_in_y_degrees(p, e, m):
     # a class keeps its basis's pivot rows with both column fields shifted
     # by low, so a query walks its {y-degree: value} part in place; on
-    # seeded parts, the walk on those rows leaves what reduce_residues
-    # leaves on the part shifted to class columns, and a combination of
-    # basis rows walks to a zero remainder
+    # seeded parts, the walk on those rows leaves what the walk on the
+    # basis's own pivot rows leaves on the part shifted to class columns,
+    # and a combination of basis rows walks to a zero remainder
     module = module_for(p, e, m)
     n = p**m
     rng = random.Random(f"class rows {p} {e} {m}")
@@ -738,7 +769,7 @@ def test_class_rows_are_the_pivot_rows_in_y_degrees(p, e, m):
         low, basis = weight_class.low, weight_class.basis
         assert weight_class.rows == tuple(
             (col + low, pk, tuple((j + low, x) for j, x in row))
-            for col, pk, row in basis._pivot_rows
+            for col, pk, row in basis.pivot_rows()
         )
         if not weight_class.keys:
             assert weight_class.rows == ()
@@ -752,7 +783,7 @@ def test_class_rows_are_the_pivot_rows_in_y_degrees(p, e, m):
             part = {low + j: x for j, x in enumerate(dense) if x}
             shifted = {j - low: x for j, x in part.items()}
             coefficients = pivot_walk(weight_class.rows, part, n)
-            assert coefficients == basis.reduce_residues(shifted)
+            assert coefficients == pivot_walk(basis.pivot_rows(), shifted, n)
             assert part == {j + low: x for j, x in shifted.items()}
             assert coefficients is None or len(coefficients) == basis.rank
             if k % 2 and basis.rank:
@@ -1112,9 +1143,17 @@ def _functional_failures(p, e, functional):
     return failures
 
 
-@pytest.mark.parametrize(
-    "p,e", DEFAULT_VERIFY_CELLS + [(2, 6), (2, 8), (3, 4), (7, 3), (2, 10)]
-)
+# every (p, e) that check_cell admits, p^e <= MAX_DEGREE: 198 cells
+ADMITTED_CELLS = [
+    (p, e)
+    for p in range(2, MAX_DEGREE + 1)
+    if is_prime(p)
+    for e in range(1, MAX_DEGREE.bit_length())
+    if p**e <= MAX_DEGREE
+]
+
+
+@pytest.mark.parametrize("p,e", ADMITTED_CELLS)
 def test_sharpness_by_an_independent_functional(p, e):
     # The ideal is homogeneous for wt(x) = 1, wt(y) = p.  lambda vanishes
     # mod p^(e+1) on every multiple of a generator of weight N-1, but
