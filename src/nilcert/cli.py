@@ -41,7 +41,7 @@ PASS, FAIL = "pass", "fail"
 
 # Largest accepted --degree-cap: `iterates --degree-cap 4096` takes about
 # 4 s at p = 2 and 3.4 s at p = 5 as a subprocess on a 2-core x86 host with
-# CPython 3.11 (0.6 s and 0.15 s at 2048; medians of three runs, which
+# CPython 3.11 (0.6 s and 0.12 s at 2048; medians of three runs, which
 # spread by up to 40%).  MAX_DIAGONAL_SIZE keeps other primes near that:
 # 3.1 s at p = 47 and 5 s at p = 1741.
 MAX_DEGREE_CAP = 4096
@@ -52,11 +52,11 @@ MAX_DEGREE_CAP = 4096
 MAX_PRIME = MAX_DEGREE_CAP
 
 # Largest accepted --span-limit: `verify` on the largest cells it admits,
-# (2, 7) and (5, 3), takes about 1.1 s and 0.4 s on the same host.
+# (2, 7) and (5, 3), takes about 0.16 s and 0.08 s on the same host.
 MAX_SPAN_LIMIT = 2**14
 
 # Largest accepted --trials: one trial of axioms at p = 7 takes about
-# 0.018 s on the same host, so 1000 trials there take about 18 s.
+# 0.01 s on the same host, so 1000 trials there take about 10 s.
 MAX_TRIALS = 1000
 
 # Largest accepted |N| for `bound N`, whose trial division runs to sqrt(N).
@@ -71,7 +71,7 @@ MAX_AXIOM_TERMS = 4096
 # theta(f_n) forms f_n^p, of degree p^(n+1), one power of p past the
 # degree cap: p^n + 1 terms of about p^n * log2(p) bits each.  The default
 # cells measure at most 2^21 and (2, 12) exactly 2^25; (61, 2) and
-# (2039, 1), whose checks alone take 24 s and 10 s, are skipped.
+# (2039, 1), whose checks alone take 18 s and 8 s, are skipped.
 MAX_DIAGONAL_SIZE = 2**25
 
 
@@ -119,6 +119,11 @@ class RunConfig:
         }
 
 
+def _heading(record: dict) -> str:
+    """The "p=.. e=.." of a record: its table heading and timing label."""
+    return " ".join(f"{key}={record[key]}" for key in ("p", "e") if key in record)
+
+
 @dataclass
 class Report:
     command: str
@@ -150,10 +155,7 @@ class Report:
     def to_table(self) -> str:
         lines = []
         for record in self.records:
-            heading = " ".join(
-                f"{key}={record[key]}" for key in ("p", "e") if key in record
-            )
-            lines.append(heading or self.command)
+            lines.append(_heading(record))
             width = max(len(k) for k in record["verdicts"]) if record["verdicts"] else 0
             for key, verdict in record["verdicts"].items():
                 lines.append(f"  {key.ljust(width)}  {verdict}")
@@ -173,10 +175,6 @@ class Report:
         if self.config.out_report:
             with open(self.config.out_report, "w", encoding="ascii") as handle:
                 handle.write(self.to_json())
-
-
-def _timing(label: str, started: float) -> None:
-    sys.stderr.write(f"[timing] {label}: {time.perf_counter() - started:.3f}s\n")
 
 
 # ---- subcommand bodies ----
@@ -202,41 +200,31 @@ def _axioms_skip_reason(p: int, degree_cap: int) -> str | None:
     return None
 
 
-def run_axioms(config: RunConfig) -> Report:
-    report = Report("axioms", config)
-    for p in config.primes:
-        started = time.perf_counter()
-        reason = _axioms_skip_reason(p, config.degree_cap)
-        if reason is not None:
-            verdicts = {"axioms": skipped(reason)}
-            report.records.append({"p": p, "trials": config.trials, "verdicts": verdicts})
-            _timing(f"axioms p={p}", started)
-            continue
-        ctx = ThetaContext(p)
-        rng = config.rng_for(p)
-        axiom_failures = multiple_failures = congruence_failures = 0
-        for _ in range(config.trials):
-            f = random_polynomial(rng, p)
-            g = random_polynomial(rng, p)
-            if not ctx.check_theta_axioms(f, g):
-                axiom_failures += 1
-            if not ctx.check_theta_of_p_multiple(random_polynomial(rng, p)):
-                multiple_failures += 1
-            if not ctx.check_frobenius_congruence(random_polynomial(rng, p)):
-                congruence_failures += 1
-        report.records.append(
-            {
-                "p": p,
-                "trials": config.trials,
-                "verdicts": {
-                    "theta_axioms": PASS if not axiom_failures else FAIL,
-                    "theta_of_p_multiple": PASS if not multiple_failures else FAIL,
-                    "frobenius_congruence": PASS if not congruence_failures else FAIL,
-                },
-            }
-        )
-        _timing(f"axioms p={p}", started)
-    return report
+def _axioms_record(config: RunConfig, p: int) -> dict:
+    reason = _axioms_skip_reason(p, config.degree_cap)
+    if reason is not None:
+        return {"p": p, "trials": config.trials, "verdicts": {"axioms": skipped(reason)}}
+    ctx = ThetaContext(p)
+    rng = config.rng_for(p)
+    axiom_failures = multiple_failures = congruence_failures = 0
+    for _ in range(config.trials):
+        f = random_polynomial(rng, p)
+        g = random_polynomial(rng, p)
+        if not ctx.check_theta_axioms(f, g):
+            axiom_failures += 1
+        if not ctx.check_theta_of_p_multiple(random_polynomial(rng, p)):
+            multiple_failures += 1
+        if not ctx.check_frobenius_congruence(random_polynomial(rng, p)):
+            congruence_failures += 1
+    return {
+        "p": p,
+        "trials": config.trials,
+        "verdicts": {
+            "theta_axioms": PASS if not axiom_failures else FAIL,
+            "theta_of_p_multiple": PASS if not multiple_failures else FAIL,
+            "frobenius_congruence": PASS if not congruence_failures else FAIL,
+        },
+    }
 
 
 def _diagonal_skip_reason(p: int, n: int) -> str | None:
@@ -250,89 +238,101 @@ def _diagonal_skip_reason(p: int, n: int) -> str | None:
     return None
 
 
-def run_iterates(config: RunConfig) -> Report:
-    report = Report("iterates", config)
-    for p in config.primes:
-        started = time.perf_counter()
-        ctx = ThetaContext(p)
-        depths = []
-        n = 1
-        while p**n <= config.degree_cap:
-            depths.append(n)
-            n += 1
-        verdicts = {}
-        if not depths:
-            verdicts["iterates"] = skipped(
-                f"degree cap {config.degree_cap} admits no depth above 0"
-            )
-        for n in depths:
-            verdicts[f"substitution_n{n}"] = (
-                PASS if ctx.check_iterate_substitution(n) else FAIL
-            )
-            verdicts[f"power_congruence_n{n}"] = (
-                PASS if ctx.check_iterate_power_congruence(n) else FAIL
-            )
-            reason = _diagonal_skip_reason(p, n)
-            if reason is not None:
-                verdicts[f"diagonal_n{n}"] = skipped(reason)
-            else:
-                verdicts[f"diagonal_n{n}"] = PASS if ctx.check_iterate_diagonal(n) else FAIL
-        report.records.append({"p": p, "verdicts": verdicts})
-        _timing(f"iterates p={p}", started)
-    return report
+def _iterates_record(config: RunConfig, p: int) -> dict:
+    ctx = ThetaContext(p)
+    depths = []
+    n = 1
+    while p**n <= config.degree_cap:
+        depths.append(n)
+        n += 1
+    verdicts = {}
+    if not depths:
+        verdicts["iterates"] = skipped(
+            f"degree cap {config.degree_cap} admits no depth above 0"
+        )
+    for n in depths:
+        verdicts[f"substitution_n{n}"] = (
+            PASS if ctx.check_iterate_substitution(n) else FAIL
+        )
+        verdicts[f"power_congruence_n{n}"] = (
+            PASS if ctx.check_iterate_power_congruence(n) else FAIL
+        )
+        reason = _diagonal_skip_reason(p, n)
+        if reason is not None:
+            verdicts[f"diagonal_n{n}"] = skipped(reason)
+        else:
+            verdicts[f"diagonal_n{n}"] = PASS if ctx.check_iterate_diagonal(n) else FAIL
+    return {"p": p, "verdicts": verdicts}
 
 
-def _check_certificate(config, record, kind, certificate) -> bool:
-    """Check the certificate with verify_certificate.  With --out-certs it
-    is written first and the file read back is checked; a file that fails
-    the check stays listed."""
+def _check_certificate(config, record, certificate) -> bool:
+    """Check a nilpotence certificate with verify_certificate.  With
+    --out-certs it is written first and the file read back is checked; a
+    file that fails the check stays listed."""
     if not config.out_certs:
         return verify_certificate(certificate)
     os.makedirs(config.out_certs, exist_ok=True)
-    name = f"{kind}_p{certificate.p}_e{certificate.e}_m{certificate.m}.cert"
+    name = f"nilpotence_p{certificate.p}_e{certificate.e}_m{certificate.m}.cert"
     path = os.path.join(config.out_certs, name)
     write_certificate(certificate, path)
     record.setdefault("certificates", []).append(name)
     return verify_certificate(read_certificate(path))
 
 
-def run_verify(config: RunConfig) -> Report:
-    report = Report("verify", config)
-    for p, e in config.cells():
+def _verify_record(config: RunConfig, p: int, e: int) -> dict:
+    record = {"p": p, "e": e, "verdicts": {}}
+    verdicts = record["verdicts"]
+    moduli = sorted({e + 1, e + 1 + config.extra_precision})
+    try:
+        modules = {m: build_membership_module(p, e, m, config.span_limit) for m in moduli}
+    except ValueError as error:
+        verdicts["cell"] = skipped(str(error))
+        return record
+    for m in moduli:
+        result = modules[m].verify_nilpotence()
+        proved = result.member and _check_certificate(config, record, result.certificate)
+        verdicts[f"nilpotence_m{m}"] = PASS if proved else FAIL
+    base = modules[e + 1]
+    sharp = base.verify_sharpness()
+    verdicts[f"sharpness_m{e + 1}"] = PASS if not sharp.member else FAIL
+    if sharp.witness is not None:
+        record["sharpness_witness"] = sharp.witness.to_text()
+    verdicts["theta_stability"] = PASS if base.check_theta_stability() else FAIL
+    for k in range(e + 1):
+        verdicts[f"iterate_torsion_k{k}"] = (
+            PASS if base.verify_iterate_torsion(k) else FAIL
+        )
+    for k in range(e):
+        verdicts[f"iterate_power_k{k}"] = (
+            PASS if base.verify_iterate_power_identity(k) else FAIL
+        )
+    verdicts["torsion_powers"] = PASS if base.verify_torsion_powers() else FAIL
+    return record
+
+
+def _prime_keys(config: RunConfig) -> list:
+    return [(p,) for p in config.primes]
+
+
+# each suite's record keys under a config, and its record of one key
+_SUITES = {
+    "axioms": (_prime_keys, _axioms_record),
+    "iterates": (_prime_keys, _iterates_record),
+    "verify": (RunConfig.cells, _verify_record),
+}
+
+
+def run_suite(command: str, config: RunConfig) -> Report:
+    """The report of a suite, one record per key in key order; each
+    record's wall time goes to stderr under its table heading."""
+    keys, make_record = _SUITES[command]
+    report = Report(command, config)
+    for key in keys(config):
         started = time.perf_counter()
-        record = {"p": p, "e": e, "verdicts": {}}
-        verdicts = record["verdicts"]
-        moduli = sorted({e + 1, e + 1 + config.extra_precision})
-        try:
-            modules = {m: build_membership_module(p, e, m, config.span_limit) for m in moduli}
-        except ValueError as error:
-            verdicts["cell"] = skipped(str(error))
-            report.records.append(record)
-            _timing(f"verify p={p} e={e}", started)
-            continue
-        for m in moduli:
-            result = modules[m].verify_nilpotence()
-            proved = result.member and _check_certificate(
-                config, record, "nilpotence", result.certificate
-            )
-            verdicts[f"nilpotence_m{m}"] = PASS if proved else FAIL
-        base = modules[e + 1]
-        sharp = base.verify_sharpness()
-        verdicts[f"sharpness_m{e + 1}"] = PASS if not sharp.member else FAIL
-        if sharp.witness is not None:
-            record["sharpness_witness"] = sharp.witness.to_text()
-        verdicts["theta_stability"] = PASS if base.check_theta_stability() else FAIL
-        for k in range(e + 1):
-            verdicts[f"iterate_torsion_k{k}"] = (
-                PASS if base.verify_iterate_torsion(k) else FAIL
-            )
-        for k in range(e):
-            verdicts[f"iterate_power_k{k}"] = (
-                PASS if base.verify_iterate_power_identity(k) else FAIL
-            )
-        verdicts["torsion_powers"] = PASS if base.verify_torsion_powers() else FAIL
+        record = make_record(config, *key)
         report.records.append(record)
-        _timing(f"verify p={p} e={e}", started)
+        elapsed = time.perf_counter() - started
+        sys.stderr.write(f"[timing] {command} {_heading(record)}: {elapsed:.3f}s\n")
     return report
 
 
@@ -446,9 +446,8 @@ def main(argv=None) -> int:
         sys.stdout.write(f"{value}\n")
         return 0
     config = config_from_args(parser, args)
-    runner = {"axioms": run_axioms, "iterates": run_iterates, "verify": run_verify}
     try:
-        report = runner[args.command](config)
+        report = run_suite(args.command, config)
         report.emit()
     except OSError as error:
         parser.error(f"cannot write output: {error}")

@@ -66,6 +66,9 @@ from .howell import howell_spanning_subset  # noqa: F401
 from .polynomials import RATIONALS, Polynomial, from_numerators, residues
 from .theta import ThetaContext, nilpotence_bound
 
+# x, the query variable of every verify operation (a Polynomial is immutable)
+_X = Polynomial.monomial(RATIONALS, 1, 0)
+
 
 class RewriteSystem:
     """The linear normal-form map onto the monomial span, mod p^m.
@@ -421,8 +424,7 @@ class MembershipModule:
         """p^(e-k) times the k-th Adams iterate of x lies in the ideal."""
         if not 0 <= k <= self.e:
             raise ValueError("k out of range")
-        x, _ = Polynomial.generators(RATIONALS)
-        target = self.theta_context.psi_iterate(x, k).scale(self.p ** (self.e - k))
+        target = self.theta_context.psi_iterate(_X, k).scale(self.p ** (self.e - k))
         return self._proved(target)
 
     def verify_iterate_power_identity(self, k: int) -> bool:
@@ -431,16 +433,14 @@ class MembershipModule:
         if not 0 <= k <= self.e - 1:
             raise ValueError("k out of range")
         p, e = self.p, self.e
-        x, _ = Polynomial.generators(RATIONALS)
         small = nilpotence_bound(p ** (e - k))
-        difference = x ** nilpotence_bound(p**e) - self.theta_context.psi_iterate(x, k) ** small
+        difference = _X ** nilpotence_bound(p**e) - self.theta_context.psi_iterate(_X, k) ** small
         return self._proved(difference)
 
     def verify_nilpotence(self) -> MembershipResult:
         """x^N lies in the ideal mod p^m, with certificate, for
         N = nilpotence_bound(p^e) = p^e + p^(e-1), as `nilcert bound` prints."""
-        x, _ = Polynomial.generators(RATIONALS)
-        return self.power_membership(x, nilpotence_bound(self.p**self.e))
+        return self.power_membership(_X, nilpotence_bound(self.p**self.e))
 
     def verify_sharpness(self) -> MembershipResult:
         """One exponent below the bound stays outside, at precision e+1.
@@ -450,18 +450,16 @@ class MembershipModule:
         """
         if self.m != self.e + 1:
             raise ValueError("sharpness is stated at precision m = e + 1")
-        x, _ = Polynomial.generators(RATIONALS)
-        return self.power_membership(x, nilpotence_bound(self.p**self.e) - 1)
+        return self.power_membership(_X, nilpotence_bound(self.p**self.e) - 1)
 
     def verify_torsion_powers(self) -> bool:
         """Each p^(e-k) * x, 1 <= k <= e, is p^k-torsion mod the ideal, so
         its (p^k + p^(k-1))-th power must be a member, at every precision."""
-        x, _ = Polynomial.generators(RATIONALS)
         ok = True
         for k in range(1, self.e + 1):
             exponent = nilpotence_bound(self.p**k)
             scalar = (self.p ** (self.e - k)) ** exponent
-            target = (x**exponent).scale(scalar)
+            target = (_X**exponent).scale(scalar)
             ok = ok and self._proved(target)
         return ok
 

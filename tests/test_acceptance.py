@@ -3,7 +3,8 @@
 Each test prints one PASS/FAIL line (visible under pytest -s); together
 they cover the nilpotence bound with certificates, its sharpness, oracle
 agreement, the operator axioms, the iterate recursion laws, stability,
-torsion identities, coset well-definedness, and report determinism.
+torsion identities, coset well-definedness, report determinism, and both
+halves at the critical precision on every admitted cell up to p^e = 1024.
 """
 
 import contextlib
@@ -15,8 +16,10 @@ import tempfile
 import time
 from pathlib import Path
 
+from nilcert.certificates import MAX_DEGREE, certificate_from_text, certificate_to_text
 from nilcert.certificates import verify_certificate
 from nilcert.cli import main
+from nilcert.coefficients import is_prime
 from nilcert.polynomials import RATIONALS, Polynomial
 from nilcert.quotient import brute_force_membership_oracle, build_membership_module
 from nilcert.theta import ThetaContext, random_polynomial
@@ -24,6 +27,15 @@ from nilcert.theta import ThetaContext, random_polynomial
 GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)]
 ORACLE_CELLS = [(2, 1, 2), (2, 1, 3), (3, 1, 2)]
 X, Y = Polynomial.generators(RATIONALS)
+# every admitted (p, e) but the three deepest, whose certificates and
+# witnesses CI's "Deep nilpotence cells" step pins byte for byte
+ADMITTED_CELLS = [
+    (p, e)
+    for p in range(2, MAX_DEGREE + 1)
+    if is_prime(p)
+    for e in range(1, MAX_DEGREE.bit_length())
+    if p**e <= MAX_DEGREE and (p, e) not in {(2, 9), (2, 10), (3, 6)}
+]
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,3 +175,23 @@ def test_criterion_9_report_determinism():
         identical = payloads[0] == payloads[1]
         json.loads(payloads[0])  # and the format is valid machine output
     conclude(9, identical, "byte-identical machine reports for identical config")
+
+
+def test_criterion_10_both_halves_on_every_admitted_cell():
+    failures = []
+    for p, e in ADMITTED_CELLS:
+        module = build_membership_module(p, e, e + 1)
+        nilpotence = module.verify_nilpotence()
+        proved = nilpotence.member and verify_certificate(
+            certificate_from_text(certificate_to_text(nilpotence.certificate))
+        )
+        if not proved:
+            failures.append(("nilpotence", p, e))
+        if module.verify_sharpness().member:
+            failures.append(("sharpness", p, e))
+    conclude(
+        10,
+        not failures and len(ADMITTED_CELLS) == 195,
+        f"x^N a certified member and x^(N-1) not at m = e + 1 on "
+        f"{len(ADMITTED_CELLS)} cells; failures: {failures}",
+    )

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -226,6 +227,31 @@ def test_verify_cell_report_and_certificates(tmp_path, capsys):
     # timings are stderr-only, never report content
     assert "timing" not in out
     assert "[timing]" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # p = 11 is skipped by the term bound, p = 3 has no depth under the
+        # cap, and the (2, 7) span is past the default span limit
+        ["axioms", "--p", "2", "--p", "11", "--trials", "1"],
+        ["iterates", "--p", "2", "--p", "3", "--degree-cap", "2"],
+        ["verify", "--p", "2", "--e", "1", "--e", "7"],
+    ],
+)
+def test_one_timing_line_per_record_under_its_table_heading(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert "skipped: " in out
+    headings = [line for line in out.splitlines() if not line.startswith((" ", "summary:"))]
+    assert len(headings) == 2
+    labels = []
+    for line in err.splitlines():
+        match = re.fullmatch(r"\[timing\] (\w+) (.+): (\d+\.\d{3})s", line)
+        assert match, line
+        assert match[1] == argv[0]
+        labels.append(match[2])
+    assert labels == headings
 
 
 def test_verify_fails_when_a_certificate_check_fails(monkeypatch, capsys):
